@@ -61,14 +61,5 @@ int main(int argc, char** argv) {
                       g_result->per_path_core_diversity);
         report.scalar("diversity_paths_per_origin",
                       g_result->diversity_paths_per_origin);
-        // Beaconing hot-loop allocation history, measured on the fixed-seed
-        // micro-run gated by tests/test_alloc_budget.cpp (allocation counts
-        // are deterministic per seed; the phases above carry this run's own
-        // live counts when SCION_MPR_ALLOC_TRACK is on). "pre" is the cost
-        // before the SmallFn/SmallAny event-loop storage and span-based
-        // store admission landed; "budget" is the enforced ceiling.
-        report.scalar("beaconing_allocs_per_pcb_event_pre", 10.280);
-        report.scalar("beaconing_allocs_per_pcb_event_now", 7.473);
-        report.scalar("beaconing_allocs_per_pcb_event_budget", 9.0);
       });
 }

@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/hot_path.hpp"
 
 namespace scion::bgp {
 
@@ -211,7 +210,6 @@ void BgpSim::add_monitor(topo::AsIndex as) {
 // Once per UPDATE on the wire. The deferred closure captures the shared
 // BgpUpdateRef (a refcount bump, not a message copy) and must stay within
 // the scheduler callback's inline capture budget.
-SCION_HOT_FN
 void BgpSim::deliver(topo::AsIndex to, const sim::Message& msg) {
   // Serial processing: each update occupies the speaker for the configured
   // processing delay (5 ms in the evaluation).
@@ -227,7 +225,7 @@ void BgpSim::deliver(topo::AsIndex to, const sim::Message& msg) {
                 {"withdrawn", update->withdrawn.size()});
     if (measuring_) {
       // Monitor accounting: a handful of registered monitors, only during
-      // the measurement window. simlint:allow(hot-map-lookup)
+      // the measurement window.
       const auto it = monitors_.find(to);
       if (it != monitors_.end()) {
         ++it->second.raw_messages;

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
-#include "util/hot_path.hpp"
 
 namespace scion::bgp {
 
@@ -100,7 +99,6 @@ std::optional<Speaker::Route> Speaker::compute_best(Prefix p) const {
 bool Speaker::slot_suppressed(std::size_t idx, Prefix p) const {
   if (!options_.damping.enabled) return false;
   // One per candidate slot of a re-decision, damping-enabled runs only.
-  // simlint:allow(hot-map-lookup)
   const auto it = neighbors_[idx].damping.find(p);
   return it != neighbors_[idx].damping.end() && it->second.suppressed;
 }
@@ -120,8 +118,7 @@ void Speaker::damping_charge(std::size_t idx, Prefix p) {
   SCION_DCHECK(options_.damping.enabled, "charge with damping off");
   const util::TimePoint now = clock_();
   // Entries appear the first time a prefix flaps on this adjacency;
-  // steady-state charges hit the existing node. simlint:allow(hot-alloc)
-  // simlint:allow(hot-map-lookup)
+  // steady-state charges hit the existing node.
   DampingState& st = neighbors_[idx].damping[p];
   st.penalty = std::min(decayed_penalty(st, now) +
                             options_.damping.penalty_per_flap,
@@ -241,8 +238,7 @@ void Speaker::reevaluate(Prefix p) {
 // Once per delivered UPDATE. The RIB maps are the protocol state itself:
 // per-event lookups and growth there are the decision process, not scratch
 // churn, and the ordered containers are load-bearing for determinism (see
-// the member comments) — hence the allows below.
-SCION_HOT_FN
+// the member comments).
 void Speaker::handle_update(topo::AsIndex from, const BgpUpdateMsg& msg) {
   const std::size_t idx = index_of(from);
   NeighborState& n = neighbors_[idx];
@@ -253,7 +249,6 @@ void Speaker::handle_update(topo::AsIndex from, const BgpUpdateMsg& msg) {
   SCION_METRIC_COUNT("bgp.prefixes_announced", msg.announced.size());
 
   for (Prefix p : msg.withdrawn) {
-    // simlint:allow(hot-map-lookup)
     const auto it = rib_in_.find(p);
     if (it == rib_in_.end() || !it->second[idx].path) continue;
     it->second[idx] = Route{};
@@ -266,10 +261,9 @@ void Speaker::handle_update(topo::AsIndex from, const BgpUpdateMsg& msg) {
     SCION_CHECK(msg.path, "announcement without an AS path");
     if (contains(msg.path, self_)) return;  // AS-path loop, discard
     for (Prefix p : msg.announced) {
-      // simlint:allow(hot-alloc) simlint:allow(hot-map-lookup)
       auto [it, inserted] = rib_in_.try_emplace(p);
       // One slot table the first time a prefix is ever seen; steady-state
-      // UPDATEs hit the existing row. simlint:allow(hot-alloc)
+      // UPDATEs hit the existing row.
       if (inserted) it->second.resize(neighbors_.size());
       SCION_DCHECK(it->second.size() == neighbors_.size(),
                    "Adj-RIB-In slot table out of sync with neighbor set");

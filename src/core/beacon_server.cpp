@@ -3,7 +3,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/hot_path.hpp"
 
 #include <algorithm>
 #include <array>
@@ -87,7 +86,6 @@ BeaconServer::BeaconServer(const topo::Topology& topology, topo::AsIndex self,
 // Once per received PCB. Writes into the caller's scratch vector, which
 // keeps its capacity across PCBs — resolution itself never allocates once
 // the scratch has grown to the longest path seen.
-SCION_HOT_FN
 bool BeaconServer::resolve_links(const Pcb& pcb, topo::LinkIndex ingress,
                                  std::vector<topo::LinkIndex>& out) const {
   out.clear();
@@ -108,14 +106,13 @@ bool BeaconServer::resolve_links(const Pcb& pcb, topo::LinkIndex ingress,
     } else {
       if (next_as != self_ || *link != ingress) return false;
     }
-    // simlint:allow(hot-alloc) — scratch capacity persists across PCBs.
+    // Scratch capacity persists across PCBs.
     out.push_back(*link);
   }
   return true;
 }
 
 // The beaconing inner loop: every PCB the network delivers lands here.
-SCION_HOT_FN
 void BeaconServer::handle_pcb(const PcbRef& pcb, topo::LinkIndex ingress,
                               TimePoint now) {
   SCION_CHECK(pcb && !pcb->entries().empty(), "received PCB must be non-empty");
@@ -142,10 +139,8 @@ void BeaconServer::handle_pcb(const PcbRef& pcb, topo::LinkIndex ingress,
   }
 
   // Span-based admission: the store copies the links only if it admits the
-  // PCB, so the common rejected/stale case allocates nothing (the insert
-  // call itself is not container growth).
+  // PCB, so the common rejected/stale case allocates nothing.
   const auto outcome =
-      // simlint:allow(hot-alloc)
       store_.insert(pcb, resolve_scratch_, now, pcb->path_key());
   if (outcome == BeaconStore::InsertOutcome::kRejected ||
       outcome == BeaconStore::InsertOutcome::kStale) {
@@ -361,7 +356,6 @@ void BeaconServer::originate_diversity(TimePoint now) {
 // Once per propagated PCB each interval. The extend + one make_shared per
 // sent PCB is the message's intrinsic cost: the wire object must outlive
 // this call, shared by every queued delivery.
-SCION_HOT_FN
 void BeaconServer::send_extended(const StoredPcb& stored,
                                  topo::LinkIndex egress, TimePoint now) {
   const topo::IfId in_if = topology_.interface_of(stored.links.back(), self_);
@@ -372,7 +366,6 @@ void BeaconServer::send_extended(const StoredPcb& stored,
   }
   // The one wire-object allocation per sent PCB: the extended message must
   // outlive this call, shared by every queued delivery.
-  // simlint:allow(hot-alloc)
   auto pcb = std::make_shared<const Pcb>(
       config_.compute_crypto
           ? stored.pcb->extend_signed(self_id_, in_if, out_if, peer_entries(),
@@ -386,11 +379,8 @@ void BeaconServer::send_extended(const StoredPcb& stored,
   SCION_METRIC_OBSERVE("beacon.pcb_wire_bytes", pcb->wire_size().value());
   // Trace fields are lazy: to_string runs only with a sink installed and
   // the category enabled, never in measured runs.
-  // simlint:allow(hot-string)
   SCION_TRACE(obs::Category::kBeacon, now, "propagate",
-              // simlint:allow(hot-string)
               {"as", self_id_.to_string()},
-              // simlint:allow(hot-string)
               {"origin", stored.pcb->origin().to_string()},
               {"hops", pcb->hops()}, {"egress_if", out_if});
   send_(egress, pcb);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/hot_path.hpp"
 
 namespace scion::ctrl {
 
@@ -45,7 +44,6 @@ BeaconStore::InsertOutcome BeaconStore::insert(StoredPcb entry) {
 // Once per received PCB that survives verification. Only an admitted
 // candidate may allocate (its link vector); the reject/stale paths are
 // allocation-free.
-SCION_HOT_FN
 BeaconStore::InsertOutcome BeaconStore::insert(
     const PcbRef& pcb, std::span<const topo::LinkIndex> links,
     TimePoint received_at, std::uint64_t path_key) {
@@ -53,7 +51,6 @@ BeaconStore::InsertOutcome BeaconStore::insert(
   SCION_CHECK(links.size() == pcb->hops(),
               "resolved link sequence must cover every hop");
   // The bucket map is the store itself, one lookup per received PCB.
-  // simlint:allow(hot-map-lookup) simlint:allow(hot-alloc)
   auto& bucket = buckets_[pcb->origin()];
 
   // Same path already stored? Keep the newest instance only. Same path key
@@ -71,7 +68,6 @@ BeaconStore::InsertOutcome BeaconStore::insert(
 
   if (limit_ == 0 || bucket.size() < limit_) {
     // Admitted: this copy is the entry's one link-vector allocation.
-    // simlint:allow(hot-alloc)
     bucket.push_back(StoredPcb{pcb,
                                {links.begin(), links.end()},
                                received_at, path_key});
@@ -87,7 +83,7 @@ BeaconStore::InsertOutcome BeaconStore::insert(
   if (!candidate_wins) return InsertOutcome::kRejected;
   StoredPcb& slot = bucket[victim];
   slot.pcb = pcb;
-  // simlint:allow(hot-alloc) — assign reuses the victim's capacity.
+  // Assign reuses the victim's capacity.
   slot.links.assign(links.begin(), links.end());
   slot.received_at = received_at;
   slot.path_key = path_key;
@@ -100,7 +96,6 @@ BeaconStore::InsertOutcome BeaconStore::insert(
 
 // Runs whenever a PCB hits a full bucket — the steady state of every
 // long simulation.
-SCION_HOT_FN
 std::size_t BeaconStore::pick_victim(const std::vector<StoredPcb>& bucket,
                                      const PcbRef& candidate,
                                      std::span<const topo::LinkIndex> candidate_links,
@@ -135,7 +130,7 @@ std::size_t BeaconStore::pick_victim(const std::vector<StoredPcb>& bucket,
           break;
         }
       }
-      // simlint:allow(hot-alloc) — capacity is retained across calls.
+      // Capacity is retained across calls.
       if (!found) coverage_scratch_.emplace_back(l, 1);
     }
   }

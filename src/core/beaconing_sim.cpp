@@ -3,7 +3,6 @@
 #include "obs/event_profile.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
-#include "util/hot_path.hpp"
 
 
 #include "crypto/signature.hpp"
@@ -85,10 +84,8 @@ BeaconingSim::BeaconingSim(const topo::Topology& topology,
   // Delivery: the channel id is the ingress link.
   for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) {
     net_.set_handler(node_of(i), [this, i](const sim::Message& msg) {
-      SCION_HOT_PATH_BEGIN(beaconing_delivery);
       const PcbRef& pcb = msg.payload.get<PcbRef>();
       servers_[i]->handle_pcb(pcb, link_of(msg.channel), sim_.now());
-      SCION_HOT_PATH_END();
     });
   }
 

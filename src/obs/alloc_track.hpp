@@ -1,5 +1,5 @@
-// Counting allocator for per-phase allocation budgets (the dynamic half of
-// the hot-path cost layer; the static half is tools/simlint_hotpath.hpp).
+// Counting allocator for per-phase allocation budgets, the repo's one gate
+// on per-event cost.
 //
 // Under the SCION_MPR_ALLOC_TRACK build option, alloc_track.cpp replaces
 // the global operator new/delete with a forwarding pair that bumps

@@ -4,7 +4,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/hot_path.hpp"
 
 #include <algorithm>
 
@@ -132,7 +131,6 @@ ControlPlaneSim::ControlPlaneSim(const topo::Topology& topology,
   // PCB delivery: dispatch on the link type the beacon arrived over.
   for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) {
     net_.set_handler(node_of(i), [this, i](const sim::Message& msg) {
-      SCION_HOT_PATH_BEGIN(control_plane_delivery);
       const ctrl::PcbRef& pcb = msg.payload.get<ctrl::PcbRef>();
       const topo::LinkIndex link = link_of(msg.channel);
       if (topology_.link(link).type == topo::LinkType::kCore) {
@@ -140,7 +138,6 @@ ControlPlaneSim::ControlPlaneSim(const topo::Topology& topology,
       } else {
         intra_servers_[i]->handle_pcb(pcb, link, sim_.now());
       }
-      SCION_HOT_PATH_END();
     });
   }
 

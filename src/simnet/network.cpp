@@ -5,7 +5,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/hot_path.hpp"
 
 namespace scion::sim {
 
@@ -86,7 +85,6 @@ void Network::send(ChannelId ch, NodeId from, Bytes bytes, Payload payload) {
 // the busiest code in every simulation. The delivery closure must stay
 // within the Simulator::Callback inline capacity and the payload within
 // Payload's — both checked statically right here.
-SCION_HOT_FN
 void Network::send(ChannelId ch, NodeId from, Bytes bytes,
                    Payload payload, obs::EventLabel label) {
   SCION_CHECK(ch.value() < channels_.size(), "channel id out of range");

@@ -137,8 +137,8 @@ class Network {
   /// after the channel latency (plus jitter, if configured). `from` must be
   /// an endpoint of `ch`. The delivery event is attributed to `label` by the
   /// event profiler; the unlabeled form uses the interned "net.deliver"
-  /// default (hot-path call sites must pass their protocol's label — the
-  /// simlint hot-unlabeled-schedule rule enforces it).
+  /// default. Simulation pipelines pass their protocol's label; tools/
+  /// bench_diff fails when a baseline label disappears from a run.
   void send(ChannelId ch, NodeId from, Bytes bytes, Payload payload,
             obs::EventLabel label);
   void send(ChannelId ch, NodeId from, Bytes bytes, Payload payload);

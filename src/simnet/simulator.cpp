@@ -6,13 +6,11 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "util/check.hpp"
-#include "util/hot_path.hpp"
 
 namespace scion::sim {
 
 // Once per scheduled event: the queue push is the only permitted growth
 // (amortized vector doubling), and Callback keeps closures inline.
-SCION_HOT_FN
 void Simulator::schedule_at(TimePoint t, obs::EventLabel label, Callback fn) {
   SCION_CHECK(t >= now_, "cannot schedule events in the past");
   queue_.push(Event{t, next_seq_++, label, std::move(fn)});
@@ -54,10 +52,8 @@ void Simulator::cancel_periodic(TimerId id) {
 }
 
 // Executes once per event — the innermost loop of every simulation.
-SCION_HOT_FN
 void Simulator::pop_and_run() {
   // Move, not copy: steals the callback out of the queue slot.
-  // simlint:allow(hot-copy-arg)
   Event ev = std::move(const_cast<Event&>(queue_.top()));
   queue_.pop();
   // The queue invariant every determinism claim rests on: virtual time only

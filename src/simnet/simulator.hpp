@@ -51,8 +51,9 @@ class Simulator {
   void schedule_at(TimePoint t, obs::EventLabel label, Callback fn);
 
   /// Unlabeled form: the event lands under the "(unlabeled)" default label.
-  /// Hot-path call sites must use the labeled overload (enforced by the
-  /// simlint hot-unlabeled-schedule rule).
+  /// Simulation pipelines must use the labeled overload: the attribution
+  /// checks in tests/test_alloc_budget.cpp and tools/bench_diff fail on any
+  /// unlabeled event.
   void schedule_at(TimePoint t, Callback fn) {
     schedule_at(t, obs::EventLabel{}, std::move(fn));
   }

@@ -5,7 +5,8 @@
 // contract: deterministic fields (figure scalars, counters, phase calls,
 // per-label event counts) fail on ANY drift; allocation counters fail only
 // beyond the tolerance band; wall time warns unless a wall tolerance is
-// explicitly requested. These tests pin each verdict on small handwritten
+// explicitly requested; unattributed events in the current run always
+// fail. These tests pin each verdict on small handwritten
 // scion-mpr-bench-v1 documents.
 #include <gtest/gtest.h>
 
@@ -33,7 +34,7 @@ constexpr const char* kBaseDoc = R"({
   "event_profile": {
     "enabled": true,
     "total_events": 600,
-    "attributed_events": 590,
+    "attributed_events": 600,
     "queue_samples": [{"t_ns": 100000000, "depth": 4}],
     "labels": [
       {"label": "beacon.propagate", "events": 400, "allocs": 80,
@@ -188,6 +189,26 @@ TEST(BenchDiff, EventProfileTotalsGateExactly) {
   const DiffReport r = diff_bench_docs(base, cur);
   EXPECT_TRUE(r.failed());
   EXPECT_NE(find_metric(r, "event_profile.total_events"), nullptr);
+}
+
+// Unattributed events fail on the current run alone: a baseline that
+// already has the same gap does not excuse it.
+TEST(BenchDiff, UnattributedEventsFailWhateverTheBaseline) {
+  const std::string gap = replaced(kBaseDoc, "\"attributed_events\": 600",
+                                   "\"attributed_events\": 590");
+  const DiffReport r = diff_bench_docs(parse(gap), parse(gap));
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(r.failures, 1u);
+  const DiffEntry* e = find_metric(r, "event_profile.unattributed_events");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->severity, DiffSeverity::kFail);
+  EXPECT_EQ(e->current, "10");
+  EXPECT_EQ(e->note, "unattributed events");
+
+  // With the profiler off the totals carry no attribution claim.
+  const std::string off =
+      replaced(gap, "\"enabled\": true", "\"enabled\": false");
+  EXPECT_FALSE(diff_bench_docs(parse(off), parse(off)).failed());
 }
 
 TEST(BenchDiff, MissingLabelFailsNewLabelWarns) {

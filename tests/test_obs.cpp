@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/beaconing_sim.hpp"
 #include "obs/alloc_track.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/event_profile.hpp"
@@ -21,7 +20,6 @@
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "simnet/simulator.hpp"
-#include "topology/generator.hpp"
 #include "util/flags.hpp"
 
 namespace scion::obs {
@@ -582,34 +580,6 @@ TEST(ObsEventProfile, DisabledProfilerRecordsNothing) {
   EXPECT_EQ(EventProfiler::global().total_events(), 0u);
   EventProfiler::global().set_enabled(true);
   EventProfiler::global().reset_counters();
-}
-
-// The acceptance bar for the labeling sweep: a real simulation pipeline
-// must attribute (nearly) all its events to non-default labels. A new
-// unlabeled schedule site in a hot loop drags this ratio down.
-TEST(ObsEventProfile, BeaconingRunAttributesAtLeast95PercentOfEvents) {
-#ifdef SCION_MPR_OBS_ENABLED
-  EventProfiler::global().reset_counters();
-  EventProfiler::global().set_enabled(true);
-  topo::ScionLabConfig topo_config;
-  topo_config.n_cores = 8;
-  topo_config.seed = 5;
-  const topo::Topology world = topo::generate_scionlab(topo_config);
-  ctrl::BeaconingSimConfig config;
-  config.sim_duration = util::Duration::minutes(30);
-  config.seed = 42;
-  ctrl::BeaconingSim sim{world, config};
-  sim.run();
-  const std::uint64_t total = EventProfiler::global().total_events();
-  const std::uint64_t attributed = EventProfiler::global().attributed_events();
-  ASSERT_GT(total, 0u);
-  EXPECT_GE(static_cast<double>(attributed),
-            0.95 * static_cast<double>(total))
-      << attributed << " of " << total << " events attributed";
-  EventProfiler::global().reset_counters();
-#else
-  GTEST_SKIP() << "SCION_MPR_OBS is off";
-#endif
 }
 
 // --- chrome trace export -----------------------------------------------------

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "tools/simlint_core.hpp"
-#include "tools/simlint_hotpath.hpp"
 #include "tools/simlint_includes.hpp"
 #include "tools/simlint_state.hpp"
 
@@ -495,273 +494,6 @@ TEST(SimlintCycle, RealTreeShapedGraphHasNoCycle) {
   graph.add_file("src/scion/sig.hpp", "#include \"core/pcb.hpp\"\n");
   graph.add_file("src/core/pcb.hpp", "#include \"crypto/mac.hpp\"\n");
   EXPECT_TRUE(graph.check().empty());
-}
-
-// --- hot-path-cost analyzer --------------------------------------------------
-
-std::vector<Finding> hot_one(const std::string& content,
-                             const std::string& name = "src/core/x.cpp") {
-  HotPathAnalyzer a;
-  a.add_file(name, content);
-  return a.check();
-}
-
-TEST(SimlintHotPath, AllocInHotFnIsFlagged) {
-  const auto f = hot_one(
-      "SCION_HOT_FN\n"
-      "void handle(int n) {\n"
-      "  auto* p = new int{n};\n"
-      "  use(p);\n"
-      "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "hot-alloc");
-  EXPECT_EQ(f[0].line, 3);
-}
-
-TEST(SimlintHotPath, MakeSharedAndGrowthAreFlagged) {
-  EXPECT_EQ(rules_of(hot_one("SCION_HOT_FN\n"
-                             "void f() {\n"
-                             "  auto p = std::make_shared<Pcb>(pcb);\n"
-                             "}\n")),
-            std::vector<std::string>{"hot-alloc"});
-  EXPECT_EQ(rules_of(hot_one("SCION_HOT_FN\n"
-                             "void f() {\n"
-                             "  links.push_back(l);\n"
-                             "}\n")),
-            std::vector<std::string>{"hot-alloc"});
-  EXPECT_EQ(rules_of(hot_one("SCION_HOT_FN\n"
-                             "void f() {\n"
-                             "  std::vector<int> scratch;\n"
-                             "}\n")),
-            std::vector<std::string>{"hot-alloc"});
-}
-
-TEST(SimlintHotPath, CodeOutsideRegionsIsClean) {
-  EXPECT_TRUE(hot_one("void cold() {\n"
-                      "  auto* p = new int{1};\n"
-                      "  std::string s = to_string(2);\n"
-                      "}\n")
-                  .empty());
-}
-
-TEST(SimlintHotPath, HotFnRegionEndsAtClosingBrace) {
-  const auto f = hot_one(
-      "SCION_HOT_FN\n"
-      "void hot() {\n"
-      "  use(1);\n"
-      "}\n"
-      "void cold() {\n"
-      "  auto* p = new int{1};\n"
-      "}\n");
-  EXPECT_TRUE(f.empty());
-}
-
-TEST(SimlintHotPath, ExplicitRegionFlagsAndEnds) {
-  const auto f = hot_one(
-      "void setup() {\n"
-      "  SCION_HOT_PATH_BEGIN(dispatch);\n"
-      "  auto* p = new int{1};\n"
-      "  SCION_HOT_PATH_END();\n"
-      "  auto* q = new int{2};\n"
-      "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "hot-alloc");
-  EXPECT_EQ(f[0].line, 3);
-}
-
-TEST(SimlintHotPath, StringCreationAndFormattingAreFlagged) {
-  EXPECT_EQ(rules_of(hot_one("SCION_HOT_FN\n"
-                             "void f() {\n"
-                             "  std::string label = name();\n"
-                             "}\n")),
-            std::vector<std::string>{"hot-string"});
-  EXPECT_EQ(rules_of(hot_one("SCION_HOT_FN\n"
-                             "void f() {\n"
-                             "  log(std::to_string(seq));\n"
-                             "}\n")),
-            std::vector<std::string>{"hot-string"});
-  // string_view is the sanctioned zero-copy type.
-  EXPECT_TRUE(hot_one("SCION_HOT_FN\n"
-                      "void f(std::string_view name) {\n"
-                      "  use(name);\n"
-                      "}\n")
-                  .empty());
-  // const std::string& does not construct.
-  EXPECT_TRUE(hot_one("SCION_HOT_FN\n"
-                      "void f(const std::string& name) {\n"
-                      "  use(name);\n"
-                      "}\n")
-                  .empty());
-}
-
-TEST(SimlintHotPath, ByValueLargeTypeIsFlaggedWithSize) {
-  const auto f = hot_one(
-      "SCION_HOT_FN\n"
-      "void admit(Pcb pcb) {\n"
-      "  use(pcb);\n"
-      "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "hot-copy-arg");
-  EXPECT_NE(f[0].message.find("Pcb"), std::string::npos);
-  EXPECT_NE(f[0].message.find("48"), std::string::npos);  // table size
-  // Const reference is clean.
-  EXPECT_TRUE(hot_one("SCION_HOT_FN\n"
-                      "void admit(const Pcb& pcb) {\n"
-                      "  use(pcb);\n"
-                      "}\n")
-                  .empty());
-  // PcbRef (shared handle) is not the Pcb value type.
-  EXPECT_TRUE(hot_one("SCION_HOT_FN\n"
-                      "void admit(const PcbRef& pcb) {\n"
-                      "  PcbRef copy = pcb;\n"
-                      "}\n")
-                  .empty());
-}
-
-TEST(SimlintHotPath, ByValueAnyCastIsFlagged) {
-  const auto f = hot_one(
-      "SCION_HOT_FN\n"
-      "void deliver(const Message& msg) {\n"
-      "  const auto update = std::any_cast<BgpUpdateMsg>(msg.payload);\n"
-      "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "hot-copy-arg");
-  EXPECT_NE(f[0].message.find("any_cast"), std::string::npos);
-  // Reference cast is clean.
-  EXPECT_TRUE(
-      hot_one("SCION_HOT_FN\n"
-              "void deliver(const Message& msg) {\n"
-              "  const auto& u = std::any_cast<const BgpUpdateMsg&>(msg.p);\n"
-              "}\n")
-          .empty());
-}
-
-TEST(SimlintHotPath, TypeTableIsConfigurable) {
-  HotPathAnalyzer a;
-  a.set_hot_types({{"Huge", 4096}});
-  a.add_file("src/core/x.cpp",
-             "SCION_HOT_FN\n"
-             "void f(Huge h) {\n"
-             "  Pcb pcb = other;\n"  // no longer in the table
-             "}\n");
-  const auto f = a.check();
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_NE(f[0].message.find("4096"), std::string::npos);
-}
-
-TEST(SimlintHotPath, MapLookupOnDeclaredMapIsFlagged) {
-  const auto f = hot_one(
-      "std::unordered_map<int, int> scores_;\n"
-      "SCION_HOT_FN\n"
-      "int score(int k) {\n"
-      "  const auto it = scores_.find(k);\n"
-      "  return it == scores_.end() ? 0 : it->second;\n"
-      "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "hot-map-lookup");
-  EXPECT_EQ(f[0].line, 4);
-}
-
-TEST(SimlintHotPath, MapMembersResolveAcrossFiles) {
-  HotPathAnalyzer a;
-  a.add_file("src/core/store.hpp",
-             "class S { std::map<int, int> buckets_; };\n");
-  a.add_file("src/core/admission.cpp",
-             "SCION_HOT_FN\n"
-             "void admit(int k) {\n"
-             "  use(buckets_[k]);\n"
-             "}\n");
-  const auto f = a.check();
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "hot-map-lookup");
-  EXPECT_EQ(f[0].file, "src/core/admission.cpp");
-}
-
-TEST(SimlintHotPath, VectorIndexingIsClean) {
-  EXPECT_TRUE(hot_one("std::vector<int> dense_;\n"
-                      "SCION_HOT_FN\n"
-                      "int score(int k) {\n"
-                      "  return dense_[k];\n"
-                      "}\n")
-                  .empty());
-}
-
-TEST(SimlintHotPath, AllowSuppressesButStillCounts) {
-  HotPathAnalyzer a;
-  a.add_file("src/core/x.cpp",
-             "SCION_HOT_FN\n"
-             "void f() {\n"
-             "  // startup only, once per AS. simlint:allow(hot-alloc)\n"
-             "  auto* p = new int{1};\n"
-             "}\n");
-  EXPECT_TRUE(a.check().empty());
-  // The suppressed site still appears in the cost report — that is what
-  // the checked-in baseline budgets.
-  const std::string report = a.cost_report_json();
-  EXPECT_NE(report.find("\"hot-alloc\": 1"), std::string::npos);
-}
-
-TEST(SimlintHotPath, CostReportIsDeterministic) {
-  const auto build = [] {
-    HotPathAnalyzer a;
-    a.add_file("src/core/b.cpp",
-               "SCION_HOT_FN\nvoid f() {\n  x.push_back(1);\n}\n");
-    a.add_file("src/core/a.cpp",
-               "SCION_HOT_FN\nvoid g() {\n  auto* p = new int{1};\n}\n");
-    a.check();
-    return a.cost_report_json();
-  };
-  const std::string report = build();
-  EXPECT_EQ(report, build());
-  // Files sorted by name regardless of registration order.
-  EXPECT_LT(report.find("src/core/a.cpp"), report.find("src/core/b.cpp"));
-}
-
-TEST(SimlintHotPath, BaselineDiffFlagsRegressionsOnly) {
-  const std::string source =
-      "SCION_HOT_FN\n"
-      "void f() {\n"
-      "  auto* p = new int{1};  // simlint:allow(hot-alloc)\n"
-      "}\n";
-  HotPathAnalyzer a;
-  a.add_file("src/core/x.cpp", source);
-  a.check();
-  const std::string baseline = a.cost_report_json();
-
-  // Same counts: clean.
-  EXPECT_TRUE(a.diff_baseline(baseline).empty());
-
-  // One more allowed allocation than the baseline: regression.
-  HotPathAnalyzer b;
-  b.add_file("src/core/x.cpp",
-             "SCION_HOT_FN\n"
-             "void f() {\n"
-             "  auto* p = new int{1};  // simlint:allow(hot-alloc)\n"
-             "  auto* q = new int{2};  // simlint:allow(hot-alloc)\n"
-             "}\n");
-  b.check();
-  const auto regress = b.diff_baseline(baseline);
-  ASSERT_EQ(regress.size(), 1u);
-  EXPECT_EQ(regress[0].rule, "hot-cost-regression");
-  EXPECT_NE(regress[0].message.find("hot-alloc"), std::string::npos);
-  EXPECT_NE(regress[0].message.find("2"), std::string::npos);
-  EXPECT_NE(regress[0].message.find("1"), std::string::npos);
-
-  // Fewer counts than the baseline (an improvement): clean.
-  HotPathAnalyzer c;
-  c.add_file("src/core/x.cpp",
-             "SCION_HOT_FN\n"
-             "void f() {\n"
-             "  use(1);\n"
-             "}\n");
-  c.check();
-  EXPECT_TRUE(c.diff_baseline(baseline).empty());
-
-  // A brand-new hot file is a regression against an empty baseline slot.
-  HotPathAnalyzer d;
-  d.add_file("src/core/fresh.cpp", source);
-  d.check();
-  EXPECT_EQ(d.diff_baseline(baseline).size(), 1u);
 }
 
 TEST(SimlintDot, OutputIsDeterministicAndSorted) {

@@ -9,7 +9,9 @@
 //     --alloc-tolerance fail, decreases always pass,
 //   - wall-time fields only warn unless --wall-tolerance is given, because
 //     wall time is machine-dependent and must never fail a deterministic
-//     gate by default.
+//     gate by default,
+//   - a current run whose event profile attributes fewer events than it ran
+//     fails, even when the baseline has the same gap.
 // Sections that only exist under SCION_MPR_OBS=ON (metrics, phases,
 // event_profile) are skipped when either manifest says obs_enabled=false.
 #pragma once
@@ -208,6 +210,21 @@ inline DiffReport diff_bench_docs(const obs::JsonValue& baseline,
                   [](DiffReport& rep, const std::string& m, double b,
                      double c) { diff_exact(rep, m, b, c); });
 
+  // Invariant on the current run alone, whatever the baseline says: with
+  // the event profiler on, every event must carry a named label.
+  const obs::JsonValue* cur_profile = current.find("event_profile");
+  const obs::JsonValue* profiling =
+      cur_profile != nullptr ? cur_profile->find("enabled") : nullptr;
+  if (profiling != nullptr && profiling->is_bool() && profiling->as_bool()) {
+    ++r.compared;
+    const double total = num_or(cur_profile, "total_events", 0.0);
+    const double attributed = num_or(cur_profile, "attributed_events", 0.0);
+    if (attributed < total) {
+      r.add(DiffSeverity::kFail, "event_profile.unattributed_events", "0",
+            fmt_num(total - attributed), "unattributed events");
+    }
+  }
+
   // Obs-gated sections: counters, phases and the event profile only carry
   // data when the build/run had observability on.
   if (!obs_enabled(baseline) || !obs_enabled(current)) {
@@ -254,7 +271,6 @@ inline DiffReport diff_bench_docs(const obs::JsonValue& baseline,
   // Event profile: per-label event counts are deterministic; allocs banded;
   // wall banded (warn-only by default).
   const obs::JsonValue* base_profile = baseline.find("event_profile");
-  const obs::JsonValue* cur_profile = current.find("event_profile");
   if (base_profile != nullptr && cur_profile != nullptr) {
     diff_exact(r, "event_profile.total_events",
                num_or(base_profile, "total_events", 0.0),

@@ -1,23 +1,19 @@
 // simlint driver: lints the given files / directories (recursively, *.hpp
 // *.cpp *.h) and reports determinism hazards, architecture (layering)
-// violations, and hot-path cost hazards. See simlint_core.hpp for the
+// violations, and shared-state hazards. See simlint_core.hpp for the
 // determinism rule set, simlint_includes.hpp for the include-graph rules,
-// simlint_hotpath.hpp for the hot-path-cost rules, and the
+// simlint_state.hpp for the shared-state rules, and the
 // `// simlint:allow(<rule>)` escape hatch shared by all three.
 //
 // --dot=PATH writes the observed module include graph as deterministic DOT
 // (sorted nodes/edges) so DESIGN.md's dependency table can be reviewed
 // against reality.
 //
-// --cost-report=PATH writes the deterministic hot-path cost JSON (per-file
-// rule-match counts inside annotated regions, simlint:allow-suppressed
-// sites included). --cost-baseline=PATH diffs those counts against a
-// checked-in report (tools/cost_baseline.json) and fails on any increase.
-//
-// --state-report=PATH / --state-baseline=PATH do the same for the
-// shared-state inventory (simlint_state.hpp): per-file mutable-global /
-// unguarded-shared / guarded-member counts, gated against
-// tools/state_baseline.json.
+// --state-report=PATH writes the deterministic shared-state inventory JSON
+// (simlint_state.hpp: per-file mutable-global / unguarded-shared /
+// guarded-member counts, simlint:allow-suppressed sites included).
+// --state-baseline=PATH diffs those counts against a checked-in report
+// (tools/state_baseline.json) and fails on any increase.
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 //
@@ -35,7 +31,6 @@
 #include <vector>
 
 #include "tools/simlint_core.hpp"
-#include "tools/simlint_hotpath.hpp"
 #include "tools/simlint_includes.hpp"
 #include "tools/simlint_state.hpp"
 
@@ -56,7 +51,6 @@ bool fixture_dir(const fs::path& p) {
 }
 
 bool add_path(scion::lint::Linter& linter, scion::lint::IncludeGraph& graph,
-              scion::lint::HotPathAnalyzer& hotpath,
               scion::lint::StateAnalyzer& state, const fs::path& path) {
   std::error_code ec;
   if (fs::is_directory(path, ec)) {
@@ -75,7 +69,7 @@ bool add_path(scion::lint::Linter& linter, scion::lint::IncludeGraph& graph,
     // Deterministic report order regardless of directory enumeration.
     std::sort(files.begin(), files.end());
     for (const fs::path& f : files) {
-      if (!add_path(linter, graph, hotpath, state, f)) return false;
+      if (!add_path(linter, graph, state, f)) return false;
     }
     return true;
   }
@@ -90,7 +84,6 @@ bool add_path(scion::lint::Linter& linter, scion::lint::IncludeGraph& graph,
   std::string content = std::move(buf).str();
   linter.add_file(path.generic_string(), content);
   graph.add_file(path.generic_string(), content);
-  hotpath.add_file(path.generic_string(), content);
   state.add_file(path.generic_string(), content);
   return true;
 }
@@ -99,18 +92,12 @@ bool add_path(scion::lint::Linter& linter, scion::lint::IncludeGraph& graph,
 
 int main(int argc, char** argv) {
   std::string dot_path;
-  std::string cost_report_path;
-  std::string cost_baseline_path;
   std::string state_report_path;
   std::string state_baseline_path;
   std::vector<const char*> inputs;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dot=", 6) == 0) {
       dot_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--cost-report=", 14) == 0) {
-      cost_report_path = argv[i] + 14;
-    } else if (std::strncmp(argv[i], "--cost-baseline=", 16) == 0) {
-      cost_baseline_path = argv[i] + 16;
     } else if (std::strncmp(argv[i], "--state-report=", 15) == 0) {
       state_report_path = argv[i] + 15;
     } else if (std::strncmp(argv[i], "--state-baseline=", 17) == 0) {
@@ -121,22 +108,15 @@ int main(int argc, char** argv) {
   }
   if (inputs.empty()) {
     std::fprintf(stderr,
-                 "usage: simlint [--dot=PATH] [--cost-report=PATH] "
-                 "[--cost-baseline=PATH]\n"
-                 "               [--state-report=PATH] "
+                 "usage: simlint [--dot=PATH] [--state-report=PATH] "
                  "[--state-baseline=PATH] <file-or-dir>...\n"
                  "rules: wall-clock std-rng unordered-iter float-accum "
                  "raw-output raw-thread layering module-cycle\n"
-                 "       hot-alloc hot-string hot-copy-arg hot-map-lookup "
-                 "hot-unlabeled-schedule\n"
-                 "       (inside SCION_HOT_FN / SCION_HOT_PATH regions)\n"
                  "       mutable-global unguarded-shared\n"
                  "suppress with // simlint:allow(<rule>) on or above the "
                  "offending line\n"
                  "--dot=PATH writes the observed module include graph as "
                  "deterministic DOT\n"
-                 "--cost-report=PATH writes the hot-path cost JSON; "
-                 "--cost-baseline=PATH fails on regressions against it\n"
                  "--state-report=PATH writes the shared-state inventory "
                  "JSON; --state-baseline=PATH fails on regressions\n");
     return 2;
@@ -144,34 +124,17 @@ int main(int argc, char** argv) {
 
   scion::lint::Linter linter;
   scion::lint::IncludeGraph graph;
-  scion::lint::HotPathAnalyzer hotpath;
   scion::lint::StateAnalyzer state;
   for (const char* input : inputs) {
-    if (!add_path(linter, graph, hotpath, state, input)) return 2;
+    if (!add_path(linter, graph, state, input)) return 2;
   }
 
   std::vector<scion::lint::Finding> findings = linter.run();
   for (scion::lint::Finding& f : graph.check()) {
     findings.push_back(std::move(f));
   }
-  for (scion::lint::Finding& f : hotpath.check()) {
-    findings.push_back(std::move(f));
-  }
   for (scion::lint::Finding& f : state.check()) {
     findings.push_back(std::move(f));
-  }
-  if (!cost_baseline_path.empty()) {
-    std::ifstream in{cost_baseline_path, std::ios::binary};
-    if (!in) {
-      std::fprintf(stderr, "simlint: cannot read cost baseline %s\n",
-                   cost_baseline_path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    for (scion::lint::Finding& f : hotpath.diff_baseline(buf.str())) {
-      findings.push_back(std::move(f));
-    }
   }
   if (!state_baseline_path.empty()) {
     std::ifstream in{state_baseline_path, std::ios::binary};
@@ -198,15 +161,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     out << graph.to_dot();
-  }
-  if (!cost_report_path.empty()) {
-    std::ofstream out{cost_report_path, std::ios::binary};
-    if (!out) {
-      std::fprintf(stderr, "simlint: cannot write %s\n",
-                   cost_report_path.c_str());
-      return 2;
-    }
-    out << hotpath.cost_report_json();
   }
   if (!state_report_path.empty()) {
     std::ofstream out{state_report_path, std::ios::binary};

@@ -65,23 +65,6 @@ struct Finding {
   bool operator==(const Finding&) const = default;
 };
 
-inline const std::vector<std::string>& rule_names() {
-  // layering / module-cycle are produced by the include-graph analyzer
-  // (simlint_includes.hpp); the hot-* rules by the hot-path-cost analyzer
-  // (simlint_hotpath.hpp, including the baseline-diff hot-cost-regression);
-  // mutable-global / unguarded-shared / state-regression by the
-  // shared-state analyzer (simlint_state.hpp); the rest by Linter::run().
-  static const std::vector<std::string> kNames{
-      "wall-clock",      "std-rng",        "unordered-iter",
-      "float-accum",     "raw-output",     "raw-thread",
-      "layering",        "module-cycle",   "hot-alloc",
-      "hot-string",      "hot-copy-arg",   "hot-map-lookup",
-      "hot-unlabeled-schedule",            "hot-cost-regression",
-      "mutable-global",  "unguarded-shared",
-      "state-regression"};
-  return kNames;
-}
-
 class Linter {
  public:
   /// Registers a source file. Call for every file before run().

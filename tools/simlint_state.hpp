@@ -29,9 +29,8 @@
 // sites, plus a `guarded-member` count of annotated members — is emitted as
 // deterministic JSON (--state-report=PATH) and diffed against the
 // checked-in tools/state_baseline.json (--state-baseline=PATH): any
-// per-(file, rule) count increase is a `state-regression` finding, exactly
-// like the PR 6 hot-path cost baseline. New shared state therefore cannot
-// land by accident; it lands by regenerating the baseline in the same PR
+// per-(file, rule) count increase is a `state-regression` finding. New
+// shared state therefore cannot land by accident; it lands by regenerating the baseline in the same PR
 // that argues for it (see DESIGN.md "Concurrency discipline").
 //
 // Scanning is a per-line state machine that strips comments and string /
@@ -55,7 +54,6 @@
 #include <vector>
 
 #include "tools/simlint_core.hpp"
-#include "tools/simlint_hotpath.hpp"
 #include "tools/simlint_includes.hpp"
 
 namespace scion::lint {
@@ -117,6 +115,13 @@ class StateAnalyzer {
 };
 
 namespace state_detail {
+
+inline void json_escape_into(std::string& out, std::string_view s) {
+  for (char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+}
 
 /// Carries multi-line lexical state for strip_noncode().
 struct LineScanState {
@@ -608,7 +613,7 @@ inline std::string StateAnalyzer::state_report_json() const {
     if (!first_file) out += ",\n";
     first_file = false;
     out += "    {\"file\": \"";
-    detail::json_escape_into(out, file);
+    state_detail::json_escape_into(out, file);
     out += "\", \"counts\": {";
     bool first_rule = true;
     for (const std::string& rule : kRules) {
