@@ -12,7 +12,9 @@
 # bench_fig5_overhead (the acceptance figure), validates its artifacts, and
 # diffs its BENCH report against the checked-in baseline with
 # tools/bench_diff (deterministic fields gate exactly; see
-# tools/bench_baseline/README.md).
+# tools/bench_baseline/README.md). Last, it builds the performance
+# benchmark (perfbench/, Release) and checks its outputs against
+# perfbench/references.json.
 #
 # Usage: ./ci.sh [preset]   (default: asan-ubsan; try `tsan` or `checked`)
 set -eu
@@ -173,6 +175,19 @@ mkdir -p "$par_dir"
   --trace="$par_dir/trace.jsonl" --expect-cat=beacon,bgp \
   --bench="$par_dir/bench.json"
 
+# Performance benchmark: perfbench/ is its own CMake project, built here in
+# its own Release tree whatever the preset. perf_smoke (its ctest) runs
+# every workload at smoke size; the bench_perf run checks each workload's
+# deterministic fingerprint against perfbench/references.json and exits 1
+# on a mismatch. So a src/ API change that breaks bench_perf, or a change
+# in the simulated outputs, fails CI and not only the benchmark pipeline.
+perf_dir="build-perfbench"
+cmake -S perfbench -B "$perf_dir" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$perf_dir" -j "$(nproc)" --target bench_perf
+ctest --test-dir "$perf_dir" --output-on-failure
+"$perf_dir/bench_perf" --seed=1 --reps=1 --trace=0 \
+  --summary-out="$perf_dir/BENCH_perf_summary.json"
+
 # Publish the profiling artifacts next to the lint ones: every smoke BENCH
 # report, the Chrome trace (load it at chrome://tracing or ui.perfetto.dev),
 # and the bench_diff verdict table.
@@ -185,4 +200,4 @@ cp "$churn_dir/bench_diff.txt" "$artifact_dir/churn_bench_diff.txt"
 cp "$par_dir/bench.json" "$artifact_dir/BENCH_fig6b_capacity_smoke.json"
 echo "ci: artifacts: $artifact_dir/BENCH_fig5_overhead.json $artifact_dir/chrome_trace.json $artifact_dir/bench_diff.txt"
 
-echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gate, and telemetry artifacts all green"
+echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gate, perfbench build + output check, and telemetry artifacts all green"

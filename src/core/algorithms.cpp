@@ -39,16 +39,18 @@ std::vector<Candidate> baseline_select(std::span<const StoredPcb> bucket,
     eligible.push_back(&s);
   }
   // Shortest path first; among equal lengths prefer the freshest instance;
-  // final tie on the stable path key for determinism.
-  std::sort(eligible.begin(), eligible.end(),
-            [](const StoredPcb* x, const StoredPcb* y) {
-              if (x->pcb->hops() != y->pcb->hops())
-                return x->pcb->hops() < y->pcb->hops();
-              if (x->pcb->timestamp() != y->pcb->timestamp())
-                return x->pcb->timestamp() > y->pcb->timestamp();
-              return x->path_key < y->path_key;
-            });
-  if (eligible.size() > limit) eligible.resize(limit);
+  // final tie on the stable path key for determinism. Keys are unique in a
+  // bucket, so the order is total and the top-k is that of a full sort.
+  const std::size_t k = std::min(limit, eligible.size());
+  std::partial_sort(eligible.begin(), eligible.begin() + static_cast<std::ptrdiff_t>(k),
+                    eligible.end(), [](const StoredPcb* x, const StoredPcb* y) {
+                      if (x->pcb->hops() != y->pcb->hops())
+                        return x->pcb->hops() < y->pcb->hops();
+                      if (x->pcb->timestamp() != y->pcb->timestamp())
+                        return x->pcb->timestamp() > y->pcb->timestamp();
+                      return x->path_key < y->path_key;
+                    });
+  eligible.resize(k);
 
   std::vector<Candidate> out;
   out.reserve(eligible.size());

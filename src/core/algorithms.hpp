@@ -42,7 +42,9 @@ struct Candidate {
 
 /// Baseline selection for one [origin, egress interface] pair: the `limit`
 /// shortest valid PCBs (ties: fresher instance first), excluding paths that
-/// already contain the neighbor AS (loop prevention).
+/// already contain the neighbor AS (loop prevention). The choice does not
+/// depend on `egress`, which only labels the returned candidates, so one
+/// call serves every parallel link to the neighbor.
 std::vector<Candidate> baseline_select(std::span<const StoredPcb> bucket,
                                        topo::IsdAsId neighbor_as,
                                        topo::LinkIndex egress,

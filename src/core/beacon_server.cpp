@@ -138,10 +138,10 @@ void BeaconServer::handle_pcb(const PcbRef& pcb, topo::LinkIndex ingress,
     return;
   }
 
-  // Span-based admission: the store copies the links only if it admits the
-  // PCB, so the common rejected/stale case allocates nothing.
-  const auto outcome =
-      store_.insert(pcb, resolve_scratch_, now, pcb->path_key());
+  // Span-based admission: the store copies the links, and hashes the path
+  // key, only if it admits the PCB as a new path, so the common refresh,
+  // rejected and stale cases allocate and hash nothing.
+  const auto outcome = store_.insert(pcb, resolve_scratch_, now);
   if (outcome == BeaconStore::InsertOutcome::kRejected ||
       outcome == BeaconStore::InsertOutcome::kStale) {
     ++stats_.store_rejected;
@@ -353,9 +353,7 @@ void BeaconServer::originate_diversity(TimePoint now) {
   }
 }
 
-// Once per propagated PCB each interval. The extend + one make_shared per
-// sent PCB is the message's intrinsic cost: the wire object must outlive
-// this call, shared by every queued delivery.
+// Once per propagated PCB each interval.
 void BeaconServer::send_extended(const StoredPcb& stored,
                                  topo::LinkIndex egress, TimePoint now) {
   const topo::IfId in_if = topology_.interface_of(stored.links.back(), self_);
@@ -364,7 +362,8 @@ void BeaconServer::send_extended(const StoredPcb& stored,
   if (config_.include_latency_metadata && config_.link_latency_us) {
     ingress_latency_us = config_.link_latency_us(stored.links.back());
   }
-  // The one wire-object allocation per sent PCB: the extended message must
+  // A sent PCB's intrinsic allocations: the extended entry vector (plus
+  // one per non-empty peer list) and the shared wire object, which must
   // outlive this call, shared by every queued delivery.
   auto pcb = std::make_shared<const Pcb>(
       config_.compute_crypto
@@ -400,10 +399,13 @@ void BeaconServer::propagate(TimePoint now) {
             config_.dissemination_limit, t);
         for (const Candidate& c : selected) send_extended(*c.stored, c.egress, t);
       } else {
+        // The baseline's top-k does not depend on the egress link: select
+        // once per neighbor, then send it on each link in turn.
+        const std::vector<Candidate> selected =
+            baseline_select(bucket, group.neighbor_id, group.links.front(),
+                            config_.dissemination_limit, t);
         for (topo::LinkIndex l : group.links) {
-          const std::vector<Candidate> selected = baseline_select(
-              bucket, group.neighbor_id, l, config_.dissemination_limit, t);
-          for (const Candidate& c : selected) send_extended(*c.stored, c.egress, t);
+          for (const Candidate& c : selected) send_extended(*c.stored, l, t);
         }
       }
     }

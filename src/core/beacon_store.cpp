@@ -24,6 +24,16 @@ int coverage_of(const std::vector<std::pair<topo::LinkIndex, int>>& coverage,
   return 0;
 }
 
+/// FNV-1a over the link indices: a cheap filter for the bucket scan.
+std::uint32_t hash_links(std::span<const topo::LinkIndex> links) {
+  std::uint32_t h = 2166136261u;
+  for (topo::LinkIndex l : links) {
+    h ^= l;
+    h *= 16777619u;
+  }
+  return h;
+}
+
 /// Redundancy of a candidate path against the bucket coverage counts.
 double redundancy(std::span<const topo::LinkIndex> links,
                   const std::vector<std::pair<topo::LinkIndex, int>>& coverage) {
@@ -42,21 +52,26 @@ BeaconStore::InsertOutcome BeaconStore::insert(StoredPcb entry) {
 }
 
 // Once per received PCB that survives verification. Only an admitted
-// candidate may allocate (its link vector); the reject/stale paths are
-// allocation-free.
+// candidate may allocate (its link vector) or hash its path key; the
+// refresh/reject/stale paths do neither.
 BeaconStore::InsertOutcome BeaconStore::insert(
     const PcbRef& pcb, std::span<const topo::LinkIndex> links,
-    TimePoint received_at, std::uint64_t path_key) {
+    TimePoint received_at, std::optional<std::uint64_t> path_key) {
   SCION_CHECK(pcb && !pcb->entries().empty(), "stored PCB must be non-empty");
   SCION_CHECK(links.size() == pcb->hops(),
               "resolved link sequence must cover every hop");
+  SCION_DCHECK(!path_key || *path_key == pcb->path_key(),
+               "the caller's path key must be the PCB's");
   // The bucket map is the store itself, one lookup per received PCB.
   auto& bucket = buckets_[pcb->origin()];
 
-  // Same path already stored? Keep the newest instance only. Same path key
-  // means the same link sequence, so the slot's vector is reused as-is.
+  // Same path already stored? Keep the newest instance only. The links
+  // identify the path, so the slot's links and path key stay as they are.
+  const std::uint32_t links_hash = hash_links(links);
   for (StoredPcb& existing : bucket) {
-    if (existing.path_key == path_key) {
+    if (existing.links_hash == links_hash &&
+        std::equal(existing.links.begin(), existing.links.end(),
+                   links.begin(), links.end())) {
       if (pcb->timestamp() > existing.pcb->timestamp()) {
         existing.pcb = pcb;
         existing.received_at = received_at;
@@ -66,32 +81,32 @@ BeaconStore::InsertOutcome BeaconStore::insert(
     }
   }
 
+  StoredPcb* slot = nullptr;
+  InsertOutcome outcome = InsertOutcome::kInserted;
   if (limit_ == 0 || bucket.size() < limit_) {
-    // Admitted: this copy is the entry's one link-vector allocation.
-    bucket.push_back(StoredPcb{pcb,
-                               {links.begin(), links.end()},
-                               received_at, path_key});
+    slot = &bucket.emplace_back();
     SCION_DCHECK(limit_ == 0 || bucket.size() <= limit_,
                  "bucket grew past the per-origin storage limit");
-    return InsertOutcome::kInserted;
+  } else {
+    SCION_DCHECK(bucket.size() == limit_,
+                 "a full bucket must hold exactly the storage limit");
+    bool candidate_wins = false;
+    const std::size_t victim = pick_victim(bucket, pcb, links, candidate_wins);
+    if (!candidate_wins) return InsertOutcome::kRejected;
+    slot = &bucket[victim];
+    outcome = InsertOutcome::kReplaced;
   }
-  SCION_DCHECK(bucket.size() == limit_,
-               "a full bucket must hold exactly the storage limit");
-
-  bool candidate_wins = false;
-  const std::size_t victim = pick_victim(bucket, pcb, links, candidate_wins);
-  if (!candidate_wins) return InsertOutcome::kRejected;
-  StoredPcb& slot = bucket[victim];
-  slot.pcb = pcb;
-  // Assign reuses the victim's capacity.
-  slot.links.assign(links.begin(), links.end());
-  slot.received_at = received_at;
-  slot.path_key = path_key;
-  // The victim's quarantine state dies with it; the new path is admitted
-  // fresh (a PCB can only arrive over a live path).
-  slot.stale_links = 0;
-  slot.stale_since = TimePoint{};
-  return InsertOutcome::kReplaced;
+  // Admitted. The link copy is the entry's one allocation; a victim's
+  // capacity is reused. The victim's quarantine state dies with it: the new
+  // path is admitted fresh (a PCB can only arrive over a live path).
+  slot->pcb = pcb;
+  slot->links.assign(links.begin(), links.end());
+  slot->received_at = received_at;
+  slot->path_key = path_key ? *path_key : pcb->path_key();
+  slot->links_hash = links_hash;
+  slot->stale_links = 0;
+  slot->stale_since = TimePoint{};
+  return outcome;
 }
 
 // Runs whenever a PCB hits a full bucket — the steady state of every

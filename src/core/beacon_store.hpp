@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -27,6 +28,7 @@ struct StoredPcb {
   PcbRef pcb;
   std::vector<topo::LinkIndex> links;
   TimePoint received_at;
+  /// pcb->path_key(), computed when the path is admitted.
   std::uint64_t path_key{0};
   /// Staleness quarantine: how many of this entry's links are currently
   /// down (maintained by mark_link_stale / revalidate_link), and when the
@@ -34,6 +36,9 @@ struct StoredPcb {
   /// path resolution but stay stored, so a short link flap does not thrash
   /// the store; expire_stale() evicts long-stale entries.
   std::uint16_t stale_links{0};
+  /// Hash of `links`, set by the store: its bucket scan compares this
+  /// before the links themselves. Sits in the padding before stale_since.
+  std::uint32_t links_hash{0};
   TimePoint stale_since{};
 
   bool stale() const { return stale_links > 0; }
@@ -56,14 +61,20 @@ class BeaconStore {
                        StorePolicy policy = StorePolicy::kShortestFresh)
       : limit_{per_origin_limit}, policy_{policy} {}
 
-  InsertOutcome insert(StoredPcb entry);
-
-  /// Admission without a pre-built entry: the stored link vector is
-  /// allocated (or a victim's capacity reused) only when the candidate is
-  /// actually admitted, so a rejected or stale PCB costs no allocation
-  /// here. This is the beacon server's hot-path entry point.
+  /// Offers a PCB whose entries resolved to `links` at this store's AS. A
+  /// stored path is identified by its links, which fix every field the
+  /// path key hashes, so pcb->path_key() runs only when the PCB is admitted
+  /// as a new path (kInserted, kReplaced); a refresh keeps the stored key.
+  /// A caller that already holds the key may pass it as `path_key`; it
+  /// must equal pcb->path_key() (checked in checked builds). The link
+  /// vector is allocated (or a victim's capacity reused) only on
+  /// admission. This is the beacon server's hot-path entry point.
   InsertOutcome insert(const PcbRef& pcb, std::span<const topo::LinkIndex> links,
-                       TimePoint received_at, std::uint64_t path_key);
+                       TimePoint received_at,
+                       std::optional<std::uint64_t> path_key = std::nullopt);
+
+  /// As above, for a pre-built entry (its links_hash is ignored).
+  InsertOutcome insert(StoredPcb entry);
 
   /// Drops expired PCBs everywhere; returns how many were dropped.
   std::size_t expire(TimePoint now);

@@ -25,7 +25,32 @@ std::uint32_t expiry_unix(TimePoint expiry) {
   return static_cast<std::uint32_t>(expiry.ns() / 1'000'000'000);
 }
 
+/// Starts a signing digest: the domain tag and the segment info. The origin
+/// id lives in the first entry; hashing the timestamps here binds every
+/// signature to the instance.
+crypto::Sha256 segment_hasher(TimePoint timestamp, TimePoint expiry) {
+  crypto::Sha256 h;
+  h.update("scion-mpr/pcb/v1");
+  h.update_u64(timestamp.ns() < 0 ? 0 : static_cast<std::uint64_t>(timestamp.ns()));
+  h.update_u64(expiry.ns() < 0 ? 0 : static_cast<std::uint64_t>(expiry.ns()));
+  return h;
+}
+
 }  // namespace
+
+void Pcb::append(AsEntry entry) {
+  std::size_t bytes = kAsEntryFixedBytes + crypto::kSignatureBytes +
+                      entry.peers.size() * kPeerEntryBytes;
+  if (carries_latency_) bytes += kLatencyMetadataBytes;
+  wire_size_ += static_cast<std::uint32_t>(bytes);
+  entries_.push_back(std::move(entry));
+}
+
+void Pcb::enable_latency_extension() {
+  if (carries_latency_) return;
+  carries_latency_ = true;
+  wire_size_ += static_cast<std::uint32_t>(entries_.size() * kLatencyMetadataBytes);
+}
 
 Pcb Pcb::originate(IsdAsId origin, IfId out_if, TimePoint timestamp,
                    Duration lifetime, const crypto::SigningKey& signing_key,
@@ -39,7 +64,7 @@ Pcb Pcb::originate(IsdAsId origin, IfId out_if, TimePoint timestamp,
   entry.hop_mac = crypto::hop_mac(forwarding_key, entry.in_if.value(), entry.out_if.value(),
                                   expiry_unix(pcb.expiry_), crypto::HopMac{});
   entry.signature = crypto::sign(signing_key, pcb.signing_digest(entry));
-  pcb.entries_.push_back(std::move(entry));
+  pcb.append(std::move(entry));
   return pcb;
 }
 
@@ -51,7 +76,7 @@ Pcb Pcb::originate_unsigned(IsdAsId origin, IfId out_if, TimePoint timestamp,
   entry.isd_as = origin;
   entry.in_if = topo::kNoInterface;
   entry.out_if = out_if;
-  pcb.entries_.push_back(std::move(entry));
+  pcb.append(std::move(entry));
   return pcb;
 }
 
@@ -75,16 +100,6 @@ bool Pcb::contains_as(IsdAsId as) const {
   return false;
 }
 
-util::Bytes Pcb::wire_size() const {
-  std::size_t size = kPcbHeaderBytes;
-  for (const AsEntry& e : entries_) {
-    size += kAsEntryFixedBytes + crypto::kSignatureBytes +
-            e.peers.size() * kPeerEntryBytes;
-    if (carries_latency_) size += kLatencyMetadataBytes;
-  }
-  return util::Bytes{size};
-}
-
 std::uint64_t Pcb::total_latency_us() const {
   std::uint64_t total = 0;
   for (const AsEntry& e : entries_) total += e.ingress_latency_us;
@@ -98,18 +113,17 @@ Pcb Pcb::extend(AsEntry next) const {
   SCION_DCHECK(!contains_as(next.isd_as), "AS already on the PCB path");
   Pcb out{timestamp_, expiry_};
   out.carries_latency_ = carries_latency_;
-  out.entries_ = entries_;
-  out.entries_.push_back(std::move(next));
+  out.wire_size_ = wire_size_;
+  // Sized for the new entry up front, so copying and appending allocate the
+  // entry vector once.
+  out.entries_.reserve(entries_.size() + 1);
+  out.entries_.insert(out.entries_.end(), entries_.begin(), entries_.end());
+  out.append(std::move(next));
   return out;
 }
 
 crypto::Sha256Digest Pcb::signing_digest(const AsEntry& candidate) const {
-  crypto::Sha256 h;
-  h.update("scion-mpr/pcb/v1");
-  // Segment info. The origin id lives in entries_[0] once present; hashing
-  // the timestamps here binds every signature to the instance.
-  h.update_u64(timestamp_.ns() < 0 ? 0 : static_cast<std::uint64_t>(timestamp_.ns()));
-  h.update_u64(expiry_.ns() < 0 ? 0 : static_cast<std::uint64_t>(expiry_.ns()));
+  crypto::Sha256 h = segment_hasher(timestamp_, expiry_);
   for (const AsEntry& e : entries_) {
     hash_entry_fields(h, e);
     h.update(std::span<const std::uint8_t>{e.signature.bytes});
@@ -143,12 +157,16 @@ Pcb Pcb::extend_signed(IsdAsId as, IfId in_if, IfId out_if,
 }
 
 bool Pcb::verify(crypto::KeyStore& keys) const {
-  // Rebuild the chain of signing digests prefix by prefix.
-  Pcb prefix{timestamp_, expiry_};
+  // One running hasher over the chain: a copy finalized after an entry's
+  // unsigned fields is that entry's signing digest.
+  crypto::Sha256 h = segment_hasher(timestamp_, expiry_);
   for (const AsEntry& e : entries_) {
-    const crypto::Sha256Digest digest = prefix.signing_digest(e);
-    if (!keys.verify_by(e.isd_as.value(), digest, e.signature)) return false;
-    prefix.entries_.push_back(e);
+    hash_entry_fields(h, e);
+    crypto::Sha256 digest = h;
+    if (!keys.verify_by(e.isd_as.value(), digest.finalize(), e.signature)) {
+      return false;
+    }
+    h.update(std::span<const std::uint8_t>{e.signature.bytes});
   }
   return !entries_.empty();
 }

@@ -106,14 +106,16 @@ class Pcb {
   /// Whether the latency metadata extension is carried (adds
   /// kLatencyMetadataBytes per entry on the wire).
   bool carries_latency() const { return carries_latency_; }
-  void enable_latency_extension() { carries_latency_ = true; }
+  /// Turns the extension on; a second call changes nothing.
+  void enable_latency_extension();
 
   /// Sum of the per-entry ingress latencies (microseconds) — the
   /// disseminated latency estimate of the path.
   std::uint64_t total_latency_us() const;
 
-  /// Total bytes on the wire.
-  util::Bytes wire_size() const;
+  /// Total bytes on the wire. Cached: computed when the PCB is built and
+  /// updated by extend() and enable_latency_extension().
+  util::Bytes wire_size() const { return util::Bytes{wire_size_}; }
 
   /// Returns a copy extended by `next`: the AS `next.isd_as` appends its
   /// entry (signature must already be filled by the caller via
@@ -139,20 +141,29 @@ class Pcb {
                       std::uint32_t ingress_latency_us = 0) const;
 
   /// Verifies every entry's signature against `keys` (keyed by
-  /// IsdAsId::value()). Returns false on any mismatch.
+  /// IsdAsId::value()). Returns false on any mismatch. One pass: entry i's
+  /// digest is the running hash of the entries before it plus its own
+  /// unsigned fields, equal to signing_digest() on that prefix.
   bool verify(crypto::KeyStore& keys) const;
 
   /// Stable identifier of the AS+interface sequence (independent of the
   /// instance timestamp): two PCBs with equal path_key describe the same
-  /// path. Used by the beacon store and the sent-PCBs list.
+  /// path. A SHA-256 over every entry, so callers on the per-PCB path
+  /// compute it only when they keep the result (see BeaconStore::insert).
+  /// Used by selection tie-breaks and the sent-PCBs list.
   std::uint64_t path_key() const;
 
  private:
   Pcb(TimePoint timestamp, TimePoint expiry) : timestamp_{timestamp}, expiry_{expiry} {}
 
+  /// Appends an entry and adds its bytes to the cached wire size.
+  void append(AsEntry entry);
+
   TimePoint timestamp_;
   TimePoint expiry_;
   bool carries_latency_{false};
+  /// wire_size() in bytes; fits the padding after carries_latency_.
+  std::uint32_t wire_size_{kPcbHeaderBytes};
   std::vector<AsEntry> entries_;
 };
 

@@ -138,12 +138,16 @@ void Sha256::update_u64(std::uint64_t v) {
 
 Sha256Digest Sha256::finalize() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t one = 0x80;
-  update(std::span<const std::uint8_t>{&one, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(std::span<const std::uint8_t>{&zero, 1});
-  // The length field is not part of total_len_ accounting any more, write it
-  // directly into the buffer.
+  // Padding: 0x80, zeros up to 56 mod 64 (spilling into one more block
+  // when fewer than 8 bytes are left), then the 64-bit length. A full
+  // buffer is always processed by update(), so there is room for the 0x80.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "core/algorithms.hpp"
+#include "core/beaconing_sim.hpp"
+#include "topology/generator.hpp"
 
 namespace scion::ctrl {
 namespace {
@@ -89,6 +95,71 @@ TEST(BaselineSelect, ResendsEveryCall) {
   const auto second = baseline_select(bucket, kNeighbor, 7, 5, TimePoint::origin());
   EXPECT_EQ(first.size(), 1u);
   EXPECT_EQ(second.size(), 1u) << "baseline has no memory of prior sends";
+}
+
+/// Reference for baseline_select: filter, full sort, truncate.
+std::vector<const StoredPcb*> reference_baseline_select(
+    std::span<const StoredPcb> bucket, IsdAsId neighbor_as, std::size_t limit,
+    TimePoint now) {
+  std::vector<const StoredPcb*> eligible;
+  for (const StoredPcb& s : bucket) {
+    if (s.pcb->expired(now) || s.stale() || s.pcb->contains_as(neighbor_as)) {
+      continue;
+    }
+    eligible.push_back(&s);
+  }
+  std::sort(eligible.begin(), eligible.end(),
+            [](const StoredPcb* x, const StoredPcb* y) {
+              if (x->pcb->hops() != y->pcb->hops())
+                return x->pcb->hops() < y->pcb->hops();
+              if (x->pcb->timestamp() != y->pcb->timestamp())
+                return x->pcb->timestamp() > y->pcb->timestamp();
+              return x->path_key < y->path_key;
+            });
+  if (eligible.size() > limit) eligible.resize(limit);
+  return eligible;
+}
+
+TEST(BaselineSelect, TopKEqualsFullSortOnEveryBucketOfARun) {
+  topo::ScionLabConfig world_config;
+  world_config.n_cores = 10;
+  world_config.extra_edge_fraction = 0.3;
+  world_config.seed = 5;
+  const topo::Topology world = topo::generate_scionlab(world_config);
+  BeaconingSimConfig config;
+  config.server.compute_crypto = false;
+  config.sim_duration = Duration::hours(2);
+  config.seed = 42;
+  BeaconingSim sim{world, config};
+  sim.run();
+  const TimePoint end = sim.simulator().now();
+
+  std::size_t compared = 0;
+  for (topo::AsIndex as = 0; as < world.as_count(); ++as) {
+    const BeaconStore& store = sim.server(as).store();
+    for (const IsdAsId origin : store.origins()) {
+      const std::vector<StoredPcb>& bucket = store.for_origin(origin);
+      for (const topo::LinkIndex egress : world.links_of(as)) {
+        const IsdAsId neighbor = world.as_id(world.neighbor(egress, as));
+        for (const std::size_t limit : {std::size_t{1}, std::size_t{5}, bucket.size() + 1}) {
+          // At the end of the run, and once part of the bucket has expired.
+          for (const TimePoint now : {end, end + Duration::hours(5)}) {
+            const std::vector<Candidate> selected =
+                baseline_select(bucket, neighbor, egress, limit, now);
+            const std::vector<const StoredPcb*> expected =
+                reference_baseline_select(bucket, neighbor, limit, now);
+            ASSERT_EQ(selected.size(), expected.size());
+            for (std::size_t k = 0; k < selected.size(); ++k) {
+              EXPECT_EQ(selected[k].stored, expected[k]);
+              EXPECT_EQ(selected[k].egress, egress);
+            }
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
 }
 
 // --- Diversity (Algorithm 1) ------------------------------------------------------

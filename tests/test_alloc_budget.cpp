@@ -44,13 +44,13 @@ using util::Duration;
 // string, a by-value PCB copy, or a per-UPDATE message copy fails the gate.
 
 // Beaconing: per PCB received at a beacon server (receive -> verify ->
-// resolve -> score -> store admission). Measured 7.54.
-constexpr double kBeaconingBudget = 8.0;
+// resolve -> score -> store admission). Measured 3.90.
+constexpr double kBeaconingBudget = 4.4;
 // Control plane: per control-plane event (PCBs received by core+intra
 // servers plus endpoint lookups). Lookup-side path assembly dominates, so
 // one extra allocation per received PCB adds only ~0.26 per event.
-// Measured 141.87.
-constexpr double kControlPlaneBudget = 142.0;
+// Measured 141.06.
+constexpr double kControlPlaneBudget = 141.2;
 // BGP: per update sent (handle_update -> reevaluate -> flush -> deliver).
 // Measured 11.17.
 constexpr double kBgpBudget = 11.6;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "core/beacon_server.hpp"
+#include "core/beaconing_sim.hpp"
 
 namespace scion::ctrl {
 namespace {
@@ -304,6 +307,86 @@ TEST(BeaconServer, BaselineDisseminationLimitPerInterface) {
   }
   EXPECT_LE(b_origin_to_c, 2u);
   EXPECT_GE(b_origin_to_c, 1u);
+}
+
+// Baseline selection runs once per (neighbor, origin): the neighbor's
+// parallel links carry the same PCBs, link by link, each link getting the
+// whole selection in turn.
+TEST(BeaconServer, BaselineSendsTheSameSelectionOnParallelLinks) {
+  // A(0) = B(1) over links 0 and 1; A, C(2), D(3), E(4) fully meshed, so A
+  // holds several paths per origin, none through B.
+  topo::Topology t;
+  for (std::uint64_t i = 0; i < 5; ++i) t.add_as(topo::IsdAsId::make(1, i + 1), true);
+  t.add_link(0, 1, topo::LinkType::kCore);  // link 0
+  t.add_link(0, 1, topo::LinkType::kCore);  // link 1
+  t.add_link(0, 2, topo::LinkType::kCore);
+  t.add_link(0, 3, topo::LinkType::kCore);
+  t.add_link(0, 4, topo::LinkType::kCore);
+  t.add_link(2, 3, topo::LinkType::kCore);
+  t.add_link(3, 4, topo::LinkType::kCore);
+  t.add_link(2, 4, topo::LinkType::kCore);
+  BeaconServerConfig config = baseline_config();
+  config.compute_crypto = false;
+  config.dissemination_limit = 2;
+  BeaconingSimConfig sim_config;
+  sim_config.server = config;
+  sim_config.sim_duration = Duration::hours(1);
+  BeaconingSim sim{t, sim_config};
+  sim.run();
+
+  // A fresh server for A, fed the PCBs A stored during the run.
+  crypto::KeyStore keys{kDomain};
+  SendCollector collector;
+  BeaconServer server{t, 0, config, keys, kDomain, collector.fn()};
+  const TimePoint now = sim.simulator().now();
+  const BeaconStore& held = sim.server(0).store();
+  for (const topo::IsdAsId origin : held.origins()) {
+    for (const StoredPcb& e : held.for_origin(origin)) {
+      server.handle_pcb(e.pcb, e.links.back(), now);
+    }
+  }
+  server.on_interval(now);
+
+  std::vector<std::pair<topo::LinkIndex, PcbRef>> to_b;
+  for (const auto& [egress, pcb] : collector.sent) {
+    if (egress <= 1 && pcb->hops() > 1) to_b.emplace_back(egress, pcb);
+  }
+  std::size_t origins = 0;
+  std::size_t multi = 0;
+  for (std::size_t i = 0; i < to_b.size();) {
+    std::size_t end = i;
+    while (end < to_b.size() &&
+           to_b[end].second->origin() == to_b[i].second->origin()) {
+      ++end;
+    }
+    // Link 0 gets the selection, then link 1 gets it again.
+    const std::size_t k = (end - i) / 2;
+    ASSERT_EQ(end - i, 2 * k);
+    for (std::size_t n = 0; n < k; ++n) {
+      const auto& [l0, p0] = to_b[i + n];
+      const auto& [l1, p1] = to_b[i + k + n];
+      EXPECT_EQ(l0, 0u);
+      EXPECT_EQ(l1, 1u);
+      EXPECT_EQ(p0->timestamp(), p1->timestamp());
+      ASSERT_EQ(p0->hops(), p1->hops());
+      for (std::size_t h = 0; h < p0->hops(); ++h) {
+        const AsEntry& e0 = p0->entries()[h];
+        const AsEntry& e1 = p1->entries()[h];
+        EXPECT_EQ(e0.isd_as, e1.isd_as);
+        EXPECT_EQ(e0.in_if, e1.in_if);
+        if (h + 1 < p0->hops()) {
+          EXPECT_EQ(e0.out_if, e1.out_if);
+        }
+      }
+      EXPECT_EQ(p0->entries().back().out_if, t.interface_of(0, 0));
+      EXPECT_EQ(p1->entries().back().out_if, t.interface_of(1, 0));
+    }
+    ++origins;
+    multi += k > 1;
+    i = end;
+  }
+  EXPECT_EQ(origins, 3u) << "origins C, D and E propagate towards B";
+  EXPECT_GT(multi, 0u) << "some selection must hold more than one PCB";
 }
 
 }  // namespace

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "core/beacon_store.hpp"
+#include "core/beaconing_sim.hpp"
+#include "topology/generator.hpp"
+#include "util/rng.hpp"
 
 namespace scion::ctrl {
 namespace {
@@ -147,6 +153,117 @@ TEST(BeaconStore, SeparateBucketsPerOrigin) {
   EXPECT_EQ(store.insert(make_stored(o2, {2}, TimePoint::origin())),
             BeaconStore::InsertOutcome::kInserted);
   EXPECT_EQ(store.total_stored(), 2u);
+}
+
+/// `pcb` re-issued at `timestamp`, its last AS sending it out of
+/// `last_out_if`.
+PcbRef reissued(const Pcb& pcb, TimePoint timestamp, topo::IfId last_out_if) {
+  std::vector<AsEntry> entries = pcb.entries();
+  entries.back().out_if = last_out_if;
+  Pcb out = Pcb::originate_unsigned(entries[0].isd_as, entries[0].out_if,
+                                    timestamp, pcb.lifetime());
+  for (std::size_t i = 1; i < entries.size(); ++i) out = out.extend(entries[i]);
+  return std::make_shared<const Pcb>(std::move(out));
+}
+
+// The store identifies a path by its resolved links and hashes the path key
+// only on admission. Reference: identity by pcb->path_key(). Every AS's
+// PCBs from a finished run are offered to fresh stores, with newer and
+// older re-issues, in seeded orders, under both policies, with room to
+// spare and with a full bucket. The world is a full mesh of core ASes with
+// parallel links, and each PCB is also offered as if it had arrived over
+// each link parallel to its last one: paths that differ only in their
+// last link, whatever the run's own stores kept.
+TEST(BeaconStore, LinkIdentityMatchesPathKeyIdentity) {
+  topo::HierarchyConfig world_config;
+  world_config.n_ases = 6;
+  world_config.n_roots = 6;
+  world_config.seed = 3;
+  const topo::Topology world = topo::generate_hierarchy(world_config);
+  bool parallel = false;
+  for (topo::AsIndex a = 0; a < world.as_count(); ++a) {
+    for (topo::AsIndex b = a + 1; b < world.as_count(); ++b) {
+      parallel |= world.links_between(a, b).size() > 1;
+    }
+  }
+  ASSERT_TRUE(parallel);
+  BeaconingSimConfig config;
+  config.server.compute_crypto = false;
+  config.sim_duration = Duration::hours(1);
+  config.seed = 42;
+  BeaconingSim sim{world, config};
+  sim.run();
+
+  struct Offer {
+    PcbRef pcb;
+    std::vector<topo::LinkIndex> links;
+    std::uint64_t path_key;
+  };
+  std::array<std::size_t, 5> outcomes{};
+  for (topo::AsIndex as = 0; as < world.as_count(); ++as) {
+    const BeaconStore& held = sim.server(as).store();
+    std::vector<Offer> offers;
+    for (const IsdAsId origin : held.origins()) {
+      for (const StoredPcb& e : held.for_origin(origin)) {
+        const topo::AsIndex last = world.neighbor(e.links.back(), as);
+        const TimePoint t = e.pcb->timestamp();
+        for (const topo::LinkIndex in : world.links_between(last, as)) {
+          std::vector<topo::LinkIndex> links = e.links;
+          links.back() = in;
+          const topo::IfId out_if = world.interface_of(in, last);
+          for (const TimePoint when :
+               {t, t + Duration::minutes(1), t - Duration::minutes(1)}) {
+            const PcbRef pcb = when == t && in == e.links.back()
+                                   ? e.pcb
+                                   : reissued(*e.pcb, when, out_if);
+            offers.push_back(Offer{pcb, links, pcb->path_key()});
+          }
+        }
+      }
+    }
+    for (const StorePolicy policy :
+         {StorePolicy::kShortestFresh, StorePolicy::kDiversityAware}) {
+      for (const std::size_t limit : {config.server.storage_limit, std::size_t{3}}) {
+        for (const std::uint64_t order : {1u, 2u}) {
+          util::Rng rng = util::Rng::substream(order, as);
+          rng.shuffle(offers);
+          BeaconStore store{limit, policy};
+          for (std::size_t i = 0; i < offers.size(); ++i) {
+            const Offer& o = offers[i];
+            bool same_path_stored = false;
+            TimePoint stored_at{};
+            for (const StoredPcb& e : store.for_origin(o.pcb->origin())) {
+              if (e.pcb->path_key() == o.path_key) {
+                same_path_stored = true;
+                stored_at = e.pcb->timestamp();
+              }
+            }
+            // With and without the caller's path key.
+            const auto outcome =
+                i % 2 == 0 ? store.insert(o.pcb, o.links, o.pcb->timestamp())
+                           : store.insert(o.pcb, o.links, o.pcb->timestamp(), o.path_key);
+            ++outcomes[static_cast<std::size_t>(outcome)];
+            if (same_path_stored) {
+              EXPECT_EQ(outcome, o.pcb->timestamp() > stored_at
+                                     ? BeaconStore::InsertOutcome::kRefreshed
+                                     : BeaconStore::InsertOutcome::kStale)
+                  << "AS " << as << ", offer " << i;
+            } else {
+              EXPECT_NE(outcome, BeaconStore::InsertOutcome::kRefreshed)
+                  << "AS " << as << ", offer " << i;
+              EXPECT_NE(outcome, BeaconStore::InsertOutcome::kStale)
+                  << "AS " << as << ", offer " << i;
+            }
+            for (const StoredPcb& e : store.for_origin(o.pcb->origin())) {
+              EXPECT_EQ(e.path_key, e.pcb->path_key()) << "AS " << as;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Every outcome occurred, so every branch was compared.
+  for (std::size_t n : outcomes) EXPECT_GT(n, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/hopfield_mac.hpp"
@@ -59,6 +61,23 @@ TEST(Sha256, Prefix64Stable) {
   const Sha256Digest d = sha256("abc");
   EXPECT_EQ(d.prefix64(), sha256("abc").prefix64());
   EXPECT_NE(d.prefix64(), sha256("abd").prefix64());
+}
+
+// Lengths around the padding boundaries: 55 bytes leave exactly room for
+// 0x80 and the length, 56-63 push the length into a second block, 64 fills
+// a block. Expected values from python3 hashlib.sha256(b"a" * n).
+TEST(Sha256, PaddingBoundaries) {
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [n, hex] : cases) {
+    EXPECT_EQ(sha256(std::string(n, 'a')).hex(), hex) << n << " bytes";
+  }
 }
 
 // --- HMAC-SHA-256 against RFC 4231 --------------------------------------------

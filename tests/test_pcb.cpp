@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/pcb.hpp"
 
 namespace scion::ctrl {
@@ -29,6 +31,18 @@ struct PcbFixture : ::testing::Test {
     return p1.extend_signed(last, IfId{4}, IfId{5}, {}, sk(last), fk(last));
   }
 };
+
+/// Reference for the cached Pcb::wire_size(): the per-entry sum it is
+/// defined by.
+util::Bytes reference_wire_size(const Pcb& pcb) {
+  std::size_t size = kPcbHeaderBytes;
+  for (const AsEntry& e : pcb.entries()) {
+    size += kAsEntryFixedBytes + crypto::kSignatureBytes +
+            e.peers.size() * kPeerEntryBytes;
+    if (pcb.carries_latency()) size += kLatencyMetadataBytes;
+  }
+  return util::Bytes{size};
+}
 
 TEST_F(PcbFixture, OriginateFields) {
   const Pcb pcb = Pcb::originate(origin, IfId{3}, t0, lifetime, sk(origin), fk(origin));
@@ -87,6 +101,43 @@ TEST_F(PcbFixture, WireSizeFollowsLayout) {
                                          2 * kPeerEntryBytes});
 }
 
+TEST_F(PcbFixture, CachedWireSizeMatchesPerEntrySum) {
+  std::vector<PeerEntry> peers(2);
+  peers[0].peer_as = IsdAsId::make(3, 40);
+  peers[1].peer_as = IsdAsId::make(3, 41);
+  std::vector<Pcb> pcbs;
+  // Signed, with and without peers.
+  pcbs.push_back(Pcb::originate(origin, IfId{3}, t0, lifetime, sk(origin), fk(origin)));
+  pcbs.push_back(pcbs.back().extend_signed(middle, IfId{1}, IfId{2}, peers,
+                                           sk(middle), fk(middle)));
+  pcbs.push_back(pcbs.back().extend_signed(last, IfId{4}, IfId{5}, {}, sk(last), fk(last)));
+  // Unsigned, with peers.
+  pcbs.push_back(Pcb::originate_unsigned(origin, IfId{3}, t0, lifetime));
+  pcbs.push_back(pcbs.back().extend_unsigned(middle, IfId{1}, IfId{2}, peers));
+  // Latency extension on the origin PCB, as the beacon server enables it,
+  // inherited by extensions.
+  Pcb with_latency = Pcb::originate_unsigned(origin, IfId{3}, t0, lifetime);
+  with_latency.enable_latency_extension();
+  pcbs.push_back(with_latency);
+  pcbs.push_back(with_latency.extend_unsigned(middle, IfId{1}, IfId{2}, peers, 700));
+  // Enabled on a multi-hop PCB, then again: the second call changes nothing.
+  Pcb late = pcbs[4];
+  late.enable_latency_extension();
+  pcbs.push_back(late);
+  late.enable_latency_extension();
+  pcbs.push_back(late);
+  pcbs.push_back(late.extend_unsigned(last, IfId{4}, IfId{5}, {}, 900));
+  for (std::size_t i = 0; i < pcbs.size(); ++i) {
+    EXPECT_EQ(pcbs[i].wire_size(), reference_wire_size(pcbs[i])) << "case " << i;
+  }
+  EXPECT_EQ(pcbs[8].wire_size(), pcbs[7].wire_size());
+}
+
+TEST_F(PcbFixture, ExtendReservesExactlyTheNewEntry) {
+  const Pcb pcb = make_chain();
+  EXPECT_EQ(pcb.entries().capacity(), pcb.entries().size());
+}
+
 TEST_F(PcbFixture, VerifyAcceptsChain) {
   EXPECT_TRUE(make_chain().verify(keys));
 }
@@ -119,6 +170,50 @@ TEST_F(PcbFixture, VerifyRejectsRemovedMiddleEntry) {
   // Splice the last entry directly after the origin (cutting out middle).
   const Pcb spliced = p0.extend(pcb.entries()[2]);
   EXPECT_FALSE(spliced.verify(keys));
+}
+
+TEST_F(PcbFixture, VerifyRejectsTamperingAtEveryPosition) {
+  std::vector<IsdAsId> ases;
+  for (std::uint64_t i = 0; i < 6; ++i) ases.push_back(IsdAsId::make(1, 100 + i));
+  Pcb honest = Pcb::originate(ases[0], IfId{1}, t0, lifetime, sk(ases[0]), fk(ases[0]));
+  for (std::size_t i = 1; i < ases.size(); ++i) {
+    honest = honest.extend_signed(ases[i], static_cast<IfId>(2 * i),
+                                  static_cast<IfId>(2 * i + 1), {}, sk(ases[i]),
+                                  fk(ases[i]));
+  }
+  ASSERT_TRUE(honest.verify(keys));
+  const std::vector<AsEntry>& entries = honest.entries();
+
+  // The first `length` entries of `honest`, with entry `pos` passed
+  // through `tamper`. Only originate() makes origin entries, so position 0
+  // is forged by signing it with another AS's key instead.
+  const auto rebuild = [&](std::size_t pos, std::size_t length, auto tamper) {
+    Pcb out = Pcb::originate(ases[0], IfId{1}, t0, lifetime,
+                             sk(pos == 0 ? ases[1] : ases[0]), fk(ases[0]));
+    for (std::size_t i = 1; i < length; ++i) {
+      AsEntry e = entries[i];
+      if (i == pos) tamper(e);
+      out = out.extend(std::move(e));
+    }
+    return out;
+  };
+  EXPECT_TRUE(rebuild(entries.size(), entries.size(), [](AsEntry&) {}).verify(keys))
+      << "an untampered rebuild must verify";
+  // Tampered mid-chain, and as the last entry, where no later signature
+  // covers it.
+  for (std::size_t pos = 0; pos < entries.size(); ++pos) {
+    for (const std::size_t length : {entries.size(), pos + 1}) {
+      EXPECT_FALSE(rebuild(pos, length, [](AsEntry& e) { e.signature.bytes[0] ^= 1; })
+                       .verify(keys))
+          << "signature at position " << pos << " of " << length;
+      EXPECT_FALSE(rebuild(pos, length, [](AsEntry& e) { e.hop_mac[0] ^= 1; })
+                       .verify(keys))
+          << "hop field at position " << pos << " of " << length;
+      EXPECT_FALSE(rebuild(pos, length, [](AsEntry& e) { e.ingress_latency_us += 1; })
+                       .verify(keys))
+          << "latency at position " << pos << " of " << length;
+    }
+  }
 }
 
 TEST_F(PcbFixture, PathKeyIgnoresTimestamps) {
