@@ -12,7 +12,8 @@
 # bench_fig5_overhead (the acceptance figure), validates its artifacts, and
 # diffs its BENCH report against the checked-in baseline with
 # tools/bench_diff (deterministic fields gate exactly; see
-# tools/bench_baseline/README.md). Last, it builds the performance
+# tools/bench_baseline/README.md), and does the same for the diversity
+# scoring ablation and the latency extension. Last, it builds the performance
 # benchmark (perfbench/, Release) and checks its outputs against
 # perfbench/references.json.
 #
@@ -110,6 +111,22 @@ mkdir -p "$obs_dir"
   --current="$obs_dir/BENCH_fig5_overhead.json" \
   --report-out="$obs_dir/bench_diff.txt"
 
+# Diversity corners the fig5 gate does not reach: fig5 runs the diversity
+# algorithm at default parameters only, so the scoring ablation (alpha=0,
+# beta=gamma=0, decrement-on-expiry, AS-disjoint counters) and the latency
+# extension each run once and are diffed against their checked-in
+# baselines the same way.
+div_dir="$build_dir/diversity_ci"
+mkdir -p "$div_dir"
+for bench in ablation_scoring ext_latency; do
+  "$build_dir/bench/bench_$bench" --scale=0.2 \
+    --bench-out="$div_dir/BENCH_$bench.json" > "$div_dir/$bench.txt"
+  "$build_dir/tools/bench_diff" \
+    --baseline="tools/bench_baseline/BENCH_$bench.json" \
+    --current="$div_dir/BENCH_$bench.json" \
+    --report-out="$div_dir/${bench}_bench_diff.txt"
+done
+
 # Fault-injection smoke: the dynamic-resilience bench under the example
 # scenario (flaps, AS outage, ISD partition) with the fault category traced.
 # The ctest run above already exercises the fault_smoke fixtures; this is
@@ -198,6 +215,9 @@ cp "$fault_dir/bench.json" "$artifact_dir/BENCH_dyn_resilience_smoke.json"
 cp "$churn_dir/BENCH_churn_response.json" "$artifact_dir/"
 cp "$churn_dir/bench_diff.txt" "$artifact_dir/churn_bench_diff.txt"
 cp "$par_dir/bench.json" "$artifact_dir/BENCH_fig6b_capacity_smoke.json"
+cp "$div_dir/BENCH_ablation_scoring.json" "$div_dir/BENCH_ext_latency.json" \
+   "$div_dir/ablation_scoring_bench_diff.txt" \
+   "$div_dir/ext_latency_bench_diff.txt" "$artifact_dir/"
 echo "ci: artifacts: $artifact_dir/BENCH_fig5_overhead.json $artifact_dir/chrome_trace.json $artifact_dir/bench_diff.txt"
 
-echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gate, perfbench build + output check, and telemetry artifacts all green"
+echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gates (fig5, diversity ablation, latency extension), perfbench build + output check, and telemetry artifacts all green"

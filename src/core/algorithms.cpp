@@ -1,6 +1,9 @@
 #include "core/algorithms.hpp"
 
 #include <algorithm>
+#include <cmath>
+
+#include "util/check.hpp"
 
 namespace scion::ctrl {
 
@@ -79,34 +82,55 @@ void DiversityState::expire(TimePoint now) {
   }
 }
 
+// Once per (neighbor, origin) each interval. A call makes a pass over the
+// eligible entries per selection, plus a final pass that finds nothing.
 std::vector<Candidate> DiversityState::select_and_commit(
     std::span<const StoredPcb> bucket, topo::IsdAsId origin,
     topo::IsdAsId neighbor_as, std::span<const topo::LinkIndex> egress_links,
     std::size_t limit, TimePoint now) {
   std::vector<Candidate> selected;
   if (egress_links.empty() || bucket.empty()) return selected;
+  SCION_CHECK(params_.max_geometric_mean > 0.0,
+              "diversity normalization needs a positive maximum");
 
   LinkHistoryTable& table = history(origin, neighbor_as);
-  std::vector<topo::LinkIndex> candidate_links;
+  // Expired, quarantined and looping entries stay so for the whole call.
+  eligible_.clear();
+  for (const StoredPcb& s : bucket) {
+    if (s.pcb->expired(now)) continue;
+    if (s.stale()) continue;  // quarantined: a link on the path is down
+    if (s.pcb->contains_as(neighbor_as)) continue;  // loop prevention
+    eligible_.push_back(&s);
+  }
+  canonical_egress_.assign(egress_links.begin(), egress_links.end());
+  if (canonicalizer_) {
+    for (topo::LinkIndex& l : canonical_egress_) l = canonicalizer_(l);
+  }
+  // latency_factor() is exactly 1.0 then.
+  const bool latency_off = params_.latency_weight <= 0.0;
 
   // Guards against reselecting a combination within this call; the fresh
   // sent record already suppresses it for sane parameters, but user-chosen
   // parameters must not be able to produce duplicates.
-  std::vector<SentKey> chosen_this_call;
+  chosen_.clear();
 
   while (selected.size() < limit) {
     const StoredPcb* best = nullptr;
     topo::LinkIndex best_egress = topo::kInvalidLinkIndex;
     double best_score = 0.0;
 
-    for (const StoredPcb& s : bucket) {
-      if (s.pcb->expired(now)) continue;
-      if (s.stale()) continue;  // quarantined: a link on the path is down
-      if (s.pcb->contains_as(neighbor_as)) continue;  // loop prevention
-      for (topo::LinkIndex egress : egress_links) {
-        const SentKey key{s.path_key, egress};
-        if (std::find(chosen_this_call.begin(), chosen_this_call.end(), key) !=
-            chosen_this_call.end()) {
+    for (const StoredPcb* s : eligible_) {
+      // The log sum over the path's own links is the same for every egress
+      // link, so it is taken once per pass, at the entry's first fresh
+      // evaluation. The egress term is added last, as geometric_mean()
+      // over path + egress adds it, so every score is bit-identical.
+      bool path_summed = false;
+      bool path_has_unused_link = false;
+      double path_log_sum = 0.0;
+      for (std::size_t k = 0; k < egress_links.size(); ++k) {
+        const topo::LinkIndex egress = egress_links[k];
+        const SentKey key{s->path_key, egress};
+        if (std::find(chosen_.begin(), chosen_.end(), key) != chosen_.end()) {
           continue;
         }
         ++evaluations_;
@@ -119,18 +143,34 @@ std::vector<Candidate> DiversityState::select_and_commit(
           score = score_previously_sent(
               sent_it->second.diversity,
               sent_it->second.instance_expiry - now,
-              s.pcb->remaining_lifetime(now), params_);
+              s->pcb->remaining_lifetime(now), params_);
         } else {
-          candidate_links.assign(s.links.begin(), s.links.end());
-          candidate_links.push_back(egress);
-          if (canonicalizer_) {
-            for (topo::LinkIndex& l : candidate_links) l = canonicalizer_(l);
+          if (!path_summed) {
+            path_summed = true;
+            for (topo::LinkIndex l : s->links) {
+              const int c =
+                  table.counter(canonicalizer_ ? canonicalizer_(l) : l);
+              if (c == 0) {
+                path_has_unused_link = true;
+                break;
+              }
+              path_log_sum += log_count(c);
+            }
           }
-          const double d = diversity_score(table, candidate_links, params_);
-          score = score_fresh(d, s.pcb->age(now), s.pcb->lifetime(), params_);
+          // Geometric mean over path + egress; 0 if any counter is 0.
+          double gm = 0.0;
+          const int egress_count = table.counter(canonical_egress_[k]);
+          if (!path_has_unused_link && egress_count != 0) {
+            gm = std::exp((path_log_sum + log_count(egress_count)) /
+                          static_cast<double>(s->links.size() + 1));
+          }
+          score = score_fresh(diversity_of_mean(gm, params_), s->pcb->age(now),
+                              s->pcb->lifetime(), params_);
           // Latency extension: penalize high-latency candidates before the
-          // threshold check (no effect when latency_weight is 0).
-          score *= latency_factor(s.pcb->total_latency_us(), params_);
+          // threshold check.
+          if (!latency_off) {
+            score *= latency_factor(s->pcb->total_latency_us(), params_);
+          }
         }
 
         if (score <= params_.score_threshold) {
@@ -141,17 +181,16 @@ std::vector<Candidate> DiversityState::select_and_commit(
         // longer remaining lifetime, then fewer hops, then stable key.
         bool better = score > best_score;
         if (!better && score == best_score && best != nullptr) {
-          if (s.pcb->expiry() != best->pcb->expiry()) {
-            better = s.pcb->expiry() > best->pcb->expiry();
-          } else if (s.pcb->hops() != best->pcb->hops()) {
-            better = s.pcb->hops() < best->pcb->hops();
+          if (s->pcb->expiry() != best->pcb->expiry()) {
+            better = s->pcb->expiry() > best->pcb->expiry();
+          } else if (s->pcb->hops() != best->pcb->hops()) {
+            better = s->pcb->hops() < best->pcb->hops();
           } else {
-            better = SentKey{s.path_key, egress}.path_key <
-                     SentKey{best->path_key, best_egress}.path_key;
+            better = s->path_key < best->path_key;
           }
         }
         if (better) {
-          best = &s;
+          best = s;
           best_egress = egress;
           best_score = score;
         }
@@ -161,12 +200,12 @@ std::vector<Candidate> DiversityState::select_and_commit(
     if (best == nullptr) break;  // nothing above the threshold
 
     const SentKey key{best->path_key, best_egress};
-    candidate_links.assign(best->links.begin(), best->links.end());
-    candidate_links.push_back(best_egress);
-    commit_send(key, origin, neighbor_as, candidate_links,
+    candidate_links_.assign(best->links.begin(), best->links.end());
+    candidate_links_.push_back(best_egress);
+    commit_send(key, origin, neighbor_as, candidate_links_,
                 best->pcb->timestamp(), best->pcb->expiry(), now);
 
-    chosen_this_call.push_back(key);
+    chosen_.push_back(key);
     selected.push_back(Candidate{best, best_egress});
   }
   return selected;
@@ -177,8 +216,6 @@ void DiversityState::commit_send(const SentKey& key, topo::IsdAsId origin,
                                  std::span<const topo::LinkIndex> links,
                                  TimePoint instance_timestamp,
                                  TimePoint instance_expiry, TimePoint now) {
-  LinkHistoryTable& table = history(origin, neighbor_as);
-  const std::vector<topo::LinkIndex> canonical = canon(links);
   // "If a path is sent again, its corresponding timers in Sent PCBs List
   // get updated": a refresh of a still-valid sent path updates the
   // instance timers only — counters are not re-incremented and the stored
@@ -194,6 +231,9 @@ void DiversityState::commit_send(const SentKey& key, topo::IsdAsId origin,
     return;
   }
 
+  LinkHistoryTable& table = history(origin, neighbor_as);
+  // Canonicalized: expire() must decrement exactly what was incremented.
+  std::vector<topo::LinkIndex> canonical = canon(links);
   table.add_path(canonical);
   SentRecord record;
   record.origin = origin;
@@ -201,8 +241,7 @@ void DiversityState::commit_send(const SentKey& key, topo::IsdAsId origin,
   record.diversity = diversity_score(table, canonical, params_);
   record.instance_timestamp = instance_timestamp;
   record.instance_expiry = instance_expiry;
-  // Canonicalized: expire() must decrement exactly what was incremented.
-  record.links = canonical;
+  record.links = std::move(canonical);
   sent_[key] = std::move(record);
 }
 

@@ -117,6 +117,11 @@ class DiversityState {
   LinkCanonicalizer canonicalizer_;
   std::unordered_map<PairKey, LinkHistoryTable, PairKeyHash> history_;
   SentPcbsList sent_;
+  /// Scratch reused by select_and_commit (capacity kept across calls).
+  std::vector<const StoredPcb*> eligible_;
+  std::vector<topo::LinkIndex> canonical_egress_;
+  std::vector<topo::LinkIndex> candidate_links_;
+  std::vector<SentKey> chosen_;
   std::uint64_t evaluations_{0};
   std::uint64_t suppressed_{0};
 };

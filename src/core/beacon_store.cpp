@@ -15,15 +15,6 @@ bool shortest_fresh_better(const StoredPcb& x, const StoredPcb& y) {
   return x.pcb->expiry() > y.pcb->expiry();
 }
 
-/// Coverage count of one link in the scratch table (0 when absent).
-int coverage_of(const std::vector<std::pair<topo::LinkIndex, int>>& coverage,
-                topo::LinkIndex l) {
-  for (const auto& [link, n] : coverage) {
-    if (link == l) return n;
-  }
-  return 0;
-}
-
 /// FNV-1a over the link indices: a cheap filter for the bucket scan.
 std::uint32_t hash_links(std::span<const topo::LinkIndex> links) {
   std::uint32_t h = 2166136261u;
@@ -34,13 +25,14 @@ std::uint32_t hash_links(std::span<const topo::LinkIndex> links) {
   return h;
 }
 
-/// Redundancy of a candidate path against the bucket coverage counts.
+/// Redundancy of a candidate path against the bucket coverage counts (a
+/// link past the table's end is on no stored path).
 double redundancy(std::span<const topo::LinkIndex> links,
-                  const std::vector<std::pair<topo::LinkIndex, int>>& coverage) {
+                  const std::vector<int>& coverage) {
   if (links.empty()) return 0.0;
   double sum = 0.0;
   for (topo::LinkIndex l : links) {
-    sum += static_cast<double>(coverage_of(coverage, l));
+    sum += static_cast<double>(l < coverage.size() ? coverage[l] : 0);
   }
   return sum / static_cast<double>(links.size());
 }
@@ -133,20 +125,17 @@ std::size_t BeaconStore::pick_victim(const std::vector<StoredPcb>& bucket,
   }
 
   // kDiversityAware: coverage of each link across the bucket, tallied in
-  // the reused scratch table (allocation-free once warm).
-  coverage_scratch_.clear();
+  // the dense scratch table (all zero between calls, allocation-free once
+  // it spans the links seen).
+  std::vector<int>& coverage = coverage_scratch_;
   for (const StoredPcb& e : bucket) {
     for (topo::LinkIndex l : e.links) {
-      bool found = false;
-      for (auto& [link, n] : coverage_scratch_) {
-        if (link == l) {
-          ++n;
-          found = true;
-          break;
-        }
+      if (l >= coverage.size()) {
+        SCION_CHECK(l != topo::kInvalidLinkIndex,
+                    "a stored path's link must be a valid link index");
+        coverage.resize(static_cast<std::size_t>(l) + 1, 0);
       }
-      // Capacity is retained across calls.
-      if (!found) coverage_scratch_.emplace_back(l, 1);
+      ++coverage[l];
     }
   }
   std::size_t worst = 0;
@@ -156,7 +145,7 @@ std::size_t BeaconStore::pick_victim(const std::vector<StoredPcb>& bucket,
     // one to each of its links' coverage counts.
     double sum = 0.0;
     for (topo::LinkIndex l : bucket[i].links) {
-      sum += static_cast<double>(coverage_of(coverage_scratch_, l) - 1);
+      sum += static_cast<double>(coverage[l] - 1);
     }
     const double red =
         bucket[i].links.empty()
@@ -168,8 +157,11 @@ std::size_t BeaconStore::pick_victim(const std::vector<StoredPcb>& bucket,
       worst = i;
     }
   }
-  const double cand_red = redundancy(candidate_links, coverage_scratch_);
+  const double cand_red = redundancy(candidate_links, coverage);
   candidate_wins = cand_red < worst_red;  // strictly more diverse only
+  for (const StoredPcb& e : bucket) {
+    for (topo::LinkIndex l : e.links) coverage[l] = 0;
+  }
   return worst;
 }
 

@@ -117,11 +117,11 @@ class BeaconStore {
   std::size_t limit_;
   StorePolicy policy_;
   std::unordered_map<IsdAsId, std::vector<StoredPcb>> buckets_;
-  /// Per-link coverage counts reused across kDiversityAware victim picks.
-  /// A flat vector with linear scans: buckets hold at most the storage
-  /// limit (tens) of short paths, and unlike a hash map the scratch keeps
-  /// its capacity between inserts.
-  mutable std::vector<std::pair<topo::LinkIndex, int>> coverage_scratch_;
+  /// Per-link coverage counts reused across kDiversityAware victim picks:
+  /// dense by link index, grown on demand to the highest link seen, and
+  /// reset to all zero by each pick (walking the bucket's links again), so
+  /// a pick costs one lookup per link and a copied store stays valid.
+  mutable std::vector<int> coverage_scratch_;
 };
 
 }  // namespace scion::ctrl

@@ -3,25 +3,45 @@
 #include "util/check.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace scion::ctrl {
 
+namespace {
+
+const std::array<double, kLogCountTableSize> kLogCount = [] {
+  std::array<double, kLogCountTableSize> table{};
+  for (int i = 1; i < kLogCountTableSize; ++i) {
+    table[static_cast<std::size_t>(i)] = std::log(static_cast<double>(i));
+  }
+  return table;
+}();
+
+}  // namespace
+
+double log_count(int count) {
+  return count < kLogCountTableSize
+             ? kLogCount[static_cast<std::size_t>(count)]
+             : std::log(static_cast<double>(count));
+}
+
 void LinkHistoryTable::add_path(std::span<const topo::LinkIndex> links) {
-  for (topo::LinkIndex l : links) ++counters_[l];
+  for (topo::LinkIndex l : links) {
+    if (l >= counters_.size()) {
+      SCION_CHECK(l != topo::kInvalidLinkIndex,
+                  "a sent path's link must be a valid link index");
+      counters_.resize(static_cast<std::size_t>(l) + 1, 0);
+    }
+    if (counters_[l]++ == 0) ++distinct_;
+  }
 }
 
 void LinkHistoryTable::remove_path(std::span<const topo::LinkIndex> links) {
   for (topo::LinkIndex l : links) {
-    const auto it = counters_.find(l);
-    if (it == counters_.end()) continue;
-    if (--it->second <= 0) counters_.erase(it);
+    if (l >= counters_.size() || counters_[l] == 0) continue;
+    if (--counters_[l] == 0) --distinct_;
   }
-}
-
-int LinkHistoryTable::counter(topo::LinkIndex link) const {
-  const auto it = counters_.find(link);
-  return it == counters_.end() ? 0 : it->second;
 }
 
 double LinkHistoryTable::geometric_mean(
@@ -31,7 +51,7 @@ double LinkHistoryTable::geometric_mean(
   for (topo::LinkIndex l : links) {
     const int c = counter(l);
     if (c == 0) return 0.0;  // a single new link makes the path fully fresh
-    log_sum += std::log(static_cast<double>(c));
+    log_sum += log_count(c);
   }
   return std::exp(log_sum / static_cast<double>(links.size()));
 }
@@ -41,8 +61,7 @@ double diversity_score(const LinkHistoryTable& history,
                        const DiversityParams& params) {
   SCION_CHECK(params.max_geometric_mean > 0.0,
               "diversity normalization needs a positive maximum");
-  const double gm = history.geometric_mean(path_links);
-  return 1.0 - std::min(1.0, gm / params.max_geometric_mean);
+  return diversity_of_mean(history.geometric_mean(path_links), params);
 }
 
 double score_fresh(double diversity, Duration age, Duration lifetime,

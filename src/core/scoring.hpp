@@ -28,6 +28,7 @@
 // disjoint paths.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -90,7 +91,16 @@ struct DiversityParams {
 /// ablation axis.
 using LinkCanonicalizer = std::function<topo::LinkIndex(topo::LinkIndex)>;
 
-/// Link History Table for one [origin AS, neighbor AS] pair.
+/// std::log(double(count)) for a link counter >= 1, bit-identical to it:
+/// counts below kLogCountTableSize come from a shared table filled by that
+/// very expression, larger ones call it.
+inline constexpr int kLogCountTableSize = 1024;
+double log_count(int count);
+
+/// Link History Table for one [origin AS, neighbor AS] pair. The counters
+/// are a dense vector indexed by link, grown on demand to the highest link
+/// seen: link indices are small and dense (one per topology link), and a
+/// scoring pass reads a counter per link of every candidate.
 class LinkHistoryTable {
  public:
   /// Increments the counter of every link on a sent path.
@@ -100,15 +110,20 @@ class LinkHistoryTable {
   /// below zero.
   void remove_path(std::span<const topo::LinkIndex> links);
 
-  int counter(topo::LinkIndex link) const;
+  int counter(topo::LinkIndex link) const {
+    return link < counters_.size() ? counters_[link] : 0;
+  }
 
   /// Geometric mean of the counters of `links`; 0 if any counter is 0.
+  /// The log terms are summed in link order.
   double geometric_mean(std::span<const topo::LinkIndex> links) const;
 
-  std::size_t distinct_links() const { return counters_.size(); }
+  /// Number of links with a non-zero counter.
+  std::size_t distinct_links() const { return distinct_; }
 
  private:
-  std::unordered_map<topo::LinkIndex, int> counters_;
+  std::vector<int> counters_;
+  std::size_t distinct_{0};
 };
 
 /// Diversity score in [0, 1]; 1 = fully disjoint from previously sent
@@ -116,6 +131,14 @@ class LinkHistoryTable {
 double diversity_score(const LinkHistoryTable& history,
                        std::span<const topo::LinkIndex> path_links,
                        const DiversityParams& params);
+
+/// The diversity of a path whose links have geometric mean `geometric_mean`
+/// (diversity_score without the table lookups); needs a positive
+/// params.max_geometric_mean.
+inline double diversity_of_mean(double geometric_mean,
+                                const DiversityParams& params) {
+  return 1.0 - std::min(1.0, geometric_mean / params.max_geometric_mean);
+}
 
 /// Final score for a path never sent before (Eqs. 1 and 2).
 double score_fresh(double diversity, Duration age, Duration lifetime,

@@ -46,6 +46,10 @@ using util::Duration;
 // Beaconing: per PCB received at a beacon server (receive -> verify ->
 // resolve -> score -> store admission). Measured 3.90.
 constexpr double kBeaconingBudget = 4.4;
+// Diversity beaconing: per PCB received, on the same micro-run with the
+// diversity algorithm and diversity-aware storage (selection, sent records,
+// link counters and eviction on top of receive). Measured 10.74.
+constexpr double kDiversityBeaconingBudget = 11.2;
 // Control plane: per control-plane event (PCBs received by core+intra
 // servers plus endpoint lookups). Lookup-side path assembly dominates, so
 // one extra allocation per received PCB adds only ~0.26 per event.
@@ -143,6 +147,23 @@ TEST(AllocBudget, BeaconingStaysWithinBudget) {
   const std::uint64_t allocs = profiled_run([&] { sim.run(); });
   expect_within_budget("beaconing", allocs,
                        sim.aggregate_stats().pcbs_received, kBeaconingBudget);
+}
+
+TEST(AllocBudget, DiversityBeaconingStaysWithinBudget) {
+  const topo::Topology world = beaconing_world();
+  ctrl::BeaconingSimConfig config;
+  config.server.algorithm = ctrl::AlgorithmKind::kDiversity;
+  config.server.store_policy = ctrl::StorePolicy::kDiversityAware;
+  config.server.interval = Duration::minutes(10);
+  config.server.pcb_lifetime = Duration::hours(6);
+  config.sim_duration = Duration::hours(1);
+  config.seed = 42;
+
+  ctrl::BeaconingSim sim{world, config};
+  const std::uint64_t allocs = profiled_run([&] { sim.run(); });
+  expect_within_budget("diversity-beaconing", allocs,
+                       sim.aggregate_stats().pcbs_received,
+                       kDiversityBeaconingBudget);
 }
 
 TEST(AllocBudget, ControlPlaneStaysWithinBudget) {

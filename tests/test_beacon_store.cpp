@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <map>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/beacon_store.hpp"
 #include "core/beaconing_sim.hpp"
+#include "diversity_run.hpp"
 #include "topology/generator.hpp"
 #include "util/rng.hpp"
 
@@ -264,6 +270,148 @@ TEST(BeaconStore, LinkIdentityMatchesPathKeyIdentity) {
   }
   // Every outcome occurred, so every branch was compared.
   for (std::size_t n : outcomes) EXPECT_GT(n, 0u);
+}
+
+/// Reference kDiversityAware victim pick: coverage tallied in a (link,
+/// count) list searched linearly.
+std::size_t reference_pick_victim(const std::vector<StoredPcb>& bucket,
+                                  std::span<const topo::LinkIndex> candidate,
+                                  bool& candidate_wins) {
+  std::vector<std::pair<topo::LinkIndex, int>> coverage;
+  const auto coverage_of = [&](topo::LinkIndex l) {
+    for (const auto& [link, n] : coverage) {
+      if (link == l) return n;
+    }
+    return 0;
+  };
+  for (const StoredPcb& e : bucket) {
+    for (topo::LinkIndex l : e.links) {
+      auto it = std::find_if(coverage.begin(), coverage.end(),
+                             [l](const auto& c) { return c.first == l; });
+      if (it == coverage.end()) {
+        coverage.emplace_back(l, 1);
+      } else {
+        ++it->second;
+      }
+    }
+  }
+  const auto shorter_or_later = [](const StoredPcb& x, const StoredPcb& y) {
+    if (x.pcb->hops() != y.pcb->hops()) return x.pcb->hops() < y.pcb->hops();
+    return x.pcb->expiry() > y.pcb->expiry();
+  };
+  std::size_t worst = 0;
+  double worst_red = -1.0;
+  for (std::size_t i = 0; i < bucket.size(); ++i) {
+    double sum = 0.0;
+    for (topo::LinkIndex l : bucket[i].links) {
+      sum += static_cast<double>(coverage_of(l) - 1);
+    }
+    const double red = bucket[i].links.empty()
+                           ? 0.0
+                           : sum / static_cast<double>(bucket[i].links.size());
+    if (red > worst_red ||
+        (red == worst_red && shorter_or_later(bucket[worst], bucket[i]))) {
+      worst_red = red;
+      worst = i;
+    }
+  }
+  double sum = 0.0;
+  for (topo::LinkIndex l : candidate) sum += static_cast<double>(coverage_of(l));
+  const double cand_red =
+      candidate.empty() ? 0.0 : sum / static_cast<double>(candidate.size());
+  candidate_wins = cand_red < worst_red;
+  return worst;
+}
+
+/// Reference admission of `offer` into one full-or-not bucket.
+BeaconStore::InsertOutcome reference_insert(std::vector<StoredPcb>& bucket,
+                                            std::size_t limit,
+                                            const StoredPcb& offer) {
+  for (StoredPcb& existing : bucket) {
+    if (existing.links == offer.links) {
+      if (offer.pcb->timestamp() <= existing.pcb->timestamp()) {
+        return BeaconStore::InsertOutcome::kStale;
+      }
+      existing.pcb = offer.pcb;
+      return BeaconStore::InsertOutcome::kRefreshed;
+    }
+  }
+  if (bucket.size() < limit) {
+    bucket.push_back(offer);
+    return BeaconStore::InsertOutcome::kInserted;
+  }
+  bool candidate_wins = false;
+  const std::size_t victim =
+      reference_pick_victim(bucket, offer.links, candidate_wins);
+  if (!candidate_wins) return BeaconStore::InsertOutcome::kRejected;
+  bucket[victim] = offer;
+  return BeaconStore::InsertOutcome::kReplaced;
+}
+
+std::vector<std::uint64_t> path_keys(const std::vector<StoredPcb>& bucket) {
+  std::vector<std::uint64_t> keys;
+  for (const StoredPcb& e : bucket) keys.push_back(e.path_key);
+  return keys;
+}
+
+// The dense-coverage victim pick against the reference linear scan: every
+// server's stored PCBs of a fixed-seed diversity run are replayed into
+// fresh kDiversityAware stores, slot by slot. One extra path rides link
+// 5000, far past every real link index, so the coverage table grows
+// mid-replay and candidates run past its end.
+TEST(BeaconStore, DiversityAwareEvictionMatchesLinearScanReference) {
+  const topo::Topology world = diversity_run_world();
+  BeaconingSim sim{world, diversity_run_config()};
+  sim.run();
+
+  std::array<std::size_t, 5> outcomes{};
+  std::size_t far_path_picks = 0;
+  for (topo::AsIndex as = 0; as < world.as_count(); ++as) {
+    const BeaconStore& held = sim.server(as).store();
+    std::vector<StoredPcb> offers;
+    for (const IsdAsId origin : held.origins()) {
+      for (const StoredPcb& e : held.for_origin(origin)) offers.push_back(e);
+    }
+    if (offers.empty()) continue;
+    const StoredPcb& first = offers.front();
+    const StoredPcb far = make_stored(
+        first.pcb->origin(), {first.links.front(), 5000}, first.pcb->timestamp());
+    offers.push_back(far);
+    for (const std::size_t limit : {std::size_t{3}, std::size_t{10}}) {
+      for (const std::uint64_t order : {1u, 2u}) {
+        util::Rng rng = util::Rng::substream(order, as);
+        rng.shuffle(offers);
+        BeaconStore store{limit, StorePolicy::kDiversityAware};
+        std::map<IsdAsId, std::vector<StoredPcb>> reference;
+        for (std::size_t i = 0; i < offers.size(); ++i) {
+          const StoredPcb& o = offers[i];
+          std::vector<StoredPcb>& bucket = reference[o.pcb->origin()];
+          if (bucket.size() == limit &&
+              std::any_of(bucket.begin(), bucket.end(), [&](const StoredPcb& e) {
+                return e.path_key == far.path_key;
+              })) {
+            ++far_path_picks;
+          }
+          const auto expected = reference_insert(bucket, limit, o);
+          const auto outcome = store.insert(o.pcb, o.links, o.received_at);
+          const std::string where = "AS " + std::to_string(as) + ", limit " +
+                                    std::to_string(limit) + ", order " +
+                                    std::to_string(order) + ", offer " +
+                                    std::to_string(i);
+          ASSERT_EQ(outcome, expected) << where;
+          ASSERT_EQ(path_keys(store.for_origin(o.pcb->origin())),
+                    path_keys(bucket))
+              << where;
+          ++outcomes[static_cast<std::size_t>(outcome)];
+        }
+      }
+    }
+  }
+  // Buckets filled and evicted, and the far path was in a full bucket
+  // when a victim was picked.
+  EXPECT_GT(outcomes[static_cast<std::size_t>(BeaconStore::InsertOutcome::kReplaced)], 0u);
+  EXPECT_GT(outcomes[static_cast<std::size_t>(BeaconStore::InsertOutcome::kRejected)], 0u);
+  EXPECT_GT(far_path_picks, 0u);
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <map>
 
 #include "core/scoring.hpp"
+#include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace scion::ctrl {
 namespace {
@@ -51,6 +55,107 @@ TEST(LinkHistoryTable, GeometricMeanOfMixedCounters) {
   table.add_path(links({2}));
   // counters: 1 -> 4, 2 -> 1; gm = sqrt(4 * 1) = 2
   EXPECT_DOUBLE_EQ(table.geometric_mean(links({1, 2})), 2.0);
+}
+
+// distinct_links() and every counter against a reference map through a
+// seeded sequence of adds and removes, with removes that clamp at zero and
+// links that are re-added after dropping to zero.
+TEST(LinkHistoryTable, DistinctLinksTrackAddRemoveSequences) {
+  LinkHistoryTable table;
+  std::map<topo::LinkIndex, int> reference;
+  std::size_t clamped = 0;
+  std::size_t readded = 0;
+  util::Rng rng{17};
+  for (int step = 0; step < 2000; ++step) {
+    std::vector<topo::LinkIndex> path;
+    const std::size_t hops = 1 + rng.index(4);
+    for (std::size_t h = 0; h < hops; ++h) {
+      path.push_back(static_cast<topo::LinkIndex>(rng.index(24)));
+    }
+    if (rng.index(2) == 0) {
+      table.add_path(path);
+      for (topo::LinkIndex l : path) {
+        const auto it = reference.find(l);
+        readded += it != reference.end() && it->second == 0;
+        ++reference[l];
+      }
+    } else {
+      table.remove_path(path);
+      for (topo::LinkIndex l : path) {
+        if (reference[l] > 0) {
+          --reference[l];
+        } else {
+          ++clamped;
+        }
+      }
+    }
+    std::size_t distinct = 0;
+    for (const auto& [link, count] : reference) {
+      ASSERT_EQ(table.counter(link), count) << "step " << step;
+      distinct += count > 0;
+    }
+    ASSERT_EQ(table.distinct_links(), distinct) << "step " << step;
+  }
+  EXPECT_GT(clamped, 0u);
+  EXPECT_GT(readded, 0u);
+}
+
+TEST(LinkHistoryTable, UntouchedLinkPastTheEndCountsZero) {
+  LinkHistoryTable table;
+  EXPECT_EQ(table.counter(0), 0);
+  table.add_path(links({3}));
+  EXPECT_EQ(table.counter(4), 0);
+  EXPECT_EQ(table.counter(1'000'000), 0);
+  EXPECT_EQ(table.counter(topo::kInvalidLinkIndex), 0);
+  EXPECT_EQ(table.geometric_mean(links({3, 4000})), 0.0);
+}
+
+#if SCION_CHECK_ENABLED
+TEST(LinkHistoryTableDeathTest, InvalidLinkIndexFailsLoudly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  LinkHistoryTable table;
+  EXPECT_DEATH(table.add_path(links({1, topo::kInvalidLinkIndex})),
+               "valid link index");
+}
+#endif
+
+TEST(LinkHistoryTable, LogTableEqualsStdLogAcrossItsBoundary) {
+  for (int c = 1; c <= kLogCountTableSize + 16; ++c) {
+    ASSERT_EQ(log_count(c), std::log(static_cast<double>(c))) << c;
+  }
+  for (const int c : {kLogCountTableSize - 1, kLogCountTableSize,
+                      kLogCountTableSize + 1, 1 << 20, 1 << 30}) {
+    EXPECT_EQ(log_count(c), std::log(static_cast<double>(c))) << c;
+  }
+}
+
+// Bit-equal to a std::log / std::exp loop in link order, with counters on
+// both sides of the log table's boundary.
+TEST(LinkHistoryTable, GeometricMeanBitEqualsStdLogLoop) {
+  LinkHistoryTable table;
+  const std::array<int, 8> counts{1, 2, 3, 7, kLogCountTableSize - 1,
+                                  kLogCountTableSize, kLogCountTableSize + 1,
+                                  3000};
+  for (std::size_t l = 0; l < counts.size(); ++l) {
+    for (int i = 0; i < counts[l]; ++i) {
+      table.add_path(links({static_cast<topo::LinkIndex>(l)}));
+    }
+  }
+  util::Rng rng{5};
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<topo::LinkIndex> path;
+    const std::size_t hops = 1 + rng.index(6);
+    for (std::size_t h = 0; h < hops; ++h) {
+      path.push_back(static_cast<topo::LinkIndex>(rng.index(counts.size())));
+    }
+    double log_sum = 0.0;
+    for (topo::LinkIndex l : path) {
+      log_sum += std::log(static_cast<double>(counts[l]));
+    }
+    const double expected =
+        std::exp(log_sum / static_cast<double>(path.size()));
+    ASSERT_EQ(table.geometric_mean(path), expected) << "trial " << trial;
+  }
 }
 
 TEST(DiversityScore, FullyFreshPathScoresOne) {
