@@ -22,6 +22,19 @@ set -eu
 
 preset="${1:-asan-ubsan}"
 
+# Telemetry and the counting allocator are part of every build; there is
+# no switch to compile them out. perfbench/CMakeLists.txt still defines
+# SCION_MPR_OBS_ENABLED and SCION_MPR_ALLOC_TRACK, so an #ifdef on either
+# would compile differently in the benchmark than in the tests, and a stale
+# one in the main build would silently compile code out.
+if grep -rnE 'SCION_MPR_(OBS|ALLOC_TRACK)' \
+     --include='*.cpp' --include='*.hpp' --include=CMakeLists.txt \
+     --include=CMakePresets.json \
+     src tests tools bench examples CMakeLists.txt CMakePresets.json; then
+  echo "ci: ERROR: a removed telemetry build switch is referenced above" >&2
+  exit 1
+fi
+
 cmake --preset "$preset"
 cmake --build --preset "$preset" -j "$(nproc)"
 ctest --preset "$preset"

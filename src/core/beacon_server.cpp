@@ -126,8 +126,7 @@ void BeaconServer::handle_pcb(const PcbRef& pcb, topo::LinkIndex ingress,
     SCION_METRIC_COUNT("beacon.loops_dropped", 1);
     return;
   }
-  if (config_.compute_crypto && config_.verify_signatures &&
-      !pcb->verify(keys_)) {
+  if (config_.compute_crypto && !pcb->verify(keys_)) {
     ++stats_.verify_failures;
     SCION_METRIC_COUNT("beacon.verify_failures", 1);
     return;

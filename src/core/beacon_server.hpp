@@ -57,12 +57,10 @@ struct BeaconServerConfig {
   /// Advertise this AS's peering links inside propagated PCBs (intra-ISD
   /// beaconing; enables data-plane peering shortcuts).
   bool include_peer_entries{false};
-  /// Verify the full signature chain of received PCBs.
-  bool verify_signatures{true};
-  /// Compute real signatures/MACs on sent PCBs. Disable for large-scale
-  /// overhead simulations: wire sizes are identical (the fields are still
-  /// carried, zeroed), but signing/verification CPU cost is avoided.
-  /// Implies verify_signatures = false.
+  /// Compute real signatures/MACs on sent PCBs and verify the full
+  /// signature chain of received ones. Disable for large-scale overhead
+  /// simulations: wire sizes are identical (the fields are still carried,
+  /// zeroed), but signing/verification CPU cost is avoided.
   bool compute_crypto{true};
   /// Staleness-aware revalidation: on_link_down quarantines stored PCBs
   /// riding the link instead of evicting them, on_link_up releases the

@@ -29,8 +29,7 @@
 
 namespace scion::faults {
 
-/// Counters for everything the injector did; plain data so tests work with
-/// telemetry compiled out.
+/// Counters for everything the injector did.
 struct FaultInjectorStats {
   std::uint64_t link_down_events{0};
   std::uint64_t link_up_events{0};

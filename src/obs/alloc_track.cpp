@@ -1,15 +1,11 @@
 #include "obs/alloc_track.hpp"
 
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 
 #include "obs/event_profile.hpp"
 
-#ifdef SCION_MPR_ALLOC_TRACK
-#include <cstdlib>
-#include <new>
-#endif
-
-#ifdef SCION_MPR_ALLOC_TRACK
 namespace {
 
 // Trivially-initialized TLS: safe to bump from the earliest allocation,
@@ -48,25 +44,12 @@ void* alloc_or_throw(std::size_t size, Alloc alloc) {
 }
 
 }  // namespace
-#endif  // SCION_MPR_ALLOC_TRACK
 
 namespace scion::obs {
 
-std::uint64_t thread_allocs() {
-#ifdef SCION_MPR_ALLOC_TRACK
-  return t_allocs;
-#else
-  return 0;
-#endif
-}
+std::uint64_t thread_allocs() { return t_allocs; }
 
-std::uint64_t thread_alloc_bytes() {
-#ifdef SCION_MPR_ALLOC_TRACK
-  return t_alloc_bytes;
-#else
-  return 0;
-#endif
-}
+std::uint64_t thread_alloc_bytes() { return t_alloc_bytes; }
 
 AllocBudgetResult check_alloc_budget(std::string_view phase,
                                      std::uint64_t allocs,
@@ -103,8 +86,6 @@ AllocBudgetResult check_alloc_budget(std::string_view phase,
 }
 
 }  // namespace scion::obs
-
-#ifdef SCION_MPR_ALLOC_TRACK
 
 // The global counting operator new/delete pair. Lives in scion_obs (which
 // every binary links); the references to thread_allocs() from
@@ -169,5 +150,3 @@ void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
   std::free(p);
 }
-
-#endif  // SCION_MPR_ALLOC_TRACK

@@ -1,26 +1,25 @@
 // Counting allocator for per-phase allocation budgets, the repo's one gate
 // on per-event cost.
 //
-// Under the SCION_MPR_ALLOC_TRACK build option, alloc_track.cpp replaces
-// the global operator new/delete with a forwarding pair that bumps
-// thread-local counters before delegating to malloc/free. ProfilePhase
-// (obs/profile.hpp) snapshots the calling thread's counters at phase start
-// and records the delta, so every BENCH_*.json "phases" entry carries
-// "allocs"/"alloc_bytes" next to its wall time — the allocations-per-event
-// budgets that tests/test_alloc_budget.cpp gates for the beaconing,
-// control-plane, and BGP micro-runs.
+// alloc_track.cpp replaces the global operator new/delete with a forwarding
+// pair that bumps thread-local counters before delegating to malloc/free.
+// ProfilePhase (obs/profile.hpp) snapshots the calling thread's counters at
+// phase start and records the delta, so every BENCH_*.json "phases" entry
+// carries "allocs"/"alloc_bytes" next to its wall time — the
+// allocations-per-event budgets that tests/test_alloc_budget.cpp gates for
+// the beaconing, control-plane, and BGP micro-runs.
 //
 // Determinism: counting is observational only. The counters never feed
-// simulation state, virtual time, or RNG draws, so same-seed simulation
-// output is byte-identical with tracking ON or OFF (tests/test_determinism
-// runs either way). The counters are thread-local: a phase's delta counts
-// the phase's own thread, which is exact for the single-threaded
-// simulation loops the budgets gate (parallel-region workers profile their
-// own task phases).
+// simulation state, virtual time, or RNG draws. The counters are
+// thread-local: a phase's delta counts the phase's own thread, which is
+// exact for the single-threaded simulation loops the budgets gate
+// (parallel-region workers profile their own task phases).
 //
 // Sanitizer note: -fsanitize=address intercepts the malloc this forwards
-// to, so the two compose, but ASan's own new/delete hooks are shadowed;
-// prefer SCION_MPR_ALLOC_TRACK=OFF for sanitizer CI legs.
+// to, so the two compose, but ASan's own new/delete hooks are shadowed: an
+// ASan build does not report new/delete mismatches. Every build installs
+// the counting allocator, because the asan-ubsan CI leg gates the
+// allocation budgets too.
 #pragma once
 
 #include <cstdint>
@@ -29,18 +28,9 @@
 
 namespace scion::obs {
 
-/// Whether the counting operator new/delete is compiled in.
-constexpr bool alloc_tracking_enabled() {
-#ifdef SCION_MPR_ALLOC_TRACK
-  return true;
-#else
-  return false;
-#endif
-}
-
 /// Operator-new calls (scalar/array, throwing/nothrow/aligned) made by the
-/// calling thread so far. Monotonic; always 0 when tracking is compiled
-/// out. Subtract two snapshots to cost a region.
+/// calling thread so far. Monotonic; subtract two snapshots to cost a
+/// region.
 std::uint64_t thread_allocs();
 
 /// Bytes requested by those calls (requested, not malloc-rounded).
@@ -55,8 +45,7 @@ struct AllocBudgetResult {
 };
 
 /// Gates an allocations-per-event budget: ok iff allocs/events <= budget.
-/// `events` of 0 passes only a zero-allocation phase. With tracking
-/// compiled out the check degenerates to ok (allocs must be 0 then).
+/// `events` of 0 passes only a zero-allocation phase.
 AllocBudgetResult check_alloc_budget(std::string_view phase,
                                      std::uint64_t allocs,
                                      std::uint64_t events,

@@ -1,6 +1,7 @@
 #include "obs/chrome_trace.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -19,6 +20,9 @@ namespace {
 constexpr int kWallPid = 1;
 constexpr int kVirtualPid = 2;
 constexpr int kLabelTid = 1000;
+// How many event labels (by handler wall time, descending) get aggregate
+// slices; the rest still appear in the event_profile JSON section.
+constexpr std::size_t kTopKLabels = 12;
 
 void append_metadata(JsonWriter& w, int pid, std::string_view what,
                      std::string_view name, int tid = 0) {
@@ -36,8 +40,7 @@ void append_metadata(JsonWriter& w, int pid, std::string_view what,
 }  // namespace
 
 std::string chrome_trace_json(const PhaseProfiler& phases,
-                              const EventProfiler& events,
-                              const ChromeTraceOptions& options) {
+                              const EventProfiler& events) {
   const auto spans = phases.spans();
   auto labels = events.label_snapshot();
   const auto timeline = events.queue_timeline();
@@ -77,9 +80,7 @@ std::string chrome_trace_json(const PhaseProfiler& phases,
     }
     return a.first < b.first;
   });
-  if (labels.size() > options.top_k_labels) {
-    labels.resize(options.top_k_labels);
-  }
+  if (labels.size() > kTopKLabels) labels.resize(kTopKLabels);
   double cursor_us = 0.0;
   for (const auto& [name, s] : labels) {
     const double dur_us = static_cast<double>(s.wall_ns) / 1e3;
@@ -117,15 +118,13 @@ std::string chrome_trace_json(const PhaseProfiler& phases,
   return std::move(w).take();
 }
 
-bool write_chrome_trace(const std::string& path,
-                        const ChromeTraceOptions& options) {
+bool write_chrome_trace(const std::string& path) {
   std::ofstream out{path};
   if (!out) {
     std::cerr << "obs: cannot open --chrome-trace-out file " << path << '\n';
     return false;
   }
-  out << chrome_trace_json(PhaseProfiler::global(), EventProfiler::global(),
-                           options)
+  out << chrome_trace_json(PhaseProfiler::global(), EventProfiler::global())
       << '\n';
   return true;
 }

@@ -16,7 +16,6 @@
 // live in the `event_profile` report section instead).
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace scion::obs {
@@ -24,20 +23,12 @@ namespace scion::obs {
 class PhaseProfiler;
 class EventProfiler;
 
-struct ChromeTraceOptions {
-  /// How many event labels (by handler wall time, descending) get aggregate
-  /// slices; the rest still appear in the event_profile JSON section.
-  std::size_t top_k_labels{12};
-};
-
 /// Renders the trace document from the two global profilers' current state.
 std::string chrome_trace_json(const PhaseProfiler& phases,
-                              const EventProfiler& events,
-                              const ChromeTraceOptions& options = {});
+                              const EventProfiler& events);
 
 /// Writes chrome_trace_json() to `path`; returns false (after printing to
 /// stderr) if the file cannot be opened.
-bool write_chrome_trace(const std::string& path,
-                        const ChromeTraceOptions& options = {});
+bool write_chrome_trace(const std::string& path);
 
 }  // namespace scion::obs

@@ -7,13 +7,11 @@
 
 namespace scion::obs {
 
-#ifdef SCION_MPR_OBS_ENABLED
 namespace detail {
 // Runtime profiling switch; atomic with relaxed ordering, and on/off runs
 // are proven byte-identical. simlint:allow(mutable-global)
 std::atomic<bool> g_event_profiling_enabled{true};
 }  // namespace detail
-#endif
 
 EventProfiler& EventProfiler::global() {
   static EventProfiler profiler;
@@ -21,7 +19,6 @@ EventProfiler& EventProfiler::global() {
 }
 
 EventLabel EventProfiler::intern(std::string_view name) {
-#ifdef SCION_MPR_OBS_ENABLED
   SCION_CHECK(!name.empty(), "event label name must not be empty");
   const util::MutexLock lock{mu_};
   if (names_.empty()) {
@@ -35,19 +32,10 @@ EventLabel EventProfiler::intern(std::string_view name) {
   names_.emplace_back(name);
   ids_.emplace(names_.back(), id);
   return EventLabel{id};
-#else
-  (void)name;
-  return EventLabel{};
-#endif
 }
 
 EventLabel event_label(std::string_view name) {
-#ifdef SCION_MPR_OBS_ENABLED
   return EventProfiler::global().intern(name);
-#else
-  (void)name;
-  return EventLabel{};
-#endif
 }
 
 std::size_t EventProfiler::label_count() const {
@@ -79,11 +67,7 @@ void EventProfiler::merge(const std::vector<LabelStats>& stats,
 }
 
 void EventProfiler::set_enabled(bool on) {
-#ifdef SCION_MPR_OBS_ENABLED
   detail::g_event_profiling_enabled.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 bool EventProfiler::enabled() const { return event_profiling_enabled(); }
@@ -191,15 +175,11 @@ std::string EventProfiler::to_json() const {
   return std::move(w).take();
 }
 
-#ifdef SCION_MPR_OBS_ENABLED
-
 void EventShard::flush() {
   if (stats_.empty() && samples_.empty()) return;
   EventProfiler::global().merge(stats_, samples_);
   stats_.clear();
   samples_.clear();
 }
-
-#endif  // SCION_MPR_OBS_ENABLED
 
 }  // namespace scion::obs

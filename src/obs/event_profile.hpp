@@ -13,16 +13,13 @@
 // Determinism contract (the same one metrics/trace/profile obey):
 //  * write-only — nothing in the simulation reads profiler state, so
 //    attribution cannot perturb event order (proved in test_determinism
-//    with profiling on, off, and compiled out);
+//    with profiling on and off);
 //  * event/alloc counts and queue-depth samples are deterministic (same
 //    seed, same code path); wall_ns values are wall times and are kept in
 //    separate keys, exactly like the phase profile;
 //  * per-Simulator EventShards merge into the global profiler with
 //    commutative operations only (integer addition, per-timestamp max), so
 //    results are byte-identical at any --jobs=N.
-//
-// With SCION_MPR_OBS=OFF the label is an empty type, event_label() returns
-// it without interning, and the event loop's record path compiles out.
 #pragma once
 
 #include <atomic>
@@ -36,8 +33,6 @@
 #include "util/thread_safety.hpp"
 
 namespace scion::obs {
-
-#ifdef SCION_MPR_OBS_ENABLED
 
 /// A static event-kind tag. Trivially copyable, 4 bytes; id 0 is the
 /// reserved "(unlabeled)" default every un-annotated schedule gets.
@@ -63,26 +58,10 @@ inline bool event_profiling_enabled() {
   return detail::g_event_profiling_enabled.load(std::memory_order_relaxed);
 }
 
-#else  // !SCION_MPR_OBS_ENABLED
-
-/// Telemetry compiled out: an empty tag ([[no_unique_address]] members cost
-/// nothing), so label plumbing survives in signatures at zero size/cost.
-class EventLabel {
- public:
-  constexpr EventLabel() = default;
-  constexpr std::uint32_t id() const { return 0; }
-  constexpr bool is_default() const { return true; }
-};
-
-inline constexpr bool event_profiling_enabled() { return false; }
-
-#endif  // SCION_MPR_OBS_ENABLED
-
 /// Interns `name` into the global label table and returns its handle.
 /// Allocates only on the first sighting of a name — call sites keep the
 /// result in a file-scope constant (see DESIGN.md's event-labeling recipe),
-/// so the hot path never re-interns. With SCION_MPR_OBS=OFF this returns
-/// the empty label without touching any registry.
+/// so the hot path never re-interns.
 EventLabel event_label(std::string_view name);
 
 /// Per-label accumulators. `events`, `allocs`, `alloc_bytes` are
@@ -101,9 +80,7 @@ struct QueueSample {
   std::uint64_t depth{0};
 };
 
-/// Process-wide event-cost aggregate. Like PhaseProfiler the class exists
-/// in every build (so report emission is unconditional); with telemetry
-/// compiled out it simply never receives data.
+/// Process-wide event-cost aggregate, fed by the per-Simulator EventShards.
 class EventProfiler {
  public:
   static EventProfiler& global();
@@ -167,8 +144,6 @@ class EventProfiler {
   std::map<std::int64_t, std::uint64_t> queue_ SCION_GUARDED_BY(mu_);
 };
 
-#ifdef SCION_MPR_OBS_ENABLED
-
 /// Per-Simulator accumulator: dense per-label counters plus a queue-depth
 /// timeline on a deterministic virtual-time grid. No locking on the record
 /// path — each Simulator is single-threaded; the only synchronization is
@@ -228,15 +203,5 @@ class EventShard {
   std::int64_t next_sample_ns_{0};
   std::int64_t interval_ns_{100'000'000};  // 100 ms of virtual time
 };
-
-#else  // !SCION_MPR_OBS_ENABLED
-
-/// Compiled out: no state, no code.
-class EventShard {
- public:
-  void flush() {}
-};
-
-#endif  // SCION_MPR_OBS_ENABLED
 
 }  // namespace scion::obs

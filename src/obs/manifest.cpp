@@ -32,11 +32,6 @@ RunManifest RunManifest::capture(std::string_view binary,
 #else
   m.checked = false;
 #endif
-#ifdef SCION_MPR_OBS_ENABLED
-  m.obs_enabled = true;
-#else
-  m.obs_enabled = false;
-#endif
   return m;
 }
 
@@ -50,7 +45,6 @@ void RunManifest::append_fields(JsonWriter& w) const {
   w.kv("git_sha", std::string_view{git_sha});
   w.kv("sanitizers", std::string_view{sanitizers});
   w.kv("checked", checked);
-  w.kv("obs_enabled", obs_enabled);
 }
 
 std::string RunManifest::to_json() const {

@@ -28,8 +28,6 @@ struct RunManifest {
   std::string git_sha;     // short sha, "unknown" outside a git checkout
   std::string sanitizers;  // SCION_MPR_SANITIZE value, "off" when disabled
   bool checked{false};     // SCION_MPR_CHECKED invariants compiled in
-  bool obs_enabled{true};  // telemetry compiled in (always true when emitted
-                           // by this library, recorded for completeness)
 
   /// Fills build metadata from compile-time definitions plus the given
   /// run parameters.

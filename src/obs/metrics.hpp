@@ -4,9 +4,7 @@
 // registry-of-counters pattern): simulation code records through the
 // SCION_METRIC_* macros below, and nothing in the simulation ever reads a
 // metric back, so recording cannot perturb simulation state — the
-// determinism property test_determinism proves end to end. When the build
-// sets SCION_MPR_OBS=OFF the macros expand to empty statements and their
-// argument expressions are not evaluated at all.
+// determinism property test_determinism proves end to end.
 //
 // Instances live in the process-wide registry (MetricsRegistry::global()).
 // Names are dotted paths, subsystem first ("beacon.pcbs_sent"); the macro
@@ -228,7 +226,6 @@ void record_observe(const HistogramHandle& h, double v);
 // --- recording macros --------------------------------------------------------
 //
 // `name` must be a string literal (it keys the per-call-site handle cache).
-#ifdef SCION_MPR_OBS_ENABLED
 
 #define SCION_METRIC_COUNT(name, delta)                                        \
   do {                                                                         \
@@ -261,30 +258,3 @@ void record_observe(const HistogramHandle& h, double v);
     ::scion::obs::record_observe(scion_metric_handle_,                        \
                                  static_cast<double>(v));                     \
   } while (0)
-
-#else  // telemetry compiled out: no-ops, arguments never evaluated
-       // (sizeof keeps them type-checked and their operands "used" without
-       // generating any code)
-
-#define SCION_METRIC_COUNT(name, delta) \
-  do {                                  \
-    (void)sizeof(name);                 \
-    (void)sizeof(delta);                \
-  } while (0)
-#define SCION_METRIC_GAUGE_SET(name, v) \
-  do {                                  \
-    (void)sizeof(name);                 \
-    (void)sizeof(v);                    \
-  } while (0)
-#define SCION_METRIC_GAUGE_MAX(name, v) \
-  do {                                  \
-    (void)sizeof(name);                 \
-    (void)sizeof(v);                    \
-  } while (0)
-#define SCION_METRIC_OBSERVE(name, v) \
-  do {                                \
-    (void)sizeof(name);               \
-    (void)sizeof(v);                  \
-  } while (0)
-
-#endif  // SCION_MPR_OBS_ENABLED

@@ -63,8 +63,6 @@ std::string PhaseProfiler::to_json() const {
   return std::move(w).take();
 }
 
-#ifdef SCION_MPR_OBS_ENABLED
-
 // The single sanctioned wall-clock read in the tree. Safe for determinism:
 // the value only ever flows into PhaseProfiler / EventProfiler
 // accumulators, which nothing in the simulation reads back (see the header
@@ -123,7 +121,5 @@ void ProfilePhase::stop() {
 }
 
 ProfilePhase::~ProfilePhase() { stop(); }
-
-#endif  // SCION_MPR_OBS_ENABLED
 
 }  // namespace scion::obs

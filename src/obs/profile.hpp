@@ -9,9 +9,9 @@
 // simlint:allow(wall-clock) on the single steady_clock read). Determinism
 // proof: wall-clock values flow exclusively into PhaseProfiler's own
 // accumulators and from there into emitted reports; no simulation code ever
-// reads PhaseProfiler state, virtual time never depends on it, and with
-// SCION_MPR_OBS=OFF the clock is not read at all — same-seed simulation
-// output is byte-identical either way (test_determinism).
+// reads PhaseProfiler state and virtual time never depends on it, so
+// same-seed simulation output is byte-identical with or without profiling
+// (test_determinism).
 #pragma once
 
 #include <cstdint>
@@ -30,9 +30,9 @@ class PhaseProfiler {
     std::uint64_t calls{0};
     std::int64_t wall_ns{0};
     /// Calling-thread operator-new calls/bytes inside the phase, summed
-    /// over calls. Always 0 when SCION_MPR_ALLOC_TRACK is off. Unlike
-    /// wall_ns these ARE deterministic (same code path, same counts), which
-    /// is what lets test_alloc_budget gate allocations-per-event budgets.
+    /// over calls. Unlike wall_ns these ARE deterministic (same code path,
+    /// same counts), which is what lets test_alloc_budget gate
+    /// allocations-per-event budgets.
     /// Nested phases attribute to the innermost active phase: a parent's
     /// counters exclude what its children already claimed.
     std::uint64_t allocs{0};
@@ -75,8 +75,6 @@ class PhaseProfiler {
 
   /// [{"phase": "beaconing", "calls": 2, "wall_ns": ..., "wall_s": ...,
   ///   "allocs": ..., "alloc_bytes": ...}, ...]
-  /// The alloc keys are present in every build (0 without
-  /// SCION_MPR_ALLOC_TRACK) so the BENCH_*.json phase schema is stable.
   std::string to_json() const SCION_EXCLUDES(mu_);
 
  private:
@@ -86,8 +84,6 @@ class PhaseProfiler {
   std::map<std::string, Phase, std::less<>> phases_ SCION_GUARDED_BY(mu_);
   std::vector<Span> spans_ SCION_GUARDED_BY(mu_);
 };
-
-#ifdef SCION_MPR_OBS_ENABLED
 
 /// The single sanctioned wall-clock read in the tree (implemented in
 /// profile.cpp next to its simlint:allow). ProfilePhase and the event loop's
@@ -123,18 +119,5 @@ class ProfilePhase {
   std::uint64_t child_alloc_bytes_{0};
   bool stopped_{false};
 };
-
-#else
-
-/// Telemetry compiled out: no clock read, no state, guaranteed zero cost.
-class ProfilePhase {
- public:
-  explicit ProfilePhase(std::string_view) {}
-  void stop() {}
-  ProfilePhase(const ProfilePhase&) = delete;
-  ProfilePhase& operator=(const ProfilePhase&) = delete;
-};
-
-#endif  // SCION_MPR_OBS_ENABLED
 
 }  // namespace scion::obs

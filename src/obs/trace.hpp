@@ -11,8 +11,7 @@
 // 12000-AS run can stream only the beacon churn it is being debugged for.
 // Like the metrics registry this is write-only: nothing in the simulation
 // reads the sink, so tracing cannot perturb results (proved by
-// test_determinism's telemetry ON/OFF comparison). The SCION_TRACE macro
-// compiles to nothing when SCION_MPR_OBS=OFF.
+// test_determinism's telemetry ON/OFF comparison).
 #pragma once
 
 #include <concepts>
@@ -142,8 +141,6 @@ TraceSink* set_thread_trace_override(TraceSink* sink);
 //               {"as", self_id_.to_string()}, {"egress", egress});
 // The field list (and every argument expression) is only evaluated when a
 // sink is installed and the category is enabled.
-#ifdef SCION_MPR_OBS_ENABLED
-
 #define SCION_TRACE(category, now, event_name, ...)                            \
   do {                                                                         \
     ::scion::obs::TraceSink* scion_trace_sink_ = ::scion::obs::trace_sink();   \
@@ -153,17 +150,3 @@ TraceSink* set_thread_trace_override(TraceSink* sink);
                                {__VA_ARGS__});                                 \
     }                                                                          \
   } while (0)
-
-#else
-
-// sizeof keeps category/now/event_name type-checked and "used" (so a
-// parameter only read by traces does not warn in OFF builds) without
-// evaluating anything; the field list is dropped entirely.
-#define SCION_TRACE(category, now, event_name, ...) \
-  do {                                              \
-    (void)sizeof(category);                         \
-    (void)sizeof(now);                              \
-    (void)sizeof(event_name);                       \
-  } while (0)
-
-#endif  // SCION_MPR_OBS_ENABLED

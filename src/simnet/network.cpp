@@ -69,18 +69,6 @@ Duration Network::jitter(ChannelId ch) const {
   return channels_[ch.value()].jitter;
 }
 
-namespace {
-
-// Default attribution for deliveries whose sender did not pass a protocol
-// label (interned once at static init; never re-interned on the hot path).
-const obs::EventLabel kNetDeliverLabel = obs::event_label("net.deliver");
-
-}  // namespace
-
-void Network::send(ChannelId ch, NodeId from, Bytes bytes, Payload payload) {
-  send(ch, from, bytes, std::move(payload), kNetDeliverLabel);
-}
-
 // Once per message sent plus once per message delivered (the lambda below):
 // the busiest code in every simulation. The delivery closure must stay
 // within the Simulator::Callback inline capacity and the payload within

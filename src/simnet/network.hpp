@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simnet/simulator.hpp"
@@ -136,12 +137,16 @@ class Network {
   /// Sends `bytes` of payload from `from` across `ch`; delivery is scheduled
   /// after the channel latency (plus jitter, if configured). `from` must be
   /// an endpoint of `ch`. The delivery event is attributed to `label` by the
-  /// event profiler; the unlabeled form uses the interned "net.deliver"
-  /// default. Simulation pipelines pass their protocol's label; tools/
-  /// bench_diff fails when a baseline label disappears from a run.
+  /// event profiler; the unlabeled form lands under the "(unlabeled)"
+  /// default, like the unlabeled Simulator::schedule_* overloads.
+  /// Simulation pipelines must pass their protocol's label: the attribution
+  /// checks in tests/test_alloc_budget.cpp and tools/bench_diff fail on any
+  /// unlabeled event.
   void send(ChannelId ch, NodeId from, Bytes bytes, Payload payload,
             obs::EventLabel label);
-  void send(ChannelId ch, NodeId from, Bytes bytes, Payload payload);
+  void send(ChannelId ch, NodeId from, Bytes bytes, Payload payload) {
+    send(ch, from, bytes, std::move(payload), obs::EventLabel{});
+  }
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t channel_count() const { return channels_.size(); }

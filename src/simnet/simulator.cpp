@@ -62,12 +62,11 @@ void Simulator::pop_and_run() {
   now_ = ev.time;
   ++processed_;
   SCION_METRIC_COUNT("simnet.events_processed", 1);
-#ifdef SCION_MPR_OBS_ENABLED
   // Event-cost attribution: snapshot the thread's alloc counters and the
   // sanctioned wall clock around the handler, record the delta under the
   // event's label. Write-only (the shard feeds reports, never the
-  // simulation), so runs are byte-identical with this on, off, or compiled
-  // out — test_determinism proves it.
+  // simulation), so runs are byte-identical with this on or off —
+  // test_determinism proves it.
   if (obs::event_profiling_enabled()) {
     shard_.maybe_sample_queue(now_.ns(), queue_.size());
     const std::uint64_t allocs0 = obs::thread_allocs();
@@ -79,7 +78,6 @@ void Simulator::pop_and_run() {
                   obs::profiler_wall_now_ns() - wall0);
     return;
   }
-#endif
   ev.fn();
 }
 

@@ -105,9 +105,8 @@ class Simulator {
   struct Event {
     TimePoint time;
     std::uint64_t seq;
-    /// Cost-attribution tag; an empty type under SCION_MPR_OBS=OFF, so the
-    /// queue slot pays nothing when telemetry is compiled out.
-    [[no_unique_address]] obs::EventLabel label;
+    /// Cost-attribution tag.
+    obs::EventLabel label;
     Callback fn;
   };
   struct Later {
@@ -119,7 +118,7 @@ class Simulator {
 
   struct Periodic {
     Duration period;
-    [[no_unique_address]] obs::EventLabel label;
+    obs::EventLabel label;
     Callback fn;
     bool cancelled{false};
   };
@@ -137,10 +136,10 @@ class Simulator {
   // callback, and a callback that registers a new periodic timer must not
   // invalidate it (a vector's push_back reallocation would).
   std::deque<Periodic> periodics_;
-  // Per-simulator event-cost accumulator (empty type under
-  // SCION_MPR_OBS=OFF); folded into obs::EventProfiler::global() at the end
-  // of each run segment and on destruction.
-  [[no_unique_address]] obs::EventShard shard_;
+  // Per-simulator event-cost accumulator; folded into
+  // obs::EventProfiler::global() at the end of each run segment and on
+  // destruction.
+  obs::EventShard shard_;
 };
 
 }  // namespace scion::sim

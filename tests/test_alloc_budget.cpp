@@ -2,7 +2,7 @@
 // the repo's one gate on per-event cost.
 //
 // Each gate runs a small fixed-seed micro-run of one simulation pipeline,
-// measures operator-new calls with the SCION_MPR_ALLOC_TRACK counting
+// measures operator-new calls with the obs/alloc_track counting
 // allocator, and divides by the run's event count (PCBs received, BGP
 // updates sent, ...). Allocation counts, unlike wall times, are
 // deterministic for a fixed seed, so the budgets below gate hard: a change
@@ -83,20 +83,15 @@ std::uint64_t profiled_run(Fn&& fn) {
   auto& profiler = obs::EventProfiler::global();
   profiler.reset_counters();
   const std::uint64_t allocs = count_allocs(std::forward<Fn>(fn)).first;
-#ifdef SCION_MPR_OBS_ENABLED
   EXPECT_GT(profiler.total_events(), 0u);
   EXPECT_EQ(profiler.attributed_events(), profiler.total_events())
       << profiler.total_events() - profiler.attributed_events()
       << " events ran under the default (unlabeled) event label";
-#endif
   return allocs;
 }
 
 void expect_within_budget(std::string_view phase, std::uint64_t allocs,
                           std::uint64_t events, double budget) {
-  if (!obs::alloc_tracking_enabled()) {
-    GTEST_SKIP() << "SCION_MPR_ALLOC_TRACK is off";
-  }
   ASSERT_GT(events, 0u);
   const auto r = obs::check_alloc_budget(phase, allocs, events, budget);
   EXPECT_TRUE(r.ok) << r.message;
@@ -122,9 +117,6 @@ topo::Topology multi_isd_world() {
 // --- Gates -----------------------------------------------------------------------
 
 TEST(AllocBudget, CountingAllocatorSeesThisThreadsAllocations) {
-  if (!obs::alloc_tracking_enabled()) {
-    GTEST_SKIP() << "SCION_MPR_ALLOC_TRACK is off";
-  }
   const auto [allocs, bytes] = count_allocs([] {
     auto block = std::make_unique<char[]>(4096);
     // Defeat any heroic dead-allocation elimination.
@@ -280,7 +272,6 @@ TEST(AllocBudget, ExceededBudgetNamesTopAllocatingEventLabels) {
   const std::string& msg = r.message;
   ASSERT_NE(msg.find("top allocating event labels:"), std::string::npos)
       << msg;
-#ifdef SCION_MPR_OBS_ENABLED
   const auto heavy_at = msg.find("test.budget_heavy (500 allocs)");
   const auto mid_at = msg.find("test.budget_mid (200 allocs)");
   const auto light_at = msg.find("test.budget_light (100 allocs)");
@@ -291,13 +282,9 @@ TEST(AllocBudget, ExceededBudgetNamesTopAllocatingEventLabels) {
   EXPECT_LT(mid_at, light_at) << msg;
   // Top-3 means the fourth-heaviest label stays out of the message.
   EXPECT_EQ(msg.find("test.budget_spare"), std::string::npos) << msg;
-#endif
 }
 
 TEST(AllocBudget, RealRunExceedsZeroBudget) {
-  if (!obs::alloc_tracking_enabled()) {
-    GTEST_SKIP() << "SCION_MPR_ALLOC_TRACK is off";
-  }
   // An impossible budget of 0 allocs/event must trip on any real run,
   // proving the gate is live (not vacuously green).
   const auto [allocs, bytes] = count_allocs([] {

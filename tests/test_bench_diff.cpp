@@ -226,18 +226,26 @@ TEST(BenchDiff, MissingLabelFailsNewLabelWarns) {
   EXPECT_EQ(added->severity, DiffSeverity::kWarn);
 }
 
-TEST(BenchDiff, ObsDisabledSkipsObsSectionsWithWarning) {
+// The counter gate has no bypass: a report that claims telemetry was off
+// and carries no metrics still fails on every baseline counter.
+TEST(BenchDiff, ObsDisabledManifestCannotSkipCounterGate) {
   const obs::JsonValue base = parse(kBaseDoc);
-  const obs::JsonValue cur = parse(
-      replaced(kBaseDoc, "\"obs_enabled\": true", "\"obs_enabled\": false"));
+  const std::string no_metrics = replaced(
+      kBaseDoc,
+      "\"metrics\": {\"counters\": {\"pcbs_received\": 500, "
+      "\"updates_sent\": 80}},\n",
+      "");
+  const obs::JsonValue cur = parse(replaced(
+      no_metrics, "\"obs_enabled\": true", "\"obs_enabled\": false"));
   const DiffReport r = diff_bench_docs(base, cur);
-  EXPECT_FALSE(r.failed());
-  EXPECT_EQ(r.warnings, 1u);
-  const DiffEntry* e = find_metric(r, "metrics");
-  ASSERT_NE(e, nullptr);
-  EXPECT_NE(e->note.find("skipping"), std::string::npos);
-  // Scalars still compared exactly; obs-gated sections were not.
-  EXPECT_EQ(find_metric(r, "counters.pcbs_received"), nullptr);
+  EXPECT_TRUE(r.failed());
+  for (const char* counter :
+       {"counters.pcbs_received", "counters.updates_sent"}) {
+    const DiffEntry* e = find_metric(r, counter);
+    ASSERT_NE(e, nullptr) << counter;
+    EXPECT_EQ(e->severity, DiffSeverity::kFail);
+    EXPECT_EQ(e->note, "missing from current run");
+  }
 }
 
 TEST(BenchDiff, DifferentBenchNamesRefuseToCompare) {

@@ -221,9 +221,7 @@ TEST(Determinism, FaultedRunsAreByteIdentical) {
 }
 
 // Fault telemetry is write-only like all other categories: tracing the
-// fault stream must not perturb the injected fault sequence. (Under
-// SCION_MPR_OBS=OFF the macros compile out and this test proves the
-// stripped build takes the same trajectory.)
+// fault stream must not perturb the injected fault sequence.
 TEST(Determinism, FaultTelemetryOnOffRunsAreByteIdentical) {
   const topo::Topology world = make_world();
 
@@ -241,11 +239,9 @@ TEST(Determinism, FaultTelemetryOnOffRunsAreByteIdentical) {
 
   ASSERT_FALSE(plain.empty());
   EXPECT_EQ(plain, traced);
-#ifdef SCION_MPR_OBS_ENABLED
   EXPECT_GT(sink.events_written(), 0u);
   // The fault category specifically was exercised.
   EXPECT_NE(trace.str().find("\"cat\":\"fault\""), std::string::npos);
-#endif
   obs::MetricsRegistry::global().reset();
 }
 
@@ -253,8 +249,6 @@ TEST(Determinism, FaultTelemetryOnOffRunsAreByteIdentical) {
 
 // The telemetry layer is write-only: recording metrics, streaming traces,
 // and profiling phases must not change a single byte of simulation output.
-// This is the ON/OFF half of the proof; the compiled-out half is the same
-// test run under SCION_MPR_OBS=OFF (where the macros expand to nothing).
 TEST(Determinism, TelemetryOnOffRunsAreByteIdentical) {
   const topo::Topology world = make_world();
 
@@ -275,20 +269,16 @@ TEST(Determinism, TelemetryOnOffRunsAreByteIdentical) {
 
   ASSERT_FALSE(plain.empty());
   EXPECT_EQ(plain, traced);
-#ifdef SCION_MPR_OBS_ENABLED
   // The instrumented run actually recorded telemetry (the comparison above
   // is not vacuous).
   EXPECT_GT(sink.events_written(), 0u);
   EXPECT_FALSE(obs::MetricsRegistry::global().counters().empty());
-#endif
   obs::MetricsRegistry::global().reset();
 }
 
 // Event-level cost attribution is write-only like the rest of the telemetry
 // layer: profiling every event (counts, allocations, queue depth, handler
-// wall time) must not change a single byte of simulation output. This is
-// the runtime ON/OFF half; the compiled-out half is the same test under
-// SCION_MPR_OBS=OFF, where the record path does not exist.
+// wall time) must not change a single byte of simulation output.
 TEST(Determinism, EventProfilingOnOffRunsAreByteIdentical) {
   const topo::Topology world = make_world();
 
@@ -303,7 +293,6 @@ TEST(Determinism, EventProfilingOnOffRunsAreByteIdentical) {
 
   ASSERT_FALSE(off.empty());
   EXPECT_EQ(off, on);
-#ifdef SCION_MPR_OBS_ENABLED
   // The profiled run actually attributed events (not a vacuous comparison),
   // and a second profiled run reproduces the deterministic counters exactly.
   EXPECT_GT(obs::EventProfiler::global().total_events(), 0u);
@@ -323,7 +312,6 @@ TEST(Determinism, EventProfilingOnOffRunsAreByteIdentical) {
     EXPECT_EQ(timeline_again[i].t_ns, timeline[i].t_ns);
     EXPECT_EQ(timeline_again[i].depth, timeline[i].depth);
   }
-#endif
   obs::EventProfiler::global().reset_counters();
   obs::MetricsRegistry::global().reset();
 }

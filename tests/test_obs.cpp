@@ -1,6 +1,6 @@
 // Telemetry layer tests: metrics registry semantics, JSONL trace
 // round-trips and category filters, run-manifest completeness, the
-// recording macros (including argument evaluation when compiled out), phase
+// recording macros (including argument evaluation), phase
 // profiling, and the shared result renderer.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/alloc_track.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/event_profile.hpp"
 #include "obs/json.hpp"
@@ -19,6 +18,7 @@
 #include "obs/report.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
+#include "simnet/network.hpp"
 #include "simnet/simulator.hpp"
 #include "util/flags.hpp"
 
@@ -146,18 +146,12 @@ TEST(ObsMetrics, MacrosRecordIntoTheGlobalRegistry) {
   SCION_METRIC_COUNT("test.macro_counter", delta());
   SCION_METRIC_GAUGE_MAX("test.macro_gauge", 11);
   SCION_METRIC_OBSERVE("test.macro_hist", 3.0);
-#ifdef SCION_MPR_OBS_ENABLED
   EXPECT_EQ(evaluations, 1);
   EXPECT_EQ(MetricsRegistry::global().counter("test.macro_counter").value(),
             2u);
   EXPECT_EQ(MetricsRegistry::global().gauge("test.macro_gauge").value(), 11);
   EXPECT_EQ(MetricsRegistry::global().histogram("test.macro_hist").count(),
             1u);
-#else
-  // Compiled out: the argument expression must not have been evaluated.
-  EXPECT_EQ(evaluations, 0);
-  EXPECT_TRUE(MetricsRegistry::global().counters().empty());
-#endif
   MetricsRegistry::global().reset();
 }
 
@@ -263,8 +257,7 @@ TEST(ObsTrace, EventCategoryFilterCombos) {
 TEST(ObsTrace, MacroSkipsFieldEvaluationWhenOff) {
   set_trace_sink(nullptr);
   int evaluations = 0;
-  // maybe_unused: the OFF expansion of SCION_TRACE drops the field list.
-  [[maybe_unused]] const auto field_value = [&] {
+  const auto field_value = [&] {
     ++evaluations;
     return 1;
   };
@@ -282,12 +275,8 @@ TEST(ObsTrace, MacroSkipsFieldEvaluationWhenOff) {
               {"v", field_value()});
   EXPECT_EQ(evaluations, 0);
   SCION_TRACE(Category::kBgp, TimePoint::origin(), "e", {"v", field_value()});
-#ifdef SCION_MPR_OBS_ENABLED
   EXPECT_EQ(evaluations, 1);
   EXPECT_EQ(sink.events_written(), 1u);
-#else
-  EXPECT_EQ(evaluations, 0);
-#endif
   set_trace_sink(nullptr);
 }
 
@@ -301,15 +290,11 @@ TEST(ObsProfile, PhasesAccumulateAndStopIsIdempotent) {
     phase.stop();  // idempotent: records exactly once
   }                // destructor after stop(): still once
   { ProfilePhase phase{"test.phase"}; }
-#ifdef SCION_MPR_OBS_ENABLED
   const auto& phases = PhaseProfiler::global().phases();
   const auto it = phases.find("test.phase");
   ASSERT_NE(it, phases.end());
   EXPECT_EQ(it->second.calls, 2u);
   EXPECT_GE(it->second.wall_ns, 0);
-#else
-  EXPECT_TRUE(PhaseProfiler::global().phases().empty());
-#endif
   PhaseProfiler::global().reset();
 }
 
@@ -345,16 +330,11 @@ TEST(ObsManifest, CaptureRecordsRunAndBuildContext) {
   const auto doc = parse_json(m.to_json(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
   for (const char* key : {"binary", "seed", "flags", "build_type", "git_sha",
-                          "sanitizers", "checked", "obs_enabled"}) {
+                          "sanitizers", "checked"}) {
     EXPECT_NE(doc->find(key), nullptr) << key;
   }
   EXPECT_EQ(doc->find("seed")->as_number(), 1234.0);
   EXPECT_EQ(doc->find("flags")->find("isds")->as_string(), "2");
-#ifdef SCION_MPR_OBS_ENABLED
-  EXPECT_TRUE(doc->find("obs_enabled")->as_bool());
-#else
-  EXPECT_FALSE(doc->find("obs_enabled")->as_bool());
-#endif
 }
 
 // --- session -----------------------------------------------------------------
@@ -373,13 +353,11 @@ TEST(ObsSessionTest, MetricsDocumentHasTheFullSchema) {
   EXPECT_EQ(doc->find("manifest")->find("binary")->as_string(), "test_obs");
   ASSERT_TRUE(doc->find("metrics")->is_object());
   ASSERT_TRUE(doc->find("phases")->is_array());
-#ifdef SCION_MPR_OBS_ENABLED
   EXPECT_EQ(doc->find("metrics")
                 ->find("counters")
                 ->find("test.session_counter")
                 ->as_number(),
             1.0);
-#endif
   session.finish();
   MetricsRegistry::global().reset();
   PhaseProfiler::global().reset();
@@ -388,10 +366,6 @@ TEST(ObsSessionTest, MetricsDocumentHasTheFullSchema) {
 // --- nested phase attribution ------------------------------------------------
 
 TEST(ObsProfile, NestedPhasesAttributeAllocsToInnermost) {
-#ifdef SCION_MPR_OBS_ENABLED
-  if (!alloc_tracking_enabled()) {
-    GTEST_SKIP() << "SCION_MPR_ALLOC_TRACK is off";
-  }
   PhaseProfiler::global().reset();
   // Warm pass: both phase slots exist afterwards, so the measured pass does
   // not see the profiler's own map-insertion allocations.
@@ -424,15 +398,11 @@ TEST(ObsProfile, NestedPhasesAttributeAllocsToInnermost) {
   EXPECT_GE(inner_delta, 32u);
   EXPECT_LE(outer_delta, 8u);
   PhaseProfiler::global().reset();
-#else
-  GTEST_SKIP() << "SCION_MPR_OBS is off";
-#endif
 }
 
 // --- event profiling ---------------------------------------------------------
 
 TEST(ObsEventProfile, InternReturnsStableIdsAndKeepsTableAcrossReset) {
-#ifdef SCION_MPR_OBS_ENABLED
   const EventLabel a = event_label("test.intern_a");
   const EventLabel b = event_label("test.intern_b");
   EXPECT_FALSE(a.is_default());
@@ -443,13 +413,7 @@ TEST(ObsEventProfile, InternReturnsStableIdsAndKeepsTableAcrossReset) {
   EXPECT_EQ(event_label("test.intern_a").id(), a.id());
   EXPECT_EQ(EventProfiler::global().label_name(a.id()), "test.intern_a");
   EXPECT_EQ(EventProfiler::global().label_name(0), "(unlabeled)");
-#else
-  EXPECT_TRUE(event_label("test.intern_a").is_default());
-  EXPECT_EQ(event_label("anything").id(), 0u);
-#endif
 }
-
-#ifdef SCION_MPR_OBS_ENABLED
 
 TEST(ObsEventProfile, MergeIsCommutativeAndJsonSortsLabels) {
   EventProfiler profiler;
@@ -533,8 +497,6 @@ TEST(ObsEventProfile, ShardSamplesQueueOnGridAndDecimatesWhenFull) {
   EventProfiler::global().reset_counters();
 }
 
-#endif  // SCION_MPR_OBS_ENABLED
-
 TEST(ObsEventProfile, SimulatorAttributesLabeledEvents) {
   EventProfiler::global().reset_counters();
   EventProfiler::global().set_enabled(true);
@@ -549,7 +511,6 @@ TEST(ObsEventProfile, SimulatorAttributesLabeledEvents) {
                           [] {});  // unlabeled on purpose
     simulator.run();
   }
-#ifdef SCION_MPR_OBS_ENABLED
   EXPECT_EQ(EventProfiler::global().total_events(), 3u);
   EXPECT_EQ(EventProfiler::global().attributed_events(), 2u);
   const auto labels = EventProfiler::global().label_snapshot();
@@ -561,10 +522,29 @@ TEST(ObsEventProfile, SimulatorAttributesLabeledEvents) {
     }
   }
   EXPECT_TRUE(found);
-#else
-  // Record path compiled out: nothing accumulates.
-  EXPECT_EQ(EventProfiler::global().total_events(), 0u);
-#endif
+  EventProfiler::global().reset_counters();
+}
+
+// A delivery whose sender passed no label is unattributed, exactly like an
+// unlabeled schedule, so the 100 % attribution checks catch it.
+TEST(ObsEventProfile, NetworkAttributesOnlyLabeledSends) {
+  EventProfiler::global().reset_counters();
+  EventProfiler::global().set_enabled(true);
+  static const EventLabel kDeliver = event_label("test.net_deliver");
+  {
+    sim::Simulator simulator;
+    sim::Network net{simulator};
+    const sim::NodeId a = net.add_node("a");
+    const sim::NodeId b = net.add_node("b");
+    const sim::ChannelId ch =
+        net.add_channel(a, b, util::Duration::milliseconds(1));
+    net.send(ch, a, util::Bytes{10}, 0, kDeliver);
+    net.send(ch, a, util::Bytes{10}, 0);  // unlabeled on purpose
+    simulator.run();
+  }
+  EXPECT_EQ(EventProfiler::global().total_events(), 2u);
+  EXPECT_EQ(EventProfiler::global().attributed_events(),
+            EventProfiler::global().total_events() - 1);
   EventProfiler::global().reset_counters();
 }
 
@@ -590,12 +570,10 @@ TEST(ObsChromeTrace, RendersPhasesLabelSlicesAndQueueCounters) {
   phases.record_span("stage.one", 500, 1'000'500, 0);
 
   EventProfiler events;
-#ifdef SCION_MPR_OBS_ENABLED
   const EventLabel lbl = events.intern("test.chrome_label");
   std::vector<LabelStats> stats(events.label_count());
   stats[lbl.id()] = LabelStats{4, 2, 128, 2'000};
   events.merge(stats, {{0, 3}, {100'000'000, 7}});
-#endif
 
   const std::string json = chrome_trace_json(phases, events);
   std::string error;
@@ -624,10 +602,8 @@ TEST(ObsChromeTrace, RendersPhasesLabelSlicesAndQueueCounters) {
   }
   EXPECT_TRUE(saw_metadata);
   EXPECT_TRUE(saw_phase_slice);
-#ifdef SCION_MPR_OBS_ENABLED
   EXPECT_TRUE(saw_label_slice);
   EXPECT_TRUE(saw_counter);
-#endif
 }
 
 // --- result renderer ---------------------------------------------------------

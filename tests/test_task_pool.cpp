@@ -131,8 +131,6 @@ TEST(TaskPool, NestedParallelMapWorks) {
   EXPECT_EQ(out, (std::vector<int>{10, 20, 30, 40}));
 }
 
-#ifdef SCION_MPR_OBS_ENABLED
-
 /// Runs a telemetry-heavy workload at the given job count and returns the
 /// metrics JSON and the raw trace stream it produced.
 std::pair<std::string, std::string> telemetry_run(std::size_t jobs) {
@@ -173,8 +171,6 @@ TEST(TaskPool, TelemetryIsByteIdenticalAcrossJobCounts) {
   }
   obs::MetricsRegistry::global().reset();
 }
-
-#endif  // SCION_MPR_OBS_ENABLED
 
 }  // namespace
 }  // namespace scion::exec

@@ -12,8 +12,6 @@
 //     gate by default,
 //   - a current run whose event profile attributes fewer events than it ran
 //     fails, even when the baseline has the same gap.
-// Sections that only exist under SCION_MPR_OBS=ON (metrics, phases,
-// event_profile) are skipped when either manifest says obs_enabled=false.
 #pragma once
 
 #include <cmath>
@@ -177,13 +175,6 @@ inline double num_or(const obs::JsonValue* obj, const char* key,
   return v != nullptr && v->is_number() ? v->as_number() : fallback;
 }
 
-inline bool obs_enabled(const obs::JsonValue& doc) {
-  const obs::JsonValue* manifest = doc.find("manifest");
-  if (manifest == nullptr) return true;
-  const obs::JsonValue* flag = manifest->find("obs_enabled");
-  return flag == nullptr || !flag->is_bool() || flag->as_bool();
-}
-
 }  // namespace diff_detail
 
 /// Diffs a baseline and a current bench document. Both must be parsed
@@ -223,14 +214,6 @@ inline DiffReport diff_bench_docs(const obs::JsonValue& baseline,
       r.add(DiffSeverity::kFail, "event_profile.unattributed_events", "0",
             fmt_num(total - attributed), "unattributed events");
     }
-  }
-
-  // Obs-gated sections: counters, phases and the event profile only carry
-  // data when the build/run had observability on.
-  if (!obs_enabled(baseline) || !obs_enabled(current)) {
-    r.add(DiffSeverity::kWarn, "metrics", "-", "-",
-          "obs disabled in a manifest; skipping counters/phases/events");
-    return r;
   }
 
   // Metrics counters are deterministic event tallies. Exact.

@@ -83,7 +83,6 @@ void check_manifest(const JsonValue& doc, const std::string& artifact) {
   require(*manifest, artifact, "sanitizers", &JsonValue::is_string,
           "a string");
   require(*manifest, artifact, "checked", &JsonValue::is_bool, "a bool");
-  require(*manifest, artifact, "obs_enabled", &JsonValue::is_bool, "a bool");
 }
 
 void check_metrics_block(const JsonValue& doc, const std::string& artifact) {
