@@ -23,10 +23,6 @@ struct VariantResult {
   double fraction_of_optimal{0.0};
 };
 
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::vector<VariantResult> g_results;
-
 VariantResult run_variant(const std::string& name,
                           const topo::Topology& scion_view,
                           const ctrl::DiversityParams& params,
@@ -68,72 +64,63 @@ VariantResult run_variant(const std::string& name,
   return result;
 }
 
-void BM_AblationScoring(benchmark::State& state) {
-  const Scale scale = bench_scale();
-  for (auto _ : state) {
-    g_results.clear();
-    const topo::Topology internet = build_internet(scale);
-    const CoreNetworks nets = build_core_networks(scale, internet);
-
-    ctrl::DiversityParams full;
-    g_results.push_back(
-        run_variant("full", nets.scion_view, full, false, scale));
-
-    ctrl::DiversityParams no_age = full;
-    no_age.alpha = 0.0;
-    g_results.push_back(
-        run_variant("no-age (alpha=0)", nets.scion_view, no_age, false, scale));
-
-    ctrl::DiversityParams no_suppress = full;
-    no_suppress.gamma = 0.0;  // g == 1 regardless of remaining lifetime
-    no_suppress.beta = 0.0;   // and Eq. 3's ratio never suppresses
-    g_results.push_back(run_variant("no-suppress (beta=gamma=0)",
-                                    nets.scion_view, no_suppress, false,
-                                    scale));
-
-    // The alternative reading of the Link History Table in which counters
-    // decrement when sent paths expire: the footprint re-floods every PCB
-    // lifetime (see scoring.hpp).
-    ctrl::DiversityParams decrement = full;
-    decrement.decrement_on_expiry = true;
-    g_results.push_back(run_variant("decrement-on-expiry", nets.scion_view,
-                                    decrement, false, scale));
-
-    g_results.push_back(
-        run_variant("as-disjoint counters", nets.scion_view, full, true, scale));
-  }
-}
-BENCHMARK(BM_AblationScoring)->Unit(benchmark::kSecond)->Iterations(1);
-
-obs::Table ablation_table() {
+obs::Table ablation_table(const std::vector<VariantResult>& results) {
   obs::Table t{"Scoring-function ablation (diversity algorithm variants)",
                {obs::Column{"variant", obs::Align::kLeft, 28},
                 obs::Column{"bytes", obs::Align::kRight, 14},
                 obs::Column{"PCBs", obs::Align::kRight, 10},
                 obs::Column{"capacity/optimal", obs::Align::kRight, 18}}};
-  for (const auto& r : g_results) {
+  for (const auto& r : results) {
     t.row({r.name, obs::fmt_u64(r.bytes.value()), obs::fmt_u64(r.pcbs),
            obs::fmt_f(r.fraction_of_optimal, 3)});
   }
   return t;
 }
 
+void run(const util::Flags&, const Scale& scale, BenchReport& report) {
+  const topo::Topology internet = build_internet(scale);
+  const CoreNetworks nets = build_core_networks(scale, internet);
+  std::vector<VariantResult> results;
+
+  ctrl::DiversityParams full;
+  results.push_back(run_variant("full", nets.scion_view, full, false, scale));
+
+  ctrl::DiversityParams no_age = full;
+  no_age.alpha = 0.0;
+  results.push_back(
+      run_variant("no-age (alpha=0)", nets.scion_view, no_age, false, scale));
+
+  ctrl::DiversityParams no_suppress = full;
+  no_suppress.gamma = 0.0;  // g == 1 regardless of remaining lifetime
+  no_suppress.beta = 0.0;   // and Eq. 3's ratio never suppresses
+  results.push_back(run_variant("no-suppress (beta=gamma=0)", nets.scion_view,
+                                no_suppress, false, scale));
+
+  // The alternative reading of the Link History Table in which counters
+  // decrement when sent paths expire: the footprint re-floods every PCB
+  // lifetime (see scoring.hpp).
+  ctrl::DiversityParams decrement = full;
+  decrement.decrement_on_expiry = true;
+  results.push_back(run_variant("decrement-on-expiry", nets.scion_view,
+                                decrement, false, scale));
+
+  results.push_back(
+      run_variant("as-disjoint counters", nets.scion_view, full, true, scale));
+
+  const obs::Table table = ablation_table(results);
+  obs::print_line("");
+  obs::print(table.to_text());
+  report.table(table);
+  for (const auto& r : results) {
+    report.scalar("capacity_of_optimal:" + r.name, r.fraction_of_optimal);
+    report.scalar("bytes:" + r.name, static_cast<double>(r.bytes.value()));
+  }
+}
+
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  return scion::exp::bench_main(
-      "ablation_scoring", argc, argv,
-      [] {
-        scion::obs::print_line("");
-        scion::obs::print(scion::exp::ablation_table().to_text());
-      },
-      [](scion::exp::BenchReport& report) {
-        report.table(scion::exp::ablation_table());
-        for (const auto& r : scion::exp::g_results) {
-          report.scalar("capacity_of_optimal:" + r.name,
-                        r.fraction_of_optimal);
-          report.scalar("bytes:" + r.name, static_cast<double>(r.bytes.value()));
-        }
-      });
+  return scion::exp::bench_main("ablation_scoring", argc, argv,
+                                scion::exp::run);
 }

@@ -20,10 +20,6 @@ struct SweepRow {
   double fraction_of_optimal{0.0};
 };
 
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::vector<SweepRow> g_rows;
-
 SweepRow run_point(const std::string& label, const topo::Topology& scion_view,
                    ctrl::AlgorithmKind algorithm, std::size_t dissemination,
                    util::Duration interval, const Scale& scale) {
@@ -66,74 +62,66 @@ struct PointSpec {
   util::Duration interval{util::Duration::minutes(10)};
 };
 
-void BM_AblationSweeps(benchmark::State& state) {
-  Scale scale = bench_scale();
-  // Sweeps multiply runs; shrink the base topology a bit.
-  scale.core_ases = std::min<std::size_t>(scale.core_ases, 48);
-  for (auto _ : state) {
-    g_rows.clear();
-    const topo::Topology internet = build_internet(scale);
-    const CoreNetworks nets = build_core_networks(scale, internet);
-
-    std::vector<PointSpec> specs;
-    for (const std::size_t limit : {1u, 5u, 10u}) {
-      for (const auto algorithm : {ctrl::AlgorithmKind::kBaseline,
-                                   ctrl::AlgorithmKind::kDiversity}) {
-        char label[64];
-        std::snprintf(label, sizeof label, "%s limit=%zu",
-                      ctrl::to_string(algorithm), static_cast<size_t>(limit));
-        specs.push_back(
-            {label, algorithm, limit, util::Duration::minutes(10)});
-      }
-    }
-    for (const int minutes : {5, 20}) {
-      for (const auto algorithm : {ctrl::AlgorithmKind::kBaseline,
-                                   ctrl::AlgorithmKind::kDiversity}) {
-        char label[64];
-        std::snprintf(label, sizeof label, "%s interval=%dm",
-                      ctrl::to_string(algorithm), minutes);
-        specs.push_back(
-            {label, algorithm, 5, util::Duration::minutes(minutes)});
-      }
-    }
-    // Honors --jobs via exec::default_jobs(); row order follows spec order
-    // regardless of the worker count.
-    g_rows = exec::parallel_map(specs, [&](const PointSpec& spec) {
-      return run_point(spec.label, nets.scion_view, spec.algorithm,
-                       spec.dissemination, spec.interval, scale);
-    });
-  }
-}
-BENCHMARK(BM_AblationSweeps)->Unit(benchmark::kSecond)->Iterations(1);
-
-obs::Table sweep_table() {
+obs::Table sweep_table(const std::vector<SweepRow>& rows) {
   obs::Table t{"Dissemination-limit and interval sweeps",
                {obs::Column{"configuration", obs::Align::kLeft, 28},
                 obs::Column{"bytes", obs::Align::kRight, 14},
                 obs::Column{"capacity/optimal", obs::Align::kRight, 18}}};
-  for (const auto& r : g_rows) {
+  for (const auto& r : rows) {
     t.row({r.label, obs::fmt_u64(r.bytes.value()),
            obs::fmt_f(r.fraction_of_optimal, 3)});
   }
   return t;
 }
 
+void run(const util::Flags&, const Scale& base, BenchReport& report) {
+  Scale scale = base;
+  // Sweeps multiply runs; shrink the base topology a bit.
+  scale.core_ases = std::min<std::size_t>(scale.core_ases, 48);
+  const topo::Topology internet = build_internet(scale);
+  const CoreNetworks nets = build_core_networks(scale, internet);
+
+  std::vector<PointSpec> specs;
+  for (const std::size_t limit : {1u, 5u, 10u}) {
+    for (const auto algorithm : {ctrl::AlgorithmKind::kBaseline,
+                                 ctrl::AlgorithmKind::kDiversity}) {
+      char label[64];
+      std::snprintf(label, sizeof label, "%s limit=%zu",
+                    ctrl::to_string(algorithm), static_cast<size_t>(limit));
+      specs.push_back({label, algorithm, limit, util::Duration::minutes(10)});
+    }
+  }
+  for (const int minutes : {5, 20}) {
+    for (const auto algorithm : {ctrl::AlgorithmKind::kBaseline,
+                                 ctrl::AlgorithmKind::kDiversity}) {
+      char label[64];
+      std::snprintf(label, sizeof label, "%s interval=%dm",
+                    ctrl::to_string(algorithm), minutes);
+      specs.push_back({label, algorithm, 5, util::Duration::minutes(minutes)});
+    }
+  }
+  // Honors --jobs via exec::default_jobs(); row order follows spec order
+  // regardless of the worker count.
+  const std::vector<SweepRow> rows =
+      exec::parallel_map(specs, [&](const PointSpec& spec) {
+        return run_point(spec.label, nets.scion_view, spec.algorithm,
+                         spec.dissemination, spec.interval, scale);
+      });
+
+  const obs::Table table = sweep_table(rows);
+  obs::print_line("");
+  obs::print(table.to_text());
+  report.table(table);
+  for (const auto& r : rows) {
+    report.scalar("capacity_of_optimal:" + r.label, r.fraction_of_optimal);
+    report.scalar("bytes:" + r.label, static_cast<double>(r.bytes.value()));
+  }
+}
+
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  return scion::exp::bench_main(
-      "ablation_sweeps", argc, argv,
-      [] {
-        scion::obs::print_line("");
-        scion::obs::print(scion::exp::sweep_table().to_text());
-      },
-      [](scion::exp::BenchReport& report) {
-        report.table(scion::exp::sweep_table());
-        for (const auto& r : scion::exp::g_rows) {
-          report.scalar("capacity_of_optimal:" + r.label,
-                        r.fraction_of_optimal);
-          report.scalar("bytes:" + r.label, static_cast<double>(r.bytes.value()));
-        }
-      });
+  return scion::exp::bench_main("ablation_sweeps", argc, argv,
+                                scion::exp::run);
 }

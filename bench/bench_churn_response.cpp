@@ -16,7 +16,6 @@
 //   --link-fraction=F         fraction of links that churn (default 0.5)
 #include <cstdlib>
 #include <iostream>
-#include <optional>
 
 #include "bench/bench_common.hpp"
 #include "experiments/churn_experiment.hpp"
@@ -24,20 +23,16 @@
 namespace scion::exp {
 namespace {
 
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::optional<ChurnResult> g_result;
-
-ChurnConfig bench_config(const Scale& scale) {
+ChurnConfig bench_config(const util::Flags& flags, const Scale& scale) {
   ChurnConfig config;
   config.sampled_pairs = scale.sampled_pairs / 3;
   config.sim_duration =
-      util::Duration::minutes(bench_flags().get_int("churn-minutes", 60));
+      util::Duration::minutes(flags.get_int("churn-minutes", 60));
   config.probe_interval =
-      util::Duration::seconds(bench_flags().get_int("probe-interval-s", 10));
-  config.churn_link_fraction = bench_flags().get_double("link-fraction", 0.5);
+      util::Duration::seconds(flags.get_int("probe-interval-s", 10));
+  config.churn_link_fraction = flags.get_double("link-fraction", 0.5);
   config.seed = scale.seed;
-  const std::string faults_file = bench_flags().get("faults", "");
+  const std::string faults_file = flags.get("faults", "");
   if (!faults_file.empty()) {
     std::string error;
     if (!faults::FaultPlan::parse_file(faults_file, &config.faults, &error)) {
@@ -48,74 +43,54 @@ ChurnConfig bench_config(const Scale& scale) {
   return config;
 }
 
-void BM_ChurnResponse(benchmark::State& state) {
-  const Scale scale = bench_scale();
-  for (auto _ : state) {
-    const topo::Topology internet = build_internet(scale);
-    const CoreNetworks nets = build_core_networks(scale, internet);
-    g_result = run_churn_experiment(nets.bgp_view, nets.scion_view,
-                                    bench_config(scale));
-  }
-  if (g_result) {
-    for (const ChurnSeries& s : g_result->series) {
-      state.counters["availability:" + s.name] = s.availability;
-      state.counters["amplification:" + s.name] = s.amplification;
+void run(const util::Flags& flags, const Scale& scale, BenchReport& report) {
+  const topo::Topology internet = build_internet(scale);
+  const CoreNetworks nets = build_core_networks(scale, internet);
+  const ChurnResult result = run_churn_experiment(
+      nets.bgp_view, nets.scion_view, bench_config(flags, scale));
+
+  obs::print_line(
+      "\nChurn response — survival mechanisms under sustained churn");
+  print_churn(result);
+  report.table(churn_table(result));
+  for (const ChurnSeries& s : result.series) {
+    if (!s.convergence_seconds.empty()) {
+      report.cdf("convergence_seconds:" + s.name, s.convergence_seconds, 32);
     }
+    report.scalar("availability:" + s.name, s.availability);
+    report.scalar("amplification:" + s.name, s.amplification);
+    report.scalar("outages:" + s.name, static_cast<double>(s.outages));
+    report.scalar("recovered:" + s.name, static_cast<double>(s.recovered));
+    report.scalar("unrecovered:" + s.name, static_cast<double>(s.unrecovered));
+    report.scalar("control_messages:" + s.name,
+                  static_cast<double>(s.control_messages));
+    report.scalar("control_messages_clean:" + s.name,
+                  static_cast<double>(s.control_messages_clean));
+    report.scalar("routes_suppressed:" + s.name,
+                  static_cast<double>(s.routes_suppressed));
+    report.scalar("routes_reused:" + s.name,
+                  static_cast<double>(s.routes_reused));
+    report.scalar("stale_retained:" + s.name,
+                  static_cast<double>(s.stale_retained));
+    report.scalar("stale_expired:" + s.name,
+                  static_cast<double>(s.stale_expired));
+    report.scalar("pcbs_quarantined:" + s.name,
+                  static_cast<double>(s.pcbs_quarantined));
+    report.scalar("pcbs_revalidated:" + s.name,
+                  static_cast<double>(s.pcbs_revalidated));
+    report.scalar("reoriginations:" + s.name,
+                  static_cast<double>(s.reoriginations));
+    report.scalar("churn_events:" + s.name,
+                  static_cast<double>(s.fault_stats.churn_events));
+    report.scalar("session_restarts:" + s.name,
+                  static_cast<double>(s.fault_stats.session_restarts));
   }
 }
-BENCHMARK(BM_ChurnResponse)->Unit(benchmark::kSecond)->Iterations(1);
 
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  using scion::exp::g_result;
-  return scion::exp::bench_main(
-      "churn_response", argc, argv,
-      [] {
-        if (g_result) {
-          scion::obs::print_line(
-              "\nChurn response — survival mechanisms under sustained churn");
-          scion::exp::print_churn(*g_result);
-        }
-      },
-      [](scion::exp::BenchReport& report) {
-        if (!g_result) return;
-        report.table(scion::exp::churn_table(*g_result));
-        for (const scion::exp::ChurnSeries& s : g_result->series) {
-          if (!s.convergence_seconds.empty()) {
-            report.cdf("convergence_seconds:" + s.name, s.convergence_seconds,
-                       32);
-          }
-          report.scalar("availability:" + s.name, s.availability);
-          report.scalar("amplification:" + s.name, s.amplification);
-          report.scalar("outages:" + s.name, static_cast<double>(s.outages));
-          report.scalar("recovered:" + s.name,
-                        static_cast<double>(s.recovered));
-          report.scalar("unrecovered:" + s.name,
-                        static_cast<double>(s.unrecovered));
-          report.scalar("control_messages:" + s.name,
-                        static_cast<double>(s.control_messages));
-          report.scalar("control_messages_clean:" + s.name,
-                        static_cast<double>(s.control_messages_clean));
-          report.scalar("routes_suppressed:" + s.name,
-                        static_cast<double>(s.routes_suppressed));
-          report.scalar("routes_reused:" + s.name,
-                        static_cast<double>(s.routes_reused));
-          report.scalar("stale_retained:" + s.name,
-                        static_cast<double>(s.stale_retained));
-          report.scalar("stale_expired:" + s.name,
-                        static_cast<double>(s.stale_expired));
-          report.scalar("pcbs_quarantined:" + s.name,
-                        static_cast<double>(s.pcbs_quarantined));
-          report.scalar("pcbs_revalidated:" + s.name,
-                        static_cast<double>(s.pcbs_revalidated));
-          report.scalar("reoriginations:" + s.name,
-                        static_cast<double>(s.reoriginations));
-          report.scalar("churn_events:" + s.name,
-                        static_cast<double>(s.fault_stats.churn_events));
-          report.scalar("session_restarts:" + s.name,
-                        static_cast<double>(s.fault_stats.session_restarts));
-        }
-      });
+  return scion::exp::bench_main("churn_response", argc, argv,
+                                scion::exp::run);
 }

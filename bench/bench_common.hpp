@@ -1,10 +1,11 @@
-// Shared plumbing for the per-figure bench binaries.
+// Shared main() for the bench binaries.
 //
 // Every binary runs standalone with no arguments at the default scale and
 // accepts the Scale flags (--paper, --core-ases=..., REPRO_* environment
-// variables) plus google-benchmark's own flags. The experiment executes
-// once inside a single-iteration google-benchmark (so the suite reports its
-// wall time), and the figure's series are printed afterwards.
+// variables). bench_main parses the flags, calls the bench's `run` once —
+// which runs the experiment, prints the figure and fills the report — and
+// prints the run's wall time as one line on stderr, so stdout stays
+// byte-identical across runs and --jobs values.
 //
 // Telemetry: every bench owns an obs::ObsSession, so the common flags
 // --metrics-out / --trace-out / --trace-filter / --chrome-trace-out work on
@@ -15,9 +16,8 @@
 //                      disables the report)
 #pragma once
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -27,9 +27,7 @@
 
 #include "exec/task_pool.hpp"
 #include "experiments/scale.hpp"
-#include "obs/event_profile.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/session.hpp"
@@ -37,15 +35,6 @@
 #include "util/stats.hpp"
 
 namespace scion::exp {
-
-inline util::Flags& bench_flags() {
-  // Parsed once in main() before any benchmark runs; read-only after.
-  // simlint:allow(mutable-global)
-  static util::Flags flags;
-  return flags;
-}
-
-inline Scale bench_scale() { return Scale::from_flags(bench_flags()); }
 
 /// Per-figure data a bench binary contributes to its BENCH_<name>.json:
 /// headline scalars, CDF series, and rendered tables.
@@ -97,41 +86,40 @@ inline std::string bench_report_json(const std::string& name,
   w.begin_object();
   w.kv("schema", "scion-mpr-bench-v1");
   w.kv("name", name);
-  w.key("manifest").begin_object();
-  session.manifest().append_fields(w);
-  w.end_object();
-  w.key("metrics").value_raw(obs::MetricsRegistry::global().to_json());
-  w.key("phases").value_raw(obs::PhaseProfiler::global().to_json());
-  w.key("event_profile").value_raw(obs::EventProfiler::global().to_json());
+  session.append_run_json(w);
   report.append_json(w);
   w.end_object();
   return std::move(w).take();
 }
 
-/// Runs benchmark initialization + the registered benchmarks, then `print`,
-/// then (unless --bench-out=none) writes the JSON report; `fill` populates
-/// the report's per-figure data from the bench's result.
+/// A bench's experiment: builds its inputs, runs, prints the figure and
+/// fills the report.
+using BenchRun =
+    std::function<void(const util::Flags&, const Scale&, BenchReport&)>;
+
+/// Runs `run` once, then (unless --bench-out=none) writes the JSON report.
 inline int bench_main(const std::string& name, int argc, char** argv,
-                      const std::function<void()>& print,
-                      const std::function<void(BenchReport&)>& fill = {}) {
-  bench_flags() = util::Flags{argc, argv};
+                      const BenchRun& run) {
+  const util::Flags flags{argc, argv};
+  const Scale scale = Scale::from_flags(flags);
   // --jobs=N parallelizes the experiment's independent units (default 1 =
   // serial). ObsSession records explicitly-set flags into the manifest, so
   // the job count lands in BENCH_<name>.json; results are byte-identical
   // for any value (tests/test_determinism.cpp).
   exec::set_default_jobs(static_cast<std::size_t>(
-      std::max<std::int64_t>(1, bench_flags().get_int("jobs", 1))));
-  obs::ObsSession session{"bench_" + name, bench_flags(), bench_scale().seed};
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (print) print();
+      std::max<std::int64_t>(1, flags.get_int("jobs", 1))));
+  obs::ObsSession session{"bench_" + name, flags, scale.seed};
 
-  const std::string path =
-      bench_flags().get("bench-out", "BENCH_" + name + ".json");
+  BenchReport report;
+  const std::int64_t start_ns = obs::profiler_wall_now_ns();
+  run(flags, scale, report);
+  const double wall_s =
+      static_cast<double>(obs::profiler_wall_now_ns() - start_ns) / 1e9;
+  std::cerr << "bench_" << name << ": wall " << obs::fmt_f(wall_s, 3)
+            << " s\n";
+
+  const std::string path = flags.get("bench-out", "BENCH_" + name + ".json");
   if (path != "none") {
-    BenchReport report;
-    if (fill) fill(report);
     std::ofstream out{path};
     if (!out) {
       std::cerr << "bench: cannot open --bench-out file " << path << '\n';

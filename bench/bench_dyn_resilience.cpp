@@ -13,7 +13,6 @@
 //   --flap-rate-per-hour=R    default scenario churn rate (default 60)
 #include <cstdlib>
 #include <iostream>
-#include <optional>
 
 #include "bench/bench_common.hpp"
 #include "experiments/resilience_experiment.hpp"
@@ -21,21 +20,18 @@
 namespace scion::exp {
 namespace {
 
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::optional<DynResilienceResult> g_result;
-
-DynResilienceConfig bench_config(const Scale& scale) {
+DynResilienceConfig bench_config(const util::Flags& flags,
+                                 const Scale& scale) {
   DynResilienceConfig config;
   config.sampled_pairs = scale.sampled_pairs / 2;
   config.sim_duration =
-      util::Duration::minutes(bench_flags().get_int("churn-minutes", 60));
+      util::Duration::minutes(flags.get_int("churn-minutes", 60));
   config.probe_interval =
-      util::Duration::seconds(bench_flags().get_int("probe-interval-s", 10));
+      util::Duration::seconds(flags.get_int("probe-interval-s", 10));
   config.default_flap_rate_per_hour =
-      bench_flags().get_double("flap-rate-per-hour", 60.0);
+      flags.get_double("flap-rate-per-hour", 60.0);
   config.seed = scale.seed;
-  const std::string faults_file = bench_flags().get("faults", "");
+  const std::string faults_file = flags.get("faults", "");
   if (!faults_file.empty()) {
     std::string error;
     if (!faults::FaultPlan::parse_file(faults_file, &config.faults, &error)) {
@@ -46,56 +42,36 @@ DynResilienceConfig bench_config(const Scale& scale) {
   return config;
 }
 
-void BM_DynResilience(benchmark::State& state) {
-  const Scale scale = bench_scale();
-  for (auto _ : state) {
-    const topo::Topology internet = build_internet(scale);
-    const CoreNetworks nets = build_core_networks(scale, internet);
-    g_result = run_dyn_resilience_experiment(nets.bgp_view, nets.scion_view,
-                                             bench_config(scale));
-  }
-  if (g_result) {
-    for (const DynResilienceSeries& s : g_result->series) {
-      state.counters["availability:" + s.name] = s.availability;
-      state.counters["outages:" + s.name] = static_cast<double>(s.outages);
+void run(const util::Flags& flags, const Scale& scale, BenchReport& report) {
+  const topo::Topology internet = build_internet(scale);
+  const CoreNetworks nets = build_core_networks(scale, internet);
+  const DynResilienceResult result = run_dyn_resilience_experiment(
+      nets.bgp_view, nets.scion_view, bench_config(flags, scale));
+
+  obs::print_line("\nDynamic resilience — recovery under fault injection");
+  print_dyn_resilience(result);
+  report.table(dyn_resilience_table(result));
+  for (const DynResilienceSeries& s : result.series) {
+    if (!s.recovery_seconds.empty()) {
+      report.cdf("recovery_seconds:" + s.name, s.recovery_seconds, 32);
     }
+    report.scalar("availability:" + s.name, s.availability);
+    report.scalar("outages:" + s.name, static_cast<double>(s.outages));
+    report.scalar("recovered:" + s.name, static_cast<double>(s.recovered));
+    report.scalar("unrecovered:" + s.name, static_cast<double>(s.unrecovered));
+    report.scalar("faults_injected:" + s.name,
+                  static_cast<double>(s.fault_stats.link_down_events));
+    report.scalar("messages_dropped:" + s.name,
+                  static_cast<double>(s.drops.total()));
+    report.scalar("pcbs_revoked:" + s.name,
+                  static_cast<double>(s.pcbs_revoked));
   }
 }
-BENCHMARK(BM_DynResilience)->Unit(benchmark::kSecond)->Iterations(1);
 
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  using scion::exp::g_result;
-  return scion::exp::bench_main(
-      "dyn_resilience", argc, argv,
-      [] {
-        if (g_result) {
-          scion::obs::print_line(
-              "\nDynamic resilience — recovery under fault injection");
-          scion::exp::print_dyn_resilience(*g_result);
-        }
-      },
-      [](scion::exp::BenchReport& report) {
-        if (!g_result) return;
-        report.table(scion::exp::dyn_resilience_table(*g_result));
-        for (const scion::exp::DynResilienceSeries& s : g_result->series) {
-          if (!s.recovery_seconds.empty()) {
-            report.cdf("recovery_seconds:" + s.name, s.recovery_seconds, 32);
-          }
-          report.scalar("availability:" + s.name, s.availability);
-          report.scalar("outages:" + s.name, static_cast<double>(s.outages));
-          report.scalar("recovered:" + s.name,
-                        static_cast<double>(s.recovered));
-          report.scalar("unrecovered:" + s.name,
-                        static_cast<double>(s.unrecovered));
-          report.scalar("faults_injected:" + s.name,
-                        static_cast<double>(s.fault_stats.link_down_events));
-          report.scalar("messages_dropped:" + s.name,
-                        static_cast<double>(s.drops.total()));
-          report.scalar("pcbs_revoked:" + s.name,
-                        static_cast<double>(s.pcbs_revoked));
-        }
-      });
+  return scion::exp::bench_main("dyn_resilience", argc, argv,
+                                scion::exp::run);
 }

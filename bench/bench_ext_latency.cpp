@@ -23,13 +23,10 @@ struct LatencyRunResult {
   double mean_path_latency_ms{0.0};
 };
 
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::vector<LatencyRunResult> g_results;
-
-LatencyRunResult run(const std::string& name,
-                     const topo::Topology& scion_view, double latency_weight,
-                     bool carry_metadata, const Scale& scale) {
+LatencyRunResult run_variant(const std::string& name,
+                             const topo::Topology& scion_view,
+                             double latency_weight, bool carry_metadata,
+                             const Scale& scale) {
   ctrl::BeaconingSimConfig config;
   config.server.algorithm = ctrl::AlgorithmKind::kDiversity;
   config.server.store_policy = ctrl::StorePolicy::kDiversityAware;
@@ -66,74 +63,59 @@ LatencyRunResult run(const std::string& name,
   return result;
 }
 
-void BM_LatencyExtension(benchmark::State& state) {
-  const Scale scale = bench_scale();
-  for (auto _ : state) {
-    g_results.clear();
-    const topo::Topology internet = build_internet(scale);
-    const CoreNetworks nets = build_core_networks(scale, internet);
-    // Metadata carried in both runs so path latencies are observable; the
-    // weight toggles whether selection *optimizes* for it.
-    g_results.push_back(
-        run("diversity (latency-blind)", nets.scion_view, 0.0, true, scale));
-    g_results.push_back(
-        run("diversity + latency opt", nets.scion_view, 1.0, true, scale));
-    g_results.push_back(
-        run("diversity, no metadata", nets.scion_view, 0.0, false, scale));
-  }
-}
-BENCHMARK(BM_LatencyExtension)->Unit(benchmark::kSecond)->Iterations(1);
-
-obs::Table latency_table() {
+obs::Table latency_table(const std::vector<LatencyRunResult>& results) {
   obs::Table t{"Latency-optimization extension (Section 4.2 future work)",
                {obs::Column{"variant", obs::Align::kLeft, 28},
                 obs::Column{"bytes", obs::Align::kRight, 14},
                 obs::Column{"best path (ms)", obs::Align::kRight, 18},
                 obs::Column{"all paths (ms)", obs::Align::kRight, 18}}};
-  for (const auto& r : g_results) {
+  for (const auto& r : results) {
     t.row({r.name, obs::fmt_u64(r.bytes.value()), obs::fmt_f(r.mean_best_latency_ms, 2),
            obs::fmt_f(r.mean_path_latency_ms, 2)});
   }
   return t;
 }
 
-double metadata_cost_percent() {
-  if (g_results.size() < 3) return 0.0;
-  return 100.0 * (static_cast<double>(g_results[0].bytes.value()) /
-                      static_cast<double>(g_results[2].bytes.value()) -
+double metadata_cost_percent(const std::vector<LatencyRunResult>& results) {
+  return 100.0 * (static_cast<double>(results[0].bytes.value()) /
+                      static_cast<double>(results[2].bytes.value()) -
                   1.0);
 }
 
-double latency_shift_ms() {
-  if (g_results.size() < 3) return 0.0;
-  return g_results[1].mean_path_latency_ms - g_results[0].mean_path_latency_ms;
+double latency_shift_ms(const std::vector<LatencyRunResult>& results) {
+  return results[1].mean_path_latency_ms - results[0].mean_path_latency_ms;
+}
+
+void run(const util::Flags&, const Scale& scale, BenchReport& report) {
+  const topo::Topology internet = build_internet(scale);
+  const CoreNetworks nets = build_core_networks(scale, internet);
+  // Metadata carried in both runs so path latencies are observable; the
+  // weight toggles whether selection *optimizes* for it.
+  const std::vector<LatencyRunResult> results{
+      run_variant("diversity (latency-blind)", nets.scion_view, 0.0, true,
+                  scale),
+      run_variant("diversity + latency opt", nets.scion_view, 1.0, true,
+                  scale),
+      run_variant("diversity, no metadata", nets.scion_view, 0.0, false,
+                  scale)};
+
+  const obs::Table table = latency_table(results);
+  const double metadata_cost = metadata_cost_percent(results);
+  const double latency_shift = latency_shift_ms(results);
+  obs::print_line("");
+  obs::print(table.to_text());
+  obs::print_line("\n  metadata wire cost: " + obs::fmt_f(metadata_cost, 2) +
+                  "% bytes; latency-aware selection shifts the disseminated "
+                  "set by " +
+                  obs::fmt_f(latency_shift, 1) + " ms on average");
+  report.table(table);
+  report.scalar("metadata_cost_percent", metadata_cost);
+  report.scalar("latency_shift_ms", latency_shift);
 }
 
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  return scion::exp::bench_main(
-      "ext_latency", argc, argv,
-      [] {
-        scion::obs::print_line("");
-        scion::obs::print(scion::exp::latency_table().to_text());
-        if (scion::exp::g_results.size() >= 3) {
-          scion::obs::print_line(
-              "\n  metadata wire cost: " +
-              scion::obs::fmt_f(scion::exp::metadata_cost_percent(), 2) +
-              "% bytes; latency-aware selection shifts the disseminated set "
-              "by " +
-              scion::obs::fmt_f(scion::exp::latency_shift_ms(), 1) +
-              " ms on average");
-        }
-      },
-      [](scion::exp::BenchReport& report) {
-        report.table(scion::exp::latency_table());
-        if (scion::exp::g_results.size() >= 3) {
-          report.scalar("metadata_cost_percent",
-                        scion::exp::metadata_cost_percent());
-          report.scalar("latency_shift_ms", scion::exp::latency_shift_ms());
-        }
-      });
+  return scion::exp::bench_main("ext_latency", argc, argv, scion::exp::run);
 }

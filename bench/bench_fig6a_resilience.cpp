@@ -3,60 +3,37 @@
 // vs BGP multipath, grouped by the pair's optimum. Expected shape: baseline
 // clearly above BGP (more than doubled for small optima), diversity close
 // to the optimum.
-#include <optional>
-
 #include "bench/bench_common.hpp"
 #include "experiments/quality_experiment.hpp"
 
 namespace scion::exp {
 namespace {
 
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::optional<QualityResult> g_result;
+void run(const util::Flags&, const Scale& scale, BenchReport& report) {
+  const topo::Topology internet = build_internet(scale);
+  const CoreNetworks nets = build_core_networks(scale, internet);
+  QualityConfig config;
+  config.diversity_storage_limits = {15, 30, 60, 0};
+  config.baseline_storage_limits = {60};
+  config.include_bgp = true;
+  config.sampled_pairs = scale.sampled_pairs;
+  config.sim_duration = scale.quality_duration;
+  config.seed = scale.seed;
+  const QualityResult result =
+      run_quality_experiment(nets.bgp_view, nets.scion_view, config);
 
-void BM_Fig6aResilience(benchmark::State& state) {
-  const Scale scale = bench_scale();
-  for (auto _ : state) {
-    const topo::Topology internet = build_internet(scale);
-    const CoreNetworks nets = build_core_networks(scale, internet);
-    QualityConfig config;
-    config.diversity_storage_limits = {15, 30, 60, 0};
-    config.baseline_storage_limits = {60};
-    config.include_bgp = true;
-    config.sampled_pairs = scale.sampled_pairs;
-    config.sim_duration = scale.quality_duration;
-    config.seed = scale.seed;
-    g_result = run_quality_experiment(nets.bgp_view, nets.scion_view, config);
-  }
-  if (g_result) {
-    for (const QualitySeries& s : g_result->series) {
-      state.counters["opt_frac:" + s.name] = g_result->fraction_of_optimal(s);
-    }
+  obs::print_line("\nFig. 6a — link failure resilience (core network)");
+  print_resilience(result, 15);
+  report.table(resilience_table(result, 15));
+  for (const QualitySeries& s : result.series) {
+    report.scalar("opt_frac:" + s.name, result.fraction_of_optimal(s));
   }
 }
-BENCHMARK(BM_Fig6aResilience)->Unit(benchmark::kSecond)->Iterations(1);
 
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  using scion::exp::g_result;
-  return scion::exp::bench_main(
-      "fig6a_resilience", argc, argv,
-      [] {
-        if (g_result) {
-          scion::obs::print_line(
-              "\nFig. 6a — link failure resilience (core network)");
-          scion::exp::print_resilience(*g_result, 15);
-        }
-      },
-      [](scion::exp::BenchReport& report) {
-        if (!g_result) return;
-        report.table(scion::exp::resilience_table(*g_result, 15));
-        for (const scion::exp::QualitySeries& s : g_result->series) {
-          report.scalar("opt_frac:" + s.name,
-                        g_result->fraction_of_optimal(s));
-        }
-      });
+  return scion::exp::bench_main("fig6a_resilience", argc, argv,
+                                scion::exp::run);
 }

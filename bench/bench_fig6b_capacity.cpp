@@ -2,59 +2,37 @@
 // link capacity (CDF). Expected shape: BGP lowest, baseline in between,
 // diversity close to optimal until the storage limit binds (paper: ~99/97/
 // 95/82 % of optimal capacity across the storage limits).
-#include <optional>
-
 #include "bench/bench_common.hpp"
 #include "experiments/quality_experiment.hpp"
 
 namespace scion::exp {
 namespace {
 
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::optional<QualityResult> g_result;
+void run(const util::Flags&, const Scale& scale, BenchReport& report) {
+  const topo::Topology internet = build_internet(scale);
+  const CoreNetworks nets = build_core_networks(scale, internet);
+  QualityConfig config;
+  config.diversity_storage_limits = {15, 30, 60, 0};
+  config.baseline_storage_limits = {60};
+  config.include_bgp = true;
+  config.sampled_pairs = scale.sampled_pairs;
+  config.sim_duration = scale.quality_duration;
+  config.seed = scale.seed;
+  const QualityResult result =
+      run_quality_experiment(nets.bgp_view, nets.scion_view, config);
 
-void BM_Fig6bCapacity(benchmark::State& state) {
-  const Scale scale = bench_scale();
-  for (auto _ : state) {
-    const topo::Topology internet = build_internet(scale);
-    const CoreNetworks nets = build_core_networks(scale, internet);
-    QualityConfig config;
-    config.diversity_storage_limits = {15, 30, 60, 0};
-    config.baseline_storage_limits = {60};
-    config.include_bgp = true;
-    config.sampled_pairs = scale.sampled_pairs;
-    config.sim_duration = scale.quality_duration;
-    config.seed = scale.seed;
-    g_result = run_quality_experiment(nets.bgp_view, nets.scion_view, config);
-  }
-  if (g_result) {
-    for (const QualitySeries& s : g_result->series) {
-      state.counters["opt_frac:" + s.name] = g_result->fraction_of_optimal(s);
-    }
+  obs::print_line("\nFig. 6b — maximum capacity (core network)");
+  print_capacity(result);
+  report.table(capacity_table(result));
+  for (const QualitySeries& s : result.series) {
+    report.scalar("opt_frac:" + s.name, result.fraction_of_optimal(s));
   }
 }
-BENCHMARK(BM_Fig6bCapacity)->Unit(benchmark::kSecond)->Iterations(1);
 
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  using scion::exp::g_result;
-  return scion::exp::bench_main(
-      "fig6b_capacity", argc, argv,
-      [] {
-        if (g_result) {
-          scion::obs::print_line("\nFig. 6b — maximum capacity (core network)");
-          scion::exp::print_capacity(*g_result);
-        }
-      },
-      [](scion::exp::BenchReport& report) {
-        if (!g_result) return;
-        report.table(scion::exp::capacity_table(*g_result));
-        for (const scion::exp::QualitySeries& s : g_result->series) {
-          report.scalar("opt_frac:" + s.name,
-                        g_result->fraction_of_optimal(s));
-        }
-      });
+  return scion::exp::bench_main("fig6b_capacity", argc, argv,
+                                scion::exp::run);
 }

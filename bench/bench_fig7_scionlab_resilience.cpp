@@ -3,25 +3,11 @@
 // models the deployed "Measurement" series) vs the optimum. Expected shape:
 // diversity beats the deployed algorithm in a growing share of pairs as the
 // storage limit rises, with little benefit beyond 15.
-#include <optional>
-
 #include "bench/bench_common.hpp"
 #include "experiments/scionlab_experiment.hpp"
 
 namespace scion::exp {
 namespace {
-
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::optional<ScionLabResult> g_result;
-
-void BM_Fig7ScionLabResilience(benchmark::State& state) {
-  const Scale scale = bench_scale();
-  for (auto _ : state) {
-    g_result = run_scionlab_experiment(scale);
-  }
-}
-BENCHMARK(BM_Fig7ScionLabResilience)->Unit(benchmark::kSecond)->Iterations(1);
 
 /// Paper comparison: fraction of pairs where each diversity configuration
 /// strictly beats the deployed (baseline-5) selection.
@@ -57,27 +43,21 @@ void print_beats_measurement(const QualityResult& r) {
   }
 }
 
+void run(const util::Flags&, const Scale& scale, BenchReport& report) {
+  const ScionLabResult result = run_scionlab_experiment(scale);
+  obs::print_line("\nFig. 7 — link failure resilience (SCIONLab testbed)");
+  print_resilience(result.quality, 6);
+  print_beats_measurement(result.quality);
+  report.table(resilience_table(result.quality, 6));
+  for (const auto& [name, fraction] : beats_measurement(result.quality)) {
+    report.scalar("beats_measurement:" + name, fraction);
+  }
+}
+
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  using scion::exp::g_result;
-  return scion::exp::bench_main(
-      "fig7_scionlab_resilience", argc, argv,
-      [] {
-        if (g_result) {
-          scion::obs::print_line(
-              "\nFig. 7 — link failure resilience (SCIONLab testbed)");
-          scion::exp::print_resilience(g_result->quality, 6);
-          scion::exp::print_beats_measurement(g_result->quality);
-        }
-      },
-      [](scion::exp::BenchReport& report) {
-        if (!g_result) return;
-        report.table(scion::exp::resilience_table(g_result->quality, 6));
-        for (const auto& [name, fraction] :
-             scion::exp::beats_measurement(g_result->quality)) {
-          report.scalar("beats_measurement:" + name, fraction);
-        }
-      });
+  return scion::exp::bench_main("fig7_scionlab_resilience", argc, argv,
+                                scion::exp::run);
 }

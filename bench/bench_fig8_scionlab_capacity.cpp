@@ -1,51 +1,25 @@
 // Fig. 8 (Appendix B): maximum capacity between SCIONLab core AS pairs in
 // multiples of inter-AS links (CDF), same series as Fig. 7.
-#include <optional>
-
 #include "bench/bench_common.hpp"
 #include "experiments/scionlab_experiment.hpp"
 
 namespace scion::exp {
 namespace {
 
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::optional<ScionLabResult> g_result;
-
-void BM_Fig8ScionLabCapacity(benchmark::State& state) {
-  const Scale scale = bench_scale();
-  for (auto _ : state) {
-    g_result = run_scionlab_experiment(scale);
-  }
-  if (g_result) {
-    for (const QualitySeries& s : g_result->quality.series) {
-      state.counters["opt_frac:" + s.name] =
-          g_result->quality.fraction_of_optimal(s);
-    }
+void run(const util::Flags&, const Scale& scale, BenchReport& report) {
+  const ScionLabResult result = run_scionlab_experiment(scale);
+  obs::print_line("\nFig. 8 — maximum capacity (SCIONLab testbed)");
+  print_capacity(result.quality);
+  report.table(capacity_table(result.quality));
+  for (const QualitySeries& s : result.quality.series) {
+    report.scalar("opt_frac:" + s.name, result.quality.fraction_of_optimal(s));
   }
 }
-BENCHMARK(BM_Fig8ScionLabCapacity)->Unit(benchmark::kSecond)->Iterations(1);
 
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  using scion::exp::g_result;
-  return scion::exp::bench_main(
-      "fig8_scionlab_capacity", argc, argv,
-      [] {
-        if (g_result) {
-          scion::obs::print_line(
-              "\nFig. 8 — maximum capacity (SCIONLab testbed)");
-          scion::exp::print_capacity(g_result->quality);
-        }
-      },
-      [](scion::exp::BenchReport& report) {
-        if (!g_result) return;
-        report.table(scion::exp::capacity_table(g_result->quality));
-        for (const scion::exp::QualitySeries& s : g_result->quality.series) {
-          report.scalar("opt_frac:" + s.name,
-                        g_result->quality.fraction_of_optimal(s));
-        }
-      });
+  return scion::exp::bench_main("fig8_scionlab_capacity", argc, argv,
+                                scion::exp::run);
 }

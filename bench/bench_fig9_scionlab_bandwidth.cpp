@@ -1,51 +1,30 @@
 // Fig. 9 (Appendix B): CDF of core-beaconing bandwidth per interface on the
 // SCIONLab testbed topology (baseline algorithm, full-size signed PCBs).
 // Expected shape: the large majority of interfaces stay below 4 KB/s.
-#include <optional>
-
 #include "bench/bench_common.hpp"
 #include "experiments/scionlab_experiment.hpp"
 
 namespace scion::exp {
 namespace {
 
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::optional<ScionLabResult> g_result;
-
-void BM_Fig9ScionLabBandwidth(benchmark::State& state) {
-  Scale scale = bench_scale();
+void run(const util::Flags&, const Scale& base, BenchReport& report) {
+  Scale scale = base;
   // Fig. 9 only needs the bandwidth run; shrink the quality part.
   scale.sampled_pairs = std::min<std::size_t>(scale.sampled_pairs, 40);
-  for (auto _ : state) {
-    g_result = run_scionlab_experiment(scale);
-  }
-  if (g_result) {
-    state.counters["below_4KBps"] = g_result->fraction_below_4kbps;
-    // median() on an empty CDF trips SCION_CHECK.
-    if (!g_result->bandwidth.empty()) {
-      state.counters["median_Bps"] = g_result->bandwidth.median();
-    }
+  const ScionLabResult result = run_scionlab_experiment(scale);
+  print_scionlab_bandwidth(result);
+  report.cdf("interface_bandwidth_Bps", result.bandwidth, 10);
+  report.scalar("fraction_below_4kbps", result.fraction_below_4kbps);
+  // median() on an empty CDF trips SCION_CHECK.
+  if (!result.bandwidth.empty()) {
+    report.scalar("median_Bps", result.bandwidth.median());
   }
 }
-BENCHMARK(BM_Fig9ScionLabBandwidth)->Unit(benchmark::kSecond)->Iterations(1);
 
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  using scion::exp::g_result;
-  return scion::exp::bench_main(
-      "fig9_scionlab_bandwidth", argc, argv,
-      [] {
-        if (g_result) scion::exp::print_scionlab_bandwidth(*g_result);
-      },
-      [](scion::exp::BenchReport& report) {
-        if (!g_result) return;
-        report.cdf("interface_bandwidth_Bps", g_result->bandwidth, 10);
-        report.scalar("fraction_below_4kbps", g_result->fraction_below_4kbps);
-        if (!g_result->bandwidth.empty()) {
-          report.scalar("median_Bps", g_result->bandwidth.median());
-        }
-      });
+  return scion::exp::bench_main("fig9_scionlab_bandwidth", argc, argv,
+                                scion::exp::run);
 }

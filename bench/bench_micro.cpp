@@ -197,5 +197,12 @@ BENCHMARK(BM_MaxFlowCoreTopology)->Arg(400)->Arg(800);
 
 int main(int argc, char** argv) {
   // No per-figure series; the report still carries manifest + metrics.
-  return scion::exp::bench_main("micro", argc, argv, {});
+  return scion::exp::bench_main(
+      "micro", argc, argv,
+      [&](const scion::util::Flags&, const scion::exp::Scale&,
+          scion::exp::BenchReport&) {
+        benchmark::Initialize(&argc, argv);
+        benchmark::RunSpecifiedBenchmarks();
+        benchmark::Shutdown();
+      });
 }

@@ -2,20 +2,13 @@
 // control plane (both beaconing levels, path servers, lookups,
 // registrations, revocations) on a multi-ISD topology and prints the
 // measured scope x frequency table.
-#include <optional>
-
 #include "bench/bench_common.hpp"
 #include "experiments/table1_experiment.hpp"
 
 namespace scion::exp {
 namespace {
 
-// Experiment result captured for the report writer; the bench harness runs
-// experiments sequentially on the main thread. simlint:allow(mutable-global)
-std::optional<Table1Result> g_result;
-
-Table1Config config_from_flags() {
-  const util::Flags& flags = bench_flags();
+Table1Config config_from_flags(const util::Flags& flags) {
   Table1Config config;
   config.topology.n_isds =
       static_cast<std::size_t>(flags.get_int("isds", 4));
@@ -31,39 +24,21 @@ Table1Config config_from_flags() {
   return config;
 }
 
-void BM_Table1ControlPlane(benchmark::State& state) {
-  for (auto _ : state) {
-    g_result = run_table1_experiment(config_from_flags());
-  }
-  if (g_result) {
-    state.counters["components"] =
-        static_cast<double>(g_result->ledger.rows().size());
-    state.counters["lookups"] = static_cast<double>(g_result->lookups);
-    state.counters["total_bytes"] =
-        static_cast<double>(g_result->ledger.total_bytes().value());
-  }
+void run(const util::Flags& flags, const Scale&, BenchReport& report) {
+  const Table1Result result = run_table1_experiment(config_from_flags(flags));
+  print_table1(result);
+  report.table(result.ledger.table("SCION control-plane components",
+                                   result.window, result.participants));
+  report.scalar("lookups", static_cast<double>(result.lookups));
+  report.scalar("paths_resolved", static_cast<double>(result.paths_resolved));
+  report.scalar("total_bytes",
+                static_cast<double>(result.ledger.total_bytes().value()));
 }
-BENCHMARK(BM_Table1ControlPlane)->Unit(benchmark::kSecond)->Iterations(1);
 
 }  // namespace
 }  // namespace scion::exp
 
 int main(int argc, char** argv) {
-  using scion::exp::g_result;
-  return scion::exp::bench_main(
-      "table1_overhead_scope", argc, argv,
-      [] {
-        if (g_result) scion::exp::print_table1(*g_result);
-      },
-      [](scion::exp::BenchReport& report) {
-        if (!g_result) return;
-        report.table(g_result->ledger.table("SCION control-plane components",
-                                            g_result->window,
-                                            g_result->participants));
-        report.scalar("lookups", static_cast<double>(g_result->lookups));
-        report.scalar("paths_resolved",
-                      static_cast<double>(g_result->paths_resolved));
-        report.scalar("total_bytes",
-                      static_cast<double>(g_result->ledger.total_bytes().value()));
-      });
+  return scion::exp::bench_main("table1_overhead_scope", argc, argv,
+                                scion::exp::run);
 }

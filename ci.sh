@@ -140,25 +140,6 @@ for bench in ablation_scoring ext_latency; do
     --report-out="$div_dir/${bench}_bench_diff.txt"
 done
 
-# Fault-injection smoke: the dynamic-resilience bench under the example
-# scenario (flaps, AS outage, ISD partition) with the fault category traced.
-# The ctest run above already exercises the fault_smoke fixtures; this is
-# the sanitizer-instrumented rerun with artifacts validated end to end.
-fault_dir="$build_dir/fault_ci"
-mkdir -p "$fault_dir"
-"$build_dir/bench/bench_dyn_resilience" \
-  --core-isds=3 --core-ases=12 --internet-ases=200 \
-  --sampled-pairs=20 --churn-minutes=10 \
-  --faults=examples/dyn_resilience.faults \
-  --metrics-out="$fault_dir/metrics.json" \
-  --trace-out="$fault_dir/trace.jsonl" \
-  --trace-filter=fault \
-  --bench-out="$fault_dir/bench.json" > "$fault_dir/stdout.txt"
-"$build_dir/tools/obs_check" \
-  --metrics="$fault_dir/metrics.json" \
-  --trace="$fault_dir/trace.jsonl" --expect-cat=fault \
-  --bench="$fault_dir/bench.json"
-
 # Churn-survival smoke: the five-series churn-response bench (plain BGP,
 # damping, graceful restart, SCION baseline, SCION robust) under the
 # example sustained-churn scenario, validated and then diffed against the
@@ -224,7 +205,9 @@ ctest --test-dir "$perf_dir" --output-on-failure
 cp "$obs_dir/BENCH_fig5_overhead.json" \
    "$obs_dir/chrome_trace.json" \
    "$obs_dir/bench_diff.txt" "$artifact_dir/"
-cp "$fault_dir/bench.json" "$artifact_dir/BENCH_dyn_resilience_smoke.json"
+# The fault-injection smoke ran as the fault_smoke_bench ctest fixture.
+cp "$build_dir/fault_smoke/bench.json" \
+   "$artifact_dir/BENCH_dyn_resilience_smoke.json"
 cp "$churn_dir/BENCH_churn_response.json" "$artifact_dir/"
 cp "$churn_dir/bench_diff.txt" "$artifact_dir/churn_bench_diff.txt"
 cp "$par_dir/bench.json" "$artifact_dir/BENCH_fig6b_capacity_smoke.json"

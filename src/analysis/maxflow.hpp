@@ -38,7 +38,6 @@ class FlowGraph {
   int max_flow(std::uint32_t s, std::uint32_t t);
 
   std::size_t node_count() const { return graph_.size(); }
-  std::size_t edge_count() const { return edges_.size() / 2; }
 
   /// Builds a flow graph over all ASes of `topo` with one undirected unit
   /// edge per inter-AS link.

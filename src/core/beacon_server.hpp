@@ -147,14 +147,10 @@ class BeaconServer {
   topo::AsIndex self() const { return self_; }
   topo::IsdAsId self_id() const { return self_id_; }
   const BeaconStore& store() const { return store_; }
-  BeaconStore& mutable_store() { return store_; }
   const BeaconServerStats& stats() const { return stats_; }
 
   /// Zeroes the counters (used to exclude a warm-up phase from accounting).
   void reset_stats() { stats_ = BeaconServerStats{}; }
-
-  /// Diversity-algorithm state; null when running the baseline.
-  const DiversityState* diversity_state() const { return diversity_.get(); }
 
  private:
   /// Links this server propagates on, grouped per neighbor AS.

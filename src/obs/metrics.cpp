@@ -176,12 +176,9 @@ void MetricShard::count(std::size_t id, std::uint64_t delta) {
   counter_deltas_[id] += delta;
 }
 
-void MetricShard::gauge_set(std::size_t id, std::int64_t v) {
-  gauge_ops_.push_back(GaugeOp{id, v, /*is_max=*/false});
-}
-
 void MetricShard::gauge_max(std::size_t id, std::int64_t v) {
-  gauge_ops_.push_back(GaugeOp{id, v, /*is_max=*/true});
+  if (gauge_maxes_.size() <= id) gauge_maxes_.resize(id + 1, 0);
+  gauge_maxes_[id] = std::max(gauge_maxes_[id], v);
 }
 
 void MetricShard::observe(const HistogramHandle& h, double v) {
@@ -201,8 +198,9 @@ void MetricShard::merge_into_shard(MetricShard& parent) const {
   for (std::size_t id = 0; id < counter_deltas_.size(); ++id) {
     if (counter_deltas_[id] != 0) parent.count(id, counter_deltas_[id]);
   }
-  parent.gauge_ops_.insert(parent.gauge_ops_.end(), gauge_ops_.begin(),
-                           gauge_ops_.end());
+  for (std::size_t id = 0; id < gauge_maxes_.size(); ++id) {
+    if (gauge_maxes_[id] != 0) parent.gauge_max(id, gauge_maxes_[id]);
+  }
   for (std::size_t id = 0; id < hists_.size(); ++id) {
     const HistShard& hs = hists_[id];
     if (hs.count == 0) continue;
@@ -225,13 +223,8 @@ void MetricShard::merge_into_registry() const {
   for (std::size_t id = 0; id < counter_deltas_.size(); ++id) {
     if (counter_deltas_[id] != 0) reg.counter_slots_[id]->add(counter_deltas_[id]);
   }
-  for (const GaugeOp& op : gauge_ops_) {
-    Gauge* g = reg.gauge_slots_[op.id];
-    if (op.is_max) {
-      g->set_max(op.value);
-    } else {
-      g->set(op.value);
-    }
+  for (std::size_t id = 0; id < gauge_maxes_.size(); ++id) {
+    reg.gauge_slots_[id]->set_max(gauge_maxes_[id]);
   }
   for (std::size_t id = 0; id < hists_.size(); ++id) {
     const HistShard& hs = hists_[id];
@@ -253,14 +246,6 @@ void record_count(const CounterHandle& h, std::uint64_t delta) {
     t_shard->count(h.id, delta);
   } else {
     h.root->add(delta);
-  }
-}
-
-void record_gauge_set(const GaugeHandle& h, std::int64_t v) {
-  if (t_shard != nullptr) {
-    t_shard->gauge_set(h.id, v);
-  } else {
-    h.root->set(v);
   }
 }
 

@@ -41,10 +41,9 @@ class Counter {
   std::uint64_t value_{0};
 };
 
-/// A last-written-wins (set) or high-water (set_max) instantaneous value.
+/// A high-water mark: starts at zero and only rises.
 class Gauge {
  public:
-  void set(std::int64_t v) { value_ = v; }
   void set_max(std::int64_t v) {
     if (v > value_) value_ = v;
   }
@@ -177,27 +176,20 @@ class MetricsRegistry {
 class MetricShard {
  public:
   bool empty() const {
-    return counter_deltas_.empty() && gauge_ops_.empty() && hists_.empty();
+    return counter_deltas_.empty() && gauge_maxes_.empty() && hists_.empty();
   }
 
   void count(std::size_t id, std::uint64_t delta);
-  void gauge_set(std::size_t id, std::int64_t v);
   void gauge_max(std::size_t id, std::int64_t v);
   void observe(const HistogramHandle& h, double v);
 
-  /// Folds this shard into an enclosing task's shard (nested parallelism),
-  /// preserving gauge-op order.
+  /// Folds this shard into an enclosing task's shard (nested parallelism).
   void merge_into_shard(MetricShard& parent) const;
 
   /// Folds this shard into the global registry's root objects.
   void merge_into_registry() const;
 
  private:
-  struct GaugeOp {
-    std::size_t id;
-    std::int64_t value;
-    bool is_max;
-  };
   struct HistShard {
     std::vector<std::uint64_t> counts;  // empty until first observe
     std::uint64_t count{0};
@@ -205,8 +197,10 @@ class MetricShard {
   };
 
   std::vector<std::uint64_t> counter_deltas_;  // by id; delta accumulated
-  std::vector<GaugeOp> gauge_ops_;       // in record order
-  std::vector<HistShard> hists_;         // by id
+  // By id; high-water mark. Gauges start at zero, so zero is the identity
+  // of the max, and max commutes: the merge order cannot change a gauge.
+  std::vector<std::int64_t> gauge_maxes_;
+  std::vector<HistShard> hists_;  // by id
 };
 
 /// The shard capturing this thread's recordings, nullptr when recording
@@ -217,7 +211,6 @@ MetricShard* set_current_shard(MetricShard* shard);
 
 /// Dispatchers behind the macros: shard if one is installed, root otherwise.
 void record_count(const CounterHandle& h, std::uint64_t delta);
-void record_gauge_set(const GaugeHandle& h, std::int64_t v);
 void record_gauge_max(const GaugeHandle& h, std::int64_t v);
 void record_observe(const HistogramHandle& h, double v);
 
@@ -233,14 +226,6 @@ void record_observe(const HistogramHandle& h, double v);
         ::scion::obs::MetricsRegistry::global().intern_counter(name);          \
     ::scion::obs::record_count(scion_metric_handle_,                           \
                                static_cast<std::uint64_t>(delta));             \
-  } while (0)
-
-#define SCION_METRIC_GAUGE_SET(name, v)                                        \
-  do {                                                                         \
-    static const ::scion::obs::GaugeHandle scion_metric_handle_ =              \
-        ::scion::obs::MetricsRegistry::global().intern_gauge(name);            \
-    ::scion::obs::record_gauge_set(scion_metric_handle_,                       \
-                                   static_cast<std::int64_t>(v));              \
   } while (0)
 
 #define SCION_METRIC_GAUGE_MAX(name, v)                                        \

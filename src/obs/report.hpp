@@ -38,8 +38,6 @@ class Table {
 
   Table& row(std::vector<std::string> cells);
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Title line, header line, then one line per row (trailing spaces
   /// trimmed). Ends with '\n'.
   std::string to_text() const;

@@ -46,14 +46,18 @@ std::string ObsSession::metrics_json() const {
   JsonWriter w;
   w.begin_object();
   w.kv("schema", "scion-mpr-metrics-v1");
+  append_run_json(w);
+  w.end_object();
+  return std::move(w).take();
+}
+
+void ObsSession::append_run_json(JsonWriter& w) const {
   w.key("manifest").begin_object();
   manifest_.append_fields(w);
   w.end_object();
   w.key("metrics").value_raw(MetricsRegistry::global().to_json());
   w.key("phases").value_raw(PhaseProfiler::global().to_json());
   w.key("event_profile").value_raw(EventProfiler::global().to_json());
-  w.end_object();
-  return std::move(w).take();
 }
 
 void ObsSession::finish() {

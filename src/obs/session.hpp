@@ -35,6 +35,8 @@ class Flags;
 
 namespace scion::obs {
 
+class JsonWriter;
+
 class ObsSession {
  public:
   ObsSession(std::string_view binary, const util::Flags& flags,
@@ -51,6 +53,11 @@ class ObsSession {
   /// {"schema": "scion-mpr-metrics-v1", "manifest": {...},
   ///  "metrics": {...}, "phases": [...], "event_profile": {...}}
   std::string metrics_json() const;
+
+  /// Writes the "manifest", "metrics", "phases" and "event_profile"
+  /// members, in that order, into an already-open JSON object. The metrics
+  /// document and every bench report share this writer.
+  void append_run_json(JsonWriter& w) const;
 
   /// Writes --metrics-out (if given), flushes and closes --trace-out, and
   /// uninstalls the global trace sink. Idempotent; also invoked by the

@@ -68,7 +68,6 @@ class PathServer {
                                                     util::TimePoint now);
 
   const Stats& stats() const { return stats_; }
-  Stats& mutable_stats() { return stats_; }
 
  private:
   using SegmentMap = std::unordered_map<topo::AsIndex, std::vector<PathSegment>>;

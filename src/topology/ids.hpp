@@ -55,7 +55,6 @@ class IsdAsId {
   static constexpr IsdAsId make(std::uint16_t isd, std::uint64_t as_number) {
     return make(IsdId{isd}, as_number);
   }
-  static constexpr IsdAsId from_value(std::uint64_t v) { return IsdAsId{v}; }
 
   constexpr IsdId isd() const { return IsdId{static_cast<std::uint16_t>(value_ >> 48)}; }
   constexpr std::uint64_t as_number() const { return value_ & 0x0000FFFFFFFFFFFFULL; }

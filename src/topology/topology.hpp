@@ -52,7 +52,6 @@ class Topology {
 
   IsdAsId as_id(AsIndex idx) const { return ases_[idx].id; }
   bool is_core(AsIndex idx) const { return ases_[idx].is_core; }
-  void set_core(AsIndex idx, bool is_core) { ases_[idx].is_core = is_core; }
 
   /// Dense index for an IsdAsId, if present.
   std::optional<AsIndex> find(IsdAsId id) const;

@@ -19,7 +19,7 @@ class Flags {
   Flags() = default;
 
   /// Parses argv, ignoring anything that does not look like --key=value
-  /// (so google-benchmark's own flags pass through untouched).
+  /// (so bench_micro's google-benchmark flags pass through untouched).
   Flags(int argc, char** argv);
 
   std::string get(const std::string& key, const std::string& def) const;

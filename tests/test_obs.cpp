@@ -9,11 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/alloc_track.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/event_profile.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "obs/parallel.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/session.hpp"
@@ -72,7 +74,7 @@ TEST(ObsMetrics, CounterGaugeHistogramSemantics) {
   EXPECT_EQ(c.value(), 7u);
 
   Gauge g;
-  g.set(10);
+  g.set_max(10);
   g.set_max(5);
   EXPECT_EQ(g.value(), 10);
   g.set_max(12);
@@ -105,7 +107,7 @@ TEST(ObsMetrics, ResetZeroesButKeepsRegistrations) {
   Gauge& g = registry.gauge("test.g");
   Histogram& h = registry.histogram("test.h");
   c.add(5);
-  g.set(5);
+  g.set_max(5);
   h.observe(5);
   registry.reset();
   EXPECT_EQ(c.value(), 0u);
@@ -120,7 +122,7 @@ TEST(ObsMetrics, ResetZeroesButKeepsRegistrations) {
 TEST(ObsMetrics, ToJsonRoundTrips) {
   MetricsRegistry registry;
   registry.counter("n.events").add(3);
-  registry.gauge("n.depth").set(9);
+  registry.gauge("n.depth").set_max(9);
   registry.histogram("n.sizes", {8.0, 64.0}).observe(100.0);
 
   std::string error;
@@ -152,6 +154,27 @@ TEST(ObsMetrics, MacrosRecordIntoTheGlobalRegistry) {
   EXPECT_EQ(MetricsRegistry::global().gauge("test.macro_gauge").value(), 11);
   EXPECT_EQ(MetricsRegistry::global().histogram("test.macro_hist").count(),
             1u);
+  MetricsRegistry::global().reset();
+}
+
+void record_shard_gauge(std::int64_t v) {
+  SCION_METRIC_GAUGE_MAX("test.shard_gauge", v);
+}
+
+TEST(ObsMetrics, TaskShardKeepsOneHighWaterMarkPerGauge) {
+  MetricsRegistry::global().reset();
+  record_shard_gauge(0);  // interns the gauge outside the measurement
+  TaskCapture capture;
+  capture.begin();
+  const std::uint64_t allocs_before = thread_allocs();
+  // 7919 is coprime to 10000: every value 0..9999 once, the max mid-run.
+  for (std::int64_t i = 0; i < 10000; ++i) record_shard_gauge(i * 7919 % 10000);
+  const std::uint64_t allocs = thread_allocs() - allocs_before;
+  capture.end();
+  EXPECT_LE(allocs, 1u);
+  EXPECT_EQ(MetricsRegistry::global().gauge("test.shard_gauge").value(), 0);
+  capture.merge();
+  EXPECT_EQ(MetricsRegistry::global().gauge("test.shard_gauge").value(), 9999);
   MetricsRegistry::global().reset();
 }
 
