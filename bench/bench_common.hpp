@@ -14,6 +14,11 @@
 // after the run:
 //   --bench-out=FILE   report path (default BENCH_<name>.json; "none"
 //                      disables the report)
+//
+// A flag the run never read is a mistake on the command line: bench_main
+// then prints `bench_<name>: unknown flag --<key>`, writes no report and
+// returns 2. Google-benchmark's own --benchmark_* flags (bench_micro) are
+// read by google-benchmark, not through util::Flags, and are exempt.
 #pragma once
 
 #include <algorithm>
@@ -98,6 +103,7 @@ using BenchRun =
     std::function<void(const util::Flags&, const Scale&, BenchReport&)>;
 
 /// Runs `run` once, then (unless --bench-out=none) writes the JSON report.
+/// Returns 2 without a report if the command line set a flag nothing read.
 inline int bench_main(const std::string& name, int argc, char** argv,
                       const BenchRun& run) {
   const util::Flags flags{argc, argv};
@@ -119,6 +125,11 @@ inline int bench_main(const std::string& name, int argc, char** argv,
             << " s\n";
 
   const std::string path = flags.get("bench-out", "BENCH_" + name + ".json");
+  for (const std::string& key : flags.unread()) {
+    if (key.starts_with("benchmark_")) continue;
+    std::cerr << "bench_" << name << ": unknown flag --" << key << '\n';
+    return 2;
+  }
   if (path != "none") {
     std::ofstream out{path};
     if (!out) {

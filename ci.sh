@@ -13,9 +13,10 @@
 # diffs its BENCH report against the checked-in baseline with
 # tools/bench_diff (deterministic fields gate exactly; see
 # tools/bench_baseline/README.md), and does the same for the diversity
-# scoring ablation and the latency extension. Last, it builds the performance
-# benchmark (perfbench/, Release) and checks its outputs against
-# perfbench/references.json.
+# scoring ablation, the latency extension, and the Table 1 and
+# dynamic-resilience reports of the obs and fault smoke fixtures. Last, it
+# builds the performance benchmark (perfbench/, Release) and checks its
+# outputs against perfbench/references.json.
 #
 # Usage: ./ci.sh [preset]   (default: asan-ubsan; try `tsan` or `checked`)
 set -eu
@@ -140,6 +141,20 @@ for bench in ablation_scoring ext_latency; do
     --report-out="$div_dir/${bench}_bench_diff.txt"
 done
 
+# The two smoke reports the ctest fixtures above wrote: Table 1 from the
+# telemetry smoke (obs_smoke_bench, the full control-plane simulation) and
+# the dynamic-resilience run from the fault smoke (fault_smoke_bench).
+# Their baselines were recorded with the fixtures' own command lines, trace
+# flags included, so allocation counts compare like for like.
+"$build_dir/tools/bench_diff" \
+  --baseline=tools/bench_baseline/BENCH_table1_overhead_scope.json \
+  --current="$build_dir/obs_smoke/bench.json" \
+  --report-out="$build_dir/obs_smoke/bench_diff.txt"
+"$build_dir/tools/bench_diff" \
+  --baseline=tools/bench_baseline/BENCH_dyn_resilience.json \
+  --current="$build_dir/fault_smoke/bench.json" \
+  --report-out="$build_dir/fault_smoke/bench_diff.txt"
+
 # Churn-survival smoke: the five-series churn-response bench (plain BGP,
 # damping, graceful restart, SCION baseline, SCION robust) under the
 # example sustained-churn scenario, validated and then diffed against the
@@ -154,7 +169,7 @@ churn_dir="$build_dir/churn_ci"
 mkdir -p "$churn_dir"
 "$build_dir/bench/bench_churn_response" \
   --core-isds=3 --core-ases=12 --internet-ases=200 \
-  --sampled-pairs=18 --churn-minutes=60 --probe-interval-s=30 --jobs=4 \
+  --churn-minutes=60 --probe-interval-s=30 --jobs=4 \
   --faults=examples/churn.faults \
   --metrics-out="$churn_dir/metrics.json" \
   --trace-out="$churn_dir/trace.jsonl" \
@@ -208,6 +223,10 @@ cp "$obs_dir/BENCH_fig5_overhead.json" \
 # The fault-injection smoke ran as the fault_smoke_bench ctest fixture.
 cp "$build_dir/fault_smoke/bench.json" \
    "$artifact_dir/BENCH_dyn_resilience_smoke.json"
+cp "$build_dir/fault_smoke/bench_diff.txt" \
+   "$artifact_dir/dyn_resilience_bench_diff.txt"
+cp "$build_dir/obs_smoke/bench_diff.txt" \
+   "$artifact_dir/table1_overhead_scope_bench_diff.txt"
 cp "$churn_dir/BENCH_churn_response.json" "$artifact_dir/"
 cp "$churn_dir/bench_diff.txt" "$artifact_dir/churn_bench_diff.txt"
 cp "$par_dir/bench.json" "$artifact_dir/BENCH_fig6b_capacity_smoke.json"
@@ -216,4 +235,4 @@ cp "$div_dir/BENCH_ablation_scoring.json" "$div_dir/BENCH_ext_latency.json" \
    "$div_dir/ext_latency_bench_diff.txt" "$artifact_dir/"
 echo "ci: artifacts: $artifact_dir/BENCH_fig5_overhead.json $artifact_dir/chrome_trace.json $artifact_dir/bench_diff.txt"
 
-echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gates (fig5, diversity ablation, latency extension), perfbench build + output check, and telemetry artifacts all green"
+echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gates (fig5, diversity ablation, latency extension, Table 1 smoke, dynamic-resilience smoke), perfbench build + output check, and telemetry artifacts all green"

@@ -20,6 +20,12 @@ std::uint64_t pair_key(topo::AsIndex a, topo::AsIndex b) {
 /// both derive from the same config seed.
 constexpr std::uint64_t kFaultSeedMix = 0x9E3779B97F4A7C15ULL;
 
+/// Per-UPDATE processing time of a speaker (Section 5.1).
+constexpr util::Duration kProcessingDelay = util::Duration::milliseconds(5);
+/// Downtime bounds of the legacy session-flap process.
+constexpr util::Duration kFlapDowntimeMin = util::Duration::seconds(30);
+constexpr util::Duration kFlapDowntimeMax = util::Duration::seconds(120);
+
 // Event-cost attribution labels (interned once at static init).
 const obs::EventLabel kUpdateDeliverLabel =
     obs::event_label("bgp.update.deliver");
@@ -49,7 +55,7 @@ BgpSim::BgpSim(const topo::Topology& topology, BgpSimConfig config)
     : topology_{topology}, config_{config}, net_{sim_}, rng_{config.seed} {
   // Nodes (NodeId == AsIndex by construction).
   for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) {
-    const sim::NodeId node = net_.add_node(topology_.as_id(i).to_string());
+    const sim::NodeId node = net_.add_node();
     SCION_CHECK(node == node_of(i), "node ids must mirror AS indices");
     (void)node;
   }
@@ -98,8 +104,6 @@ BgpSim::BgpSim(const topo::Topology& topology, BgpSimConfig config)
     };
     auto clock = [this] { return sim_.now(); };
     SpeakerOptions options;
-    options.mrai = config_.mrai;
-    options.mrai_jitter = config_.mrai_jitter;
     options.damping = config_.damping;
     options.graceful_restart = config_.graceful_restart;
     speakers_.push_back(std::make_unique<Speaker>(
@@ -135,8 +139,8 @@ BgpSim::BgpSim(const topo::Topology& topology, BgpSimConfig config)
   if (flap_rate_per_hour > 0.0) {
     faults::FlapProcess flap;
     flap.rate_per_hour = flap_rate_per_hour;
-    flap.downtime_min = config_.flap_downtime_min;
-    flap.downtime_max = config_.flap_downtime_max;
+    flap.downtime_min = kFlapDowntimeMin;
+    flap.downtime_max = kFlapDowntimeMax;
     plan.flaps.push_back(flap);
   }
   if (legacy_only) plan.seed = config_.seed ^ kFaultSeedMix;
@@ -211,10 +215,9 @@ void BgpSim::add_monitor(topo::AsIndex as) {
 // BgpUpdateRef (a refcount bump, not a message copy) and must stay within
 // the scheduler callback's inline capture budget.
 void BgpSim::deliver(topo::AsIndex to, const sim::Message& msg) {
-  // Serial processing: each update occupies the speaker for the configured
-  // processing delay (5 ms in the evaluation).
+  // Serial processing: each update occupies the speaker for kProcessingDelay.
   const util::TimePoint start =
-      std::max(sim_.now(), busy_until_[to]) + config_.processing_delay;
+      std::max(sim_.now(), busy_until_[to]) + kProcessingDelay;
   busy_until_[to] = start;
   const BgpUpdateRef& update = msg.payload.get<BgpUpdateRef>();
   const topo::AsIndex from = as_of(msg.from);

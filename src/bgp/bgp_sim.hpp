@@ -22,14 +22,10 @@
 namespace scion::bgp {
 
 struct BgpSimConfig {
-  util::Duration mrai{util::Duration::seconds(15)};
-  /// MRAI jitter amplitude (see SpeakerOptions::mrai_jitter).
-  double mrai_jitter{0.2};
   /// Churn-survival mechanisms, both default-off (steady-state runs stay
   /// byte-identical to the pre-churn configuration).
   DampingConfig damping{};
   GracefulRestartConfig graceful_restart{};
-  util::Duration processing_delay{util::Duration::milliseconds(5)};
   /// Warm-up: cold-start convergence, excluded from the measurement.
   util::Duration convergence_window{util::Duration::minutes(30)};
   /// Measurement window with churn; extrapolated to a month.
@@ -37,8 +33,6 @@ struct BgpSimConfig {
   /// Expected session flaps per adjacency per day (drives steady-state
   /// update volume; see DESIGN.md substitutions).
   double flaps_per_adjacency_per_day{0.2};
-  util::Duration flap_downtime_min{util::Duration::seconds(30)};
-  util::Duration flap_downtime_max{util::Duration::seconds(120)};
   /// Number of ASes that originate a prefix in the simulation; 0 = all.
   /// Sampling keeps memory bounded; accounting scales by total/sampled.
   std::size_t sampled_origins{0};

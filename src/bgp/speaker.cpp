@@ -12,6 +12,22 @@ namespace scion::bgp {
 
 namespace {
 
+/// Minimum route advertisement interval per neighbor (Section 5.1). Each
+/// flush waits kMrai * U[1 - kMraiJitter, 1 + kMraiJitter], desynchronizing
+/// neighbors the way deployed timers do.
+constexpr util::Duration kMrai = util::Duration::seconds(15);
+constexpr double kMraiJitter = 0.2;
+
+/// RFC 2439's example damping figures: each flap adds kPenaltyPerFlap; a
+/// route is suppressed at kSuppressThreshold and reused once the decayed
+/// penalty falls to kReuseThreshold.
+constexpr double kPenaltyPerFlap = 1000.0;
+constexpr double kSuppressThreshold = 2000.0;
+constexpr double kReuseThreshold = 750.0;
+static_assert(kPenaltyPerFlap > 0.0 && kReuseThreshold > 0.0 &&
+                  kSuppressThreshold > kReuseThreshold,
+              "damping thresholds inverted");
+
 bool contains(const AsPath& path, topo::AsIndex as) {
   return path && std::find(path->begin(), path->end(), as) != path->end();
 }
@@ -48,14 +64,11 @@ Speaker::Speaker(topo::AsIndex self, std::vector<NeighborInfo> neighbors,
               "flap damping needs the simulator clock for penalty decay");
   if (options_.damping.enabled) {
     const DampingConfig& d = options_.damping;
-    SCION_CHECK(d.penalty_per_flap > 0.0 && d.reuse_threshold > 0.0 &&
-                    d.suppress_threshold > d.reuse_threshold &&
-                    d.half_life > util::Duration::zero(),
-                "damping thresholds inverted");
+    SCION_CHECK(d.half_life > util::Duration::zero(),
+                "damping half-life must be positive");
     // RFC 2439 penalty ceiling: a fully charged penalty decays to the
     // reuse threshold within max_suppress.
-    penalty_cap_ = d.reuse_threshold *
-                   std::exp2(d.max_suppress / d.half_life);
+    penalty_cap_ = kReuseThreshold * std::exp2(d.max_suppress / d.half_life);
   }
   neighbors_.reserve(neighbors.size());
   for (const NeighborInfo& info : neighbors) {
@@ -120,11 +133,10 @@ void Speaker::damping_charge(std::size_t idx, Prefix p) {
   // Entries appear the first time a prefix flaps on this adjacency;
   // steady-state charges hit the existing node.
   DampingState& st = neighbors_[idx].damping[p];
-  st.penalty = std::min(decayed_penalty(st, now) +
-                            options_.damping.penalty_per_flap,
-                        penalty_cap_);
+  st.penalty =
+      std::min(decayed_penalty(st, now) + kPenaltyPerFlap, penalty_cap_);
   st.last_charge = now;
-  if (!st.suppressed && st.penalty >= options_.damping.suppress_threshold) {
+  if (!st.suppressed && st.penalty >= kSuppressThreshold) {
     st.suppressed = true;
     ++st.epoch;
     ++routes_suppressed_;
@@ -139,8 +151,7 @@ void Speaker::arm_reuse_timer(std::size_t idx, Prefix p, DampingState& st) {
   // truncate: a timer landing a sub-nanosecond early finds the penalty
   // still above threshold and re-arms for 0 ns, looping at one virtual
   // instant without ever decaying.
-  const double half_lives =
-      std::log2(st.penalty / options_.damping.reuse_threshold);
+  const double half_lives = std::log2(st.penalty / kReuseThreshold);
   const auto delay = util::Duration::nanoseconds(
       static_cast<std::int64_t>(std::ceil(
           static_cast<double>(options_.damping.half_life.ns()) *
@@ -156,7 +167,7 @@ void Speaker::damping_reuse(std::size_t idx, Prefix p, std::uint32_t epoch) {
   DampingState& st = it->second;
   if (!st.suppressed || st.epoch != epoch) return;  // re-armed meanwhile
   const util::TimePoint now = clock_();
-  if (decayed_penalty(st, now) > options_.damping.reuse_threshold) {
+  if (decayed_penalty(st, now) > kReuseThreshold) {
     // Charged again while waiting; re-arm for the new decay horizon.
     st.penalty = decayed_penalty(st, now);
     st.last_charge = now;
@@ -215,7 +226,6 @@ void Speaker::reevaluate(Prefix p) {
         best->neighbor != loc_it->second.neighbor));
   if (!changed) return;
 
-  ++best_changes_;
   // Loc-RIB consistency: the winning route must be self-originated,
   // learned over a session that is still up, or a graceful-restart stale
   // survivor (session_down without GR flushes its Adj-RIB-In slots before
@@ -243,7 +253,6 @@ void Speaker::handle_update(topo::AsIndex from, const BgpUpdateMsg& msg) {
   const std::size_t idx = index_of(from);
   NeighborState& n = neighbors_[idx];
   if (!n.up) return;
-  ++updates_received_;
   SCION_METRIC_COUNT("bgp.updates_received", 1);
   SCION_METRIC_COUNT("bgp.prefixes_withdrawn", msg.withdrawn.size());
   SCION_METRIC_COUNT("bgp.prefixes_announced", msg.announced.size());
@@ -409,12 +418,9 @@ void Speaker::arm_mrai(std::size_t idx) {
   NeighborState& n = neighbors_[idx];
   if (n.mrai_armed) return;
   n.mrai_armed = true;
-  // Seeded jitter desynchronizes neighbors, as deployed MRAI timers do
-  // (+/-20% by default). The draw happens even for zero jitter so the RNG
-  // stream is identical across jitter settings.
-  const double j = options_.mrai_jitter;
   const auto delay = util::Duration::nanoseconds(static_cast<std::int64_t>(
-      static_cast<double>(options_.mrai.ns()) * rng_.uniform(1.0 - j, 1.0 + j)));
+      static_cast<double>(kMrai.ns()) *
+      rng_.uniform(1.0 - kMraiJitter, 1.0 + kMraiJitter)));
   schedule_(delay, TimerKind::kMrai, [this, idx] {
     neighbors_[idx].mrai_armed = false;
     flush(idx);

@@ -51,13 +51,11 @@ enum class TimerKind : std::uint8_t {
 };
 
 /// RFC 2439-shaped route-flap damping knobs. Defaults follow the RFC's
-/// example figures (penalty 1000 per flap, suppress at 2000, reuse at 750,
-/// 15 min half-life, one hour maximum suppression).
+/// example figures (15 min half-life, one hour maximum suppression); the
+/// penalty per flap and the suppress and reuse thresholds are fixed at the
+/// RFC's 1000, 2000 and 750 in speaker.cpp.
 struct DampingConfig {
   bool enabled{false};
-  double penalty_per_flap{1000.0};
-  double suppress_threshold{2000.0};
-  double reuse_threshold{750.0};
   util::Duration half_life{util::Duration::minutes(15)};
   /// Bounds suppression via the RFC's penalty ceiling: the penalty is
   /// capped so that decaying to the reuse threshold never takes longer
@@ -74,11 +72,8 @@ struct GracefulRestartConfig {
   util::Duration resync_flush_delay{util::Duration::minutes(1)};
 };
 
+/// The MRAI (15 s, with seeded jitter) is fixed in speaker.cpp.
 struct SpeakerOptions {
-  util::Duration mrai{util::Duration::seconds(15)};
-  /// MRAI jitter amplitude: each flush waits mrai * uniform(1-j, 1+j),
-  /// desynchronizing neighbors the way deployed timers do.
-  double mrai_jitter{0.2};
   DampingConfig damping{};
   GracefulRestartConfig graceful_restart{};
 };
@@ -144,8 +139,6 @@ class Speaker {
   std::vector<Route> multipath(Prefix p) const;
 
   std::uint64_t updates_sent() const { return updates_sent_; }
-  std::uint64_t updates_received() const { return updates_received_; }
-  std::uint64_t best_changes() const { return best_changes_; }
 
   /// Damping: (neighbor, prefix) adjacencies currently / ever suppressed.
   std::uint64_t routes_suppressed() const { return routes_suppressed_; }
@@ -233,8 +226,6 @@ class Speaker {
   std::vector<Prefix> own_prefixes_;
 
   std::uint64_t updates_sent_{0};
-  std::uint64_t updates_received_{0};
-  std::uint64_t best_changes_{0};
   std::uint64_t routes_suppressed_{0};
   std::uint64_t routes_reused_{0};
   std::uint64_t stale_retained_{0};

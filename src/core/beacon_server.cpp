@@ -22,6 +22,20 @@ std::uint64_t origin_path_key(topo::IsdAsId origin, topo::IfId out_if) {
   return h.finalize().prefix64();
 }
 
+// Re-origination backoff: the first retry waits kBackoffBase, each further
+// recovery within kBackoffStableReset of the previous one multiplies the
+// delay by kBackoffMultiplier up to kBackoffMax, and every delay is scaled
+// by U[1 - kBackoffJitter, 1 + kBackoffJitter].
+constexpr Duration kBackoffBase = Duration::seconds(5);
+constexpr double kBackoffMultiplier = 2.0;
+constexpr Duration kBackoffMax = Duration::minutes(10);
+constexpr double kBackoffJitter = 0.1;
+constexpr Duration kBackoffStableReset = Duration::minutes(10);
+static_assert(kBackoffBase > Duration::zero() && kBackoffMax >= kBackoffBase &&
+                  kBackoffMultiplier >= 1.0 && kBackoffJitter >= 0.0 &&
+                  kBackoffJitter < 1.0,
+              "reorigination backoff parameters out of range");
+
 }  // namespace
 
 BeaconServer::BeaconServer(const topo::Topology& topology, topo::AsIndex self,
@@ -39,14 +53,8 @@ BeaconServer::BeaconServer(const topo::Topology& topology, topo::AsIndex self,
       store_{config.storage_limit, config.store_policy},
       backoff_rng_{util::Rng::substream(config.backoff_seed, self)} {
   SCION_CHECK(send_, "beacon server needs a send hook");
-  SCION_CHECK(!config_.reorigination.enabled || config_.schedule,
+  SCION_CHECK(!config_.reorigination || config_.schedule,
               "reorigination backoff needs a schedule hook");
-  if (config_.reorigination.enabled) {
-    const auto& b = config_.reorigination;
-    SCION_CHECK(b.base > Duration::zero() && b.max >= b.base &&
-                    b.multiplier >= 1.0 && b.jitter >= 0.0 && b.jitter < 1.0,
-                "reorigination backoff parameters out of range");
-  }
   SCION_CHECK(config_.stale_timeout > Duration::zero(),
               "staleness timeout must be positive");
   if (config_.algorithm == AlgorithmKind::kDiversity) {
@@ -172,7 +180,7 @@ void BeaconServer::on_interval(TimePoint now) {
 }
 
 void BeaconServer::on_link_down(topo::LinkIndex link, TimePoint now) {
-  if (config_.reorigination.enabled) {
+  if (config_.reorigination) {
     // Invalidate any pending retry for the link and mark it down so an
     // already-queued callback becomes a no-op.
     BackoffState& st = backoff_[link];
@@ -209,7 +217,7 @@ void BeaconServer::on_link_up(topo::LinkIndex link, TimePoint now) {
                   {"revalidated", revalidated});
     }
   }
-  if (config_.reorigination.enabled &&
+  if (config_.reorigination &&
       std::binary_search(origination_links_.begin(), origination_links_.end(),
                          link)) {
     schedule_reorigination(link, now);
@@ -217,24 +225,22 @@ void BeaconServer::on_link_up(topo::LinkIndex link, TimePoint now) {
 }
 
 void BeaconServer::schedule_reorigination(topo::LinkIndex link, TimePoint now) {
-  const auto& b = config_.reorigination;
   BackoffState& st = backoff_[link];
   st.down = false;
   // A link that stayed up long enough since its previous recovery earns a
   // fresh (fast) retry schedule; a flapping link keeps escalating.
   if (st.last_recovery != TimePoint{} &&
-      now - st.last_recovery > b.stable_reset) {
+      now - st.last_recovery > kBackoffStableReset) {
     st.attempts = 0;
   }
   st.last_recovery = now;
   double scale = 1.0;
-  for (std::uint32_t i = 0; i < st.attempts; ++i) scale *= b.multiplier;
-  const double capped = std::min(static_cast<double>(b.base.ns()) * scale,
-                                 static_cast<double>(b.max.ns()));
-  // The jitter draw happens on every recovery (even with jitter == 0) so
-  // the stream position is independent of the configured amplitude.
-  const double jittered =
-      capped * backoff_rng_.uniform(1.0 - b.jitter, 1.0 + b.jitter);
+  for (std::uint32_t i = 0; i < st.attempts; ++i) scale *= kBackoffMultiplier;
+  const double capped =
+      std::min(static_cast<double>(kBackoffBase.ns()) * scale,
+               static_cast<double>(kBackoffMax.ns()));
+  const double jittered = capped * backoff_rng_.uniform(1.0 - kBackoffJitter,
+                                                        1.0 + kBackoffJitter);
   const auto delay = Duration::nanoseconds(static_cast<std::int64_t>(jittered));
   ++st.attempts;
   const std::uint32_t epoch = st.epoch;

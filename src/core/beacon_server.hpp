@@ -72,22 +72,12 @@ struct BeaconServerConfig {
   /// Beacon re-origination retry on interface recovery (core ASes only):
   /// instead of waiting for the next interval, the origin re-beacons on the
   /// recovered link after an exponential-backoff delay, so one recovery is
-  /// fast but a flapping interface does not amplify control traffic.
-  struct ReoriginationBackoff {
-    bool enabled{false};
-    /// First-retry delay; doubles (times `multiplier`) per recent recovery.
-    util::Duration base{util::Duration::seconds(5)};
-    double multiplier{2.0};
-    util::Duration max{util::Duration::minutes(10)};
-    /// Multiplicative jitter amplitude: delay *= U[1-jitter, 1+jitter].
-    double jitter{0.1};
-    /// A link stable for this long gets its attempt counter reset.
-    util::Duration stable_reset{util::Duration::minutes(10)};
-  };
-  ReoriginationBackoff reorigination{};
+  /// fast but a flapping interface does not amplify control traffic. The
+  /// delay schedule is fixed in beacon_server.cpp. Default off.
+  bool reorigination{false};
   /// Schedules `fn` to run after `delay`; the callback receives the fire
   /// time (the server keeps no clock). Wired by the simulation; required
-  /// when reorigination.enabled.
+  /// when reorigination is on.
   std::function<void(util::Duration, std::function<void(TimePoint)>)>
       schedule{};
   /// Seed for the re-origination jitter stream (folded with the AS index,

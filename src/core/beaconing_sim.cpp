@@ -37,7 +37,7 @@ BeaconingSim::BeaconingSim(const topo::Topology& topology,
   // link order, so node_of()/channel_of() are identity mappings; the asserts
   // below pin that invariant.
   for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) {
-    const sim::NodeId node = net_.add_node(topology_.as_id(i).to_string());
+    const sim::NodeId node = net_.add_node();
     SCION_CHECK(node == node_of(i), "node ids must mirror AS indices");
     (void)node;
   }

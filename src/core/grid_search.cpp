@@ -9,6 +9,10 @@ namespace scion::ctrl {
 
 namespace {
 
+/// Each refinement step moves one parameter by this fraction of the coarse
+/// winner's value.
+constexpr double kRefineFraction = 0.5;
+
 util::Bytes run_bytes(const topo::Topology& scion_view,
                       const BeaconingSimConfig& config) {
   BeaconingSim sim{scion_view, config};
@@ -59,7 +63,8 @@ EvaluatedPoint evaluate_diversity_params(const topo::Topology& scion_view,
           ? static_cast<double>(sim.total_bytes().value()) /
                 static_cast<double>(baseline_bytes.value())
           : 0.0;
-  point.objective = point.quality - config.overhead_weight * point.overhead;
+  point.objective =
+      point.quality - GridSearchConfig::overhead_weight * point.overhead;
   return point;
 }
 
@@ -112,7 +117,7 @@ GridSearchResult grid_search_diversity_params(const topo::Topology& scion_view,
   const DiversityParams center = result.best.params;
   std::vector<DiversityParams> fine;
   for (int step = 1; step <= config.refine_steps; ++step) {
-    const double f = config.refine_fraction * step;
+    const double f = kRefineFraction * step;
     for (const double direction : {-1.0, 1.0}) {
       DiversityParams p = center;
       p.alpha = std::max(0.0, center.alpha * (1.0 + direction * f));

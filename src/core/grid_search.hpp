@@ -22,14 +22,13 @@ struct GridSearchConfig {
   /// Weight of the overhead penalty: objective = quality - weight * relative
   /// overhead (relative to the baseline algorithm; typically << 1 for any
   /// sane parameters, so small weights suffice).
-  double overhead_weight{0.5};
+  static constexpr double overhead_weight = 0.5;
   /// Exponentially spaced candidates for the coarse pass.
   std::vector<double> coarse_alpha{0.5, 2.0, 8.0};
   std::vector<double> coarse_beta{1.0, 3.0, 9.0};
   std::vector<double> coarse_gamma{1.0, 2.0, 4.0};
   /// Linear refinement steps around the coarse winner (+/- step, per axis).
   int refine_steps{1};
-  double refine_fraction{0.5};
   std::uint64_t seed{1};
   /// Worker count for the per-point evaluations (0 = exec::default_jobs()).
   /// The winner and the evaluation log are byte-identical for any value.

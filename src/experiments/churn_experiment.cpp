@@ -1,7 +1,5 @@
 #include "experiments/churn_experiment.hpp"
 
-#include <algorithm>
-
 #include "bgp/bgp_sim.hpp"
 #include "core/beaconing_sim.hpp"
 #include "exec/task_pool.hpp"
@@ -10,6 +8,7 @@
 #include "obs/report.hpp"
 #include "util/rng.hpp"
 
+#include "experiments/connectivity_probe.hpp"
 #include "experiments/scale.hpp"
 
 namespace scion::exp {
@@ -23,65 +22,30 @@ const obs::EventLabel kProbeLabel = obs::event_label("experiment.probe");
 /// every other use of the experiment seed.
 constexpr std::uint64_t kChurnSeedMix = 0xC0FFEE9E3779B97FULL;
 
-/// Per-pair connectivity state machine fed by the periodic probe.
-struct PairState {
-  bool seen{false};
-  bool up{false};
-  bool in_outage{false};
-  util::TimePoint down_since;
-};
+// The synthesized scenario: a steady heavy-tailed churn process on a link
+// fraction (aggressive timescales, so damping demonstrably engages) plus
+// kSessionRestarts restarts spread evenly across the window.
+constexpr util::Duration kChurnUpMin = util::Duration::minutes(2);
+constexpr util::Duration kChurnUpMax = util::Duration::minutes(20);
+constexpr double kChurnUpAlpha = 1.1;
+constexpr util::Duration kChurnDownMin = util::Duration::seconds(30);
+constexpr util::Duration kChurnDownMax = util::Duration::minutes(3);
+constexpr double kChurnDownAlpha = 1.3;
+constexpr std::size_t kSessionRestarts = 4;
+constexpr util::Duration kSessionRestartDuration = util::Duration::seconds(90);
 
-template <typename PairUpFn>
-void probe_round(ChurnSeries& series, std::vector<PairState>& states,
-                 util::TimePoint now, PairUpFn&& pair_up) {
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    const bool up = pair_up(i);
-    ++series.probes;
-    if (up) ++series.probes_up;
-    PairState& st = states[i];
-    if (st.seen) {
-      if (st.up && !up) {
-        st.in_outage = true;
-        st.down_since = now;
-        ++series.outages;
-      } else if (!st.up && up && st.in_outage) {
-        series.convergence_seconds.add((now - st.down_since).as_seconds());
-        ++series.recovered;
-        st.in_outage = false;
-      }
-    }
-    st.seen = true;
-    st.up = up;
-  }
-}
+/// SCION series: PCBs sent per origin AS and interval, and stored per
+/// origin AS.
+constexpr std::size_t kDisseminationLimit = 5;
+constexpr std::size_t kStorageLimit = 60;
 
 void finalize(ChurnSeries& series, const std::vector<PairState>& states) {
-  for (const PairState& st : states) {
-    if (st.in_outage) ++series.unrecovered;
-  }
-  series.availability =
-      series.probes > 0 ? static_cast<double>(series.probes_up) /
-                              static_cast<double>(series.probes)
-                        : 0.0;
+  finalize_probes(series, states);
   series.amplification =
       series.control_messages_clean > 0
           ? static_cast<double>(series.control_messages) /
                 static_cast<double>(series.control_messages_clean)
           : 0.0;
-}
-
-/// One stored path is live iff every link it traverses is currently up.
-bool any_path_live(const std::vector<std::vector<topo::LinkIndex>>& paths,
-                   const sim::Network& net) {
-  for (const auto& path : paths) {
-    if (path.empty()) continue;
-    const bool live =
-        std::all_of(path.begin(), path.end(), [&net](topo::LinkIndex l) {
-          return net.channel_up(static_cast<sim::ChannelId>(l));
-        });
-    if (live) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -104,12 +68,12 @@ ChurnResult run_churn_experiment(const topo::Topology& bgp_view,
     churn.profile = faults::ChurnSpec::Profile::kSteady;
     churn.links = faults::LinkClass::kAll;
     churn.link_fraction = config.churn_link_fraction;
-    churn.up_min = config.churn_up_min;
-    churn.up_max = config.churn_up_max;
-    churn.up_alpha = config.churn_up_alpha;
-    churn.down_min = config.churn_down_min;
-    churn.down_max = config.churn_down_max;
-    churn.down_alpha = config.churn_down_alpha;
+    churn.up_min = kChurnUpMin;
+    churn.up_max = kChurnUpMax;
+    churn.up_alpha = kChurnUpAlpha;
+    churn.down_min = kChurnDownMin;
+    churn.down_max = kChurnDownMax;
+    churn.down_alpha = kChurnDownAlpha;
     churn.start = util::Duration::zero();
     churn.duration = config.sim_duration;
     plan.churn.push_back(churn);
@@ -117,7 +81,7 @@ ChurnResult run_churn_experiment(const topo::Topology& bgp_view,
     // Session restarts spread evenly across the window, on links drawn from
     // a dedicated substream (link indices are shared by both views).
     util::Rng restart_rng = util::Rng::substream(plan.seed, 0x5E55);
-    for (std::size_t i = 0; i < config.session_restarts; ++i) {
+    for (std::size_t i = 0; i < kSessionRestarts; ++i) {
       faults::Event ev;
       ev.kind = faults::Event::Kind::kSessionRestart;
       ev.target = static_cast<std::uint32_t>(restart_rng.uniform_int(
@@ -126,8 +90,8 @@ ChurnResult run_churn_experiment(const topo::Topology& bgp_view,
       ev.at = util::Duration::nanoseconds(config.sim_duration.ns() *
                                           static_cast<std::int64_t>(i + 1) /
                                           static_cast<std::int64_t>(
-                                              config.session_restarts + 1));
-      ev.duration = config.session_restart_duration;
+                                              kSessionRestarts + 1));
+      ev.duration = kSessionRestartDuration;
       plan.events.push_back(ev);
     }
   }
@@ -145,9 +109,7 @@ ChurnResult run_churn_experiment(const topo::Topology& bgp_view,
       bc.convergence_window = config.warmup;
       bc.churn_window = config.sim_duration;
       bc.flaps_per_adjacency_per_day = 0.0;  // churn comes from the plan
-      bc.damping = config.damping;
       bc.damping.enabled = damping_on;
-      bc.graceful_restart = config.graceful_restart;
       bc.graceful_restart.enabled = gr_on;
       bc.faults = p;
       return bc;
@@ -167,10 +129,12 @@ ChurnResult run_churn_experiment(const topo::Topology& bgp_view,
     sim.simulator().schedule_periodic(
         measure_start + config.probe_interval, config.probe_interval,
         kProbeLabel, [&] {
-          probe_round(series, states, sim.simulator().now(), [&](std::size_t i) {
-            const auto [s, t] = result.pairs[i];
-            return sim.has_live_route(s, t) && sim.has_live_route(t, s);
-          });
+          probe_round(series, series.convergence_seconds, states,
+                      sim.simulator().now(), [&](std::size_t i) {
+                        const auto [s, t] = result.pairs[i];
+                        return sim.has_live_route(s, t) &&
+                               sim.has_live_route(t, s);
+                      });
         });
     sim.run();
     series.control_messages = sim.total_updates_sent();
@@ -189,12 +153,12 @@ ChurnResult run_churn_experiment(const topo::Topology& bgp_view,
       ctrl::BeaconingSimConfig c;
       c.server.algorithm = ctrl::AlgorithmKind::kBaseline;
       c.server.mode = ctrl::BeaconingMode::kCore;
-      c.server.storage_limit = config.storage_limit;
-      c.server.dissemination_limit = config.dissemination_limit;
+      c.server.storage_limit = kStorageLimit;
+      c.server.dissemination_limit = kDisseminationLimit;
       c.server.compute_crypto = false;
       if (robust) {
         c.server.stale_quarantine = true;
-        c.server.reorigination.enabled = true;
+        c.server.reorigination = true;
       }
       c.sim_duration = config.sim_duration;
       c.warmup = config.warmup;
@@ -217,16 +181,11 @@ ChurnResult run_churn_experiment(const topo::Topology& bgp_view,
     sim.simulator().schedule_periodic(
         measure_start + config.probe_interval, config.probe_interval,
         kProbeLabel, [&] {
-          probe_round(series, states, sim.simulator().now(), [&](std::size_t i) {
-            const auto [s, t] = result.pairs[i];
-            std::vector<std::vector<topo::LinkIndex>> paths =
-                sim.paths_at(s, scion_view.as_id(t));
-            std::vector<std::vector<topo::LinkIndex>> reverse =
-                sim.paths_at(t, scion_view.as_id(s));
-            paths.insert(paths.end(), std::make_move_iterator(reverse.begin()),
-                         std::make_move_iterator(reverse.end()));
-            return any_path_live(paths, sim.network());
-          });
+          probe_round(series, series.convergence_seconds, states,
+                      sim.simulator().now(), [&](std::size_t i) {
+                        const auto [s, t] = result.pairs[i];
+                        return scion_pair_live(sim, s, t);
+                      });
         });
     sim.run();
     series.control_messages = sim.total_pcbs_sent();

@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "bgp/speaker.hpp"
 #include "faults/fault_injector.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -39,24 +38,11 @@ struct ChurnConfig {
   util::Duration warmup{util::Duration::minutes(30)};
   /// Connectivity probe cadence; convergence lags are quantized to it.
   util::Duration probe_interval{util::Duration::seconds(10)};
-  std::size_t dissemination_limit{5};
-  std::size_t storage_limit{60};
-  /// Shared scenario. When empty, a steady heavy-tailed churn process plus
-  /// `session_restarts` scheduled restarts is synthesized from the knobs
-  /// below (aggressive timescales, so damping demonstrably engages).
+  /// Shared scenario. When empty, a steady heavy-tailed churn process on
+  /// `churn_link_fraction` of the links plus a few scheduled session
+  /// restarts is synthesized (see churn_experiment.cpp).
   faults::FaultPlan faults{};
   double churn_link_fraction{0.5};
-  util::Duration churn_up_min{util::Duration::minutes(2)};
-  util::Duration churn_up_max{util::Duration::minutes(20)};
-  double churn_up_alpha{1.1};
-  util::Duration churn_down_min{util::Duration::seconds(30)};
-  util::Duration churn_down_max{util::Duration::minutes(3)};
-  double churn_down_alpha{1.3};
-  std::size_t session_restarts{4};
-  util::Duration session_restart_duration{util::Duration::seconds(90)};
-  /// Mechanism parameters (the `enabled` flags are overridden per series).
-  bgp::DampingConfig damping{};
-  bgp::GracefulRestartConfig graceful_restart{};
   std::uint64_t seed{1};
   /// Worker count for the independent series runs (0 = exec::default_jobs()).
   /// Results are byte-identical for any value.

@@ -1,7 +1,5 @@
 #include "experiments/resilience_experiment.hpp"
 
-#include <algorithm>
-
 #include "bgp/bgp_sim.hpp"
 #include "core/beaconing_sim.hpp"
 #include "exec/task_pool.hpp"
@@ -10,6 +8,8 @@
 #include "obs/report.hpp"
 #include "util/rng.hpp"
 
+#include "experiments/connectivity_probe.hpp"
+
 namespace scion::exp {
 
 namespace {
@@ -17,63 +17,16 @@ namespace {
 // Event-cost attribution label for the connectivity probe timers.
 const obs::EventLabel kProbeLabel = obs::event_label("experiment.probe");
 
-/// Per-pair connectivity state machine fed by the periodic probe.
-struct PairState {
-  bool seen{false};
-  bool up{false};
-  bool in_outage{false};
-  util::TimePoint down_since;
-};
-
-/// Feeds one probe round into the state machines. `pair_up(i)` answers
-/// whether sampled pair i currently has a live path.
-template <typename PairUpFn>
-void probe_round(DynResilienceSeries& series, std::vector<PairState>& states,
-                 util::TimePoint now, PairUpFn&& pair_up) {
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    const bool up = pair_up(i);
-    ++series.probes;
-    if (up) ++series.probes_up;
-    PairState& st = states[i];
-    if (st.seen) {
-      if (st.up && !up) {
-        st.in_outage = true;
-        st.down_since = now;
-        ++series.outages;
-      } else if (!st.up && up && st.in_outage) {
-        series.recovery_seconds.add((now - st.down_since).as_seconds());
-        ++series.recovered;
-        st.in_outage = false;
-      }
-    }
-    st.seen = true;
-    st.up = up;
-  }
-}
-
-void finalize(DynResilienceSeries& series, const std::vector<PairState>& states) {
-  for (const PairState& st : states) {
-    if (st.in_outage) ++series.unrecovered;
-  }
-  series.availability =
-      series.probes > 0 ? static_cast<double>(series.probes_up) /
-                              static_cast<double>(series.probes)
-                        : 0.0;
-}
-
-/// One stored path is live iff every link it traverses is currently up.
-bool any_path_live(const std::vector<std::vector<topo::LinkIndex>>& paths,
-                   const sim::Network& net) {
-  for (const auto& path : paths) {
-    if (path.empty()) continue;
-    const bool live =
-        std::all_of(path.begin(), path.end(), [&net](topo::LinkIndex l) {
-          return net.channel_up(static_cast<sim::ChannelId>(l));
-        });
-    if (live) return true;
-  }
-  return false;
-}
+/// Warm-up before the measurement window: SCION beacon-store population,
+/// BGP cold-start convergence.
+constexpr util::Duration kWarmup = util::Duration::minutes(30);
+/// SCION series: PCBs sent per origin AS and interval, and stored per
+/// origin AS.
+constexpr std::size_t kDisseminationLimit = 5;
+constexpr std::size_t kStorageLimit = 60;
+/// Downtime bounds of the default flap scenario.
+constexpr util::Duration kDefaultDowntimeMin = util::Duration::seconds(30);
+constexpr util::Duration kDefaultDowntimeMax = util::Duration::minutes(3);
 
 }  // namespace
 
@@ -94,8 +47,8 @@ DynResilienceResult run_dyn_resilience_experiment(
   if (plan.empty() && config.default_flap_rate_per_hour > 0.0) {
     faults::FlapProcess flap;
     flap.rate_per_hour = config.default_flap_rate_per_hour;
-    flap.downtime_min = config.default_downtime_min;
-    flap.downtime_max = config.default_downtime_max;
+    flap.downtime_min = kDefaultDowntimeMin;
+    flap.downtime_max = kDefaultDowntimeMax;
     plan.flaps.push_back(flap);
     plan.seed = config.seed ^ 0x9E3779B97F4A7C15ULL;
   }
@@ -109,14 +62,14 @@ DynResilienceResult run_dyn_resilience_experiment(
     ctrl::BeaconingSimConfig c;
     c.server.algorithm = algorithm;
     c.server.mode = ctrl::BeaconingMode::kCore;
-    c.server.storage_limit = config.storage_limit;
-    c.server.dissemination_limit = config.dissemination_limit;
+    c.server.storage_limit = kStorageLimit;
+    c.server.dissemination_limit = kDisseminationLimit;
     c.server.compute_crypto = false;
     if (algorithm == ctrl::AlgorithmKind::kDiversity) {
       c.server.store_policy = ctrl::StorePolicy::kDiversityAware;
     }
     c.sim_duration = config.sim_duration;
-    c.warmup = config.warmup;
+    c.warmup = kWarmup;
     c.seed = config.seed;
     c.faults = plan;
     ctrl::BeaconingSim sim{scion_view, c};
@@ -124,24 +77,18 @@ DynResilienceResult run_dyn_resilience_experiment(
     DynResilienceSeries series;
     series.name = name;
     std::vector<PairState> states(result.pairs.size());
-    const util::TimePoint measure_start =
-        util::TimePoint::origin() + config.warmup;
+    const util::TimePoint measure_start = util::TimePoint::origin() + kWarmup;
     sim.simulator().schedule_periodic(
         measure_start + config.probe_interval, config.probe_interval,
         kProbeLabel, [&] {
-          probe_round(series, states, sim.simulator().now(), [&](std::size_t i) {
-            const auto [s, t] = result.pairs[i];
-            std::vector<std::vector<topo::LinkIndex>> paths =
-                sim.paths_at(s, scion_view.as_id(t));
-            std::vector<std::vector<topo::LinkIndex>> reverse =
-                sim.paths_at(t, scion_view.as_id(s));
-            paths.insert(paths.end(), std::make_move_iterator(reverse.begin()),
-                         std::make_move_iterator(reverse.end()));
-            return any_path_live(paths, sim.network());
-          });
+          probe_round(series, series.recovery_seconds, states,
+                      sim.simulator().now(), [&](std::size_t i) {
+                        const auto [s, t] = result.pairs[i];
+                        return scion_pair_live(sim, s, t);
+                      });
         });
     sim.run();
-    finalize(series, states);
+    finalize_probes(series, states);
     if (sim.injector() != nullptr) series.fault_stats = sim.injector()->stats();
     series.drops = sim.network().drop_stats();
     series.pcbs_revoked = sim.aggregate_stats().pcbs_revoked;
@@ -152,7 +99,7 @@ DynResilienceResult run_dyn_resilience_experiment(
     obs::ProfilePhase phase{"dyn_resilience.BGP"};
     bgp::BgpSimConfig bc;
     bc.seed = config.seed;
-    bc.convergence_window = config.warmup;
+    bc.convergence_window = kWarmup;
     bc.churn_window = config.sim_duration;
     bc.flaps_per_adjacency_per_day = 0.0;  // churn comes from the shared plan
     bc.faults = plan;
@@ -161,26 +108,26 @@ DynResilienceResult run_dyn_resilience_experiment(
     DynResilienceSeries series;
     series.name = "BGP";
     std::vector<PairState> states(result.pairs.size());
-    const util::TimePoint measure_start =
-        util::TimePoint::origin() + config.warmup;
+    const util::TimePoint measure_start = util::TimePoint::origin() + kWarmup;
     sim.simulator().schedule_periodic(
         measure_start + config.probe_interval, config.probe_interval,
         kProbeLabel, [&] {
-          probe_round(series, states, sim.simulator().now(), [&](std::size_t i) {
-            const auto [s, t] = result.pairs[i];
-            return sim.has_live_route(s, t) && sim.has_live_route(t, s);
-          });
+          probe_round(series, series.recovery_seconds, states,
+                      sim.simulator().now(), [&](std::size_t i) {
+                        const auto [s, t] = result.pairs[i];
+                        return sim.has_live_route(s, t) &&
+                               sim.has_live_route(t, s);
+                      });
         });
     sim.run();
-    finalize(series, states);
+    finalize_probes(series, states);
     series.fault_stats = sim.injector().stats();
     series.drops = sim.network().drop_stats();
     return series;
   };
 
-  const std::size_t n_series = config.include_bgp ? 3 : 2;
   result.series = exec::parallel_map_n(
-      n_series,
+      3,
       [&](std::size_t i) {
         switch (i) {
           case 0:

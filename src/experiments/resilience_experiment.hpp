@@ -35,19 +35,13 @@ struct DynResilienceConfig {
   /// Measurement window under churn (after each system's own warm-up /
   /// convergence phase).
   util::Duration sim_duration{util::Duration::hours(1)};
-  /// Beacon-store population time before measurement starts (SCION runs).
-  util::Duration warmup{util::Duration::minutes(30)};
   /// Connectivity probe cadence; recovery times are quantized to it.
   util::Duration probe_interval{util::Duration::seconds(10)};
-  std::size_t dissemination_limit{5};
-  std::size_t storage_limit{60};
-  bool include_bgp{true};
-  /// Fault scenario shared by all series. When empty, a default churn
-  /// scenario is synthesized from the three knobs below.
+  /// Fault scenario shared by all series. When empty, a default flap
+  /// process at `default_flap_rate_per_hour` is synthesized (see
+  /// resilience_experiment.cpp for its downtime bounds).
   faults::FaultPlan faults{};
   double default_flap_rate_per_hour{60.0};
-  util::Duration default_downtime_min{util::Duration::seconds(30)};
-  util::Duration default_downtime_max{util::Duration::minutes(3)};
   std::uint64_t seed{1};
   /// Worker count for the independent series runs (0 = exec::default_jobs()).
   /// Results are byte-identical for any value.
@@ -78,8 +72,8 @@ struct DynResilienceResult {
   std::vector<DynResilienceSeries> series;
 };
 
-/// Runs SCION baseline, SCION diversity, and (optionally) BGP through the
-/// configured fault scenario on the two views of the same core network.
+/// Runs SCION baseline, SCION diversity, and BGP through the configured
+/// fault scenario on the two views of the same core network.
 DynResilienceResult run_dyn_resilience_experiment(
     const topo::Topology& bgp_view, const topo::Topology& scion_view,
     const DynResilienceConfig& config);

@@ -22,13 +22,13 @@ ObsSession::ObsSession(std::string_view binary, const util::Flags& flags,
   chrome_trace_path_ = flags.get("chrome-trace-out", "");
 
   const std::string trace_path = flags.get("trace-out", "");
+  const std::string filter = flags.get("trace-filter", "all");
   if (!trace_path.empty()) {
     trace_file_.open(trace_path);
     if (!trace_file_) {
       std::cerr << "obs: cannot open --trace-out file " << trace_path << '\n';
     } else {
       sink_ = std::make_unique<TraceSink>(trace_file_);
-      const std::string filter = flags.get("trace-filter", "all");
       if (!sink_->set_filter(filter)) {
         std::cerr << "obs: unknown category in --trace-filter=" << filter
                   << " (known: simnet,beacon,bgp,scion,sig,experiment,"

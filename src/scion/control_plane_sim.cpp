@@ -25,12 +25,14 @@ const obs::EventLabel kRegistrationLabel =
 const obs::EventLabel kRegisterDownLabel =
     obs::event_label("path.register_down");
 const obs::EventLabel kLookupLabel = obs::event_label("path.lookup");
-const obs::EventLabel kReoriginLabel = obs::event_label("beacon.reorigin");
 
-/// Folded into the sim seed for the reorigination jitter streams, so they
-/// are decorrelated from every other use of the seed without consuming the
-/// constructor RNG (which would shift all existing baselines).
-constexpr std::uint64_t kReoriginSeedMix = 0xB5297A4D3C5B9BD5ULL;
+/// Beaconing interval of both hierarchy levels (paper: 10 minutes); the
+/// beacon servers' own PCB lifetime is BeaconServerConfig's 6 hours.
+constexpr util::Duration kBeaconInterval = util::Duration::minutes(10);
+/// Segments a leaf registers per origin core AS.
+constexpr std::size_t kSegmentsPerRegistration = 5;
+/// Lifetime of a path server's cached lookup result.
+constexpr util::Duration kCacheTtl = util::Duration::minutes(30);
 
 }  // namespace
 
@@ -43,7 +45,7 @@ ControlPlaneSim::ControlPlaneSim(const topo::Topology& topology,
   // Nodes + channels (NodeId == AsIndex, ChannelId == LinkIndex by
   // construction; node_of()/channel_of() spell the mapping out).
   for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) {
-    const sim::NodeId node = net_.add_node(topology_.as_id(i).to_string());
+    const sim::NodeId node = net_.add_node();
     SCION_CHECK(node == node_of(i), "node ids must mirror AS indices");
     (void)node;
   }
@@ -76,30 +78,19 @@ ControlPlaneSim::ControlPlaneSim(const topo::Topology& topology,
   // originate towards customers, non-cores relay to theirs). PCB sends are
   // recorded in the ledger with the scope of the traversed link.
   ctrl::BeaconServerConfig base;
-  base.interval = config_.beacon_interval;
-  base.pcb_lifetime = config_.pcb_lifetime;
-  base.dissemination_limit = config_.dissemination_limit;
-  base.storage_limit = config_.storage_limit;
+  base.dissemination_limit = ControlPlaneSimConfig::dissemination_limit;
+  base.storage_limit = ControlPlaneSimConfig::storage_limit;
   base.algorithm = config_.algorithm;
   if (config_.algorithm == ctrl::AlgorithmKind::kDiversity) {
     base.store_policy = ctrl::StorePolicy::kDiversityAware;
   }
-  base.stale_quarantine = config_.stale_quarantine;
-  base.stale_timeout = config_.stale_timeout;
-  base.reorigination = config_.reorigination;
-  base.backoff_seed = config_.seed ^ kReoriginSeedMix;
-  base.schedule = [this](util::Duration delay,
-                         std::function<void(util::TimePoint)> fn) {
-    sim_.schedule_after(delay, kReoriginLabel,
-                        [this, fn = std::move(fn)] { fn(sim_.now()); });
-  };
 
   core_servers_.resize(topology_.as_count());
   intra_servers_.resize(topology_.as_count());
   path_servers_.reserve(topology_.as_count());
   for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) {
     path_servers_.push_back(std::make_unique<PathServer>(
-        std::max<std::size_t>(8, config_.storage_limit)));
+        std::max<std::size_t>(8, ControlPlaneSimConfig::storage_limit)));
 
     auto make_send = [this, i](const char* comp) {
       return [this, i, comp](topo::LinkIndex egress, const ctrl::PcbRef& pcb) {
@@ -144,9 +135,9 @@ ControlPlaneSim::ControlPlaneSim(const topo::Topology& topology,
   // Periodic drivers.
   for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) {
     const auto offset = util::Duration::nanoseconds(
-        rng_.uniform_int(0, config_.beacon_interval.ns() - 1));
+        rng_.uniform_int(0, kBeaconInterval.ns() - 1));
     sim_.schedule_periodic(util::TimePoint::origin() + offset,
-                           config_.beacon_interval, kIntervalLabel, [this, i] {
+                           kBeaconInterval, kIntervalLabel, [this, i] {
                              if (core_servers_[i]) {
                                ledger_.record_operation(component::kCoreBeaconing);
                                core_servers_[i]->on_interval(sim_.now());
@@ -160,7 +151,7 @@ ControlPlaneSim::ControlPlaneSim(const topo::Topology& topology,
     // First registration only after beaconing had a chance to reach the
     // leaf (one interval in).
     const auto offset =
-        config_.beacon_interval +
+        kBeaconInterval +
         util::Duration::nanoseconds(
             rng_.uniform_int(0, config_.registration_interval.ns() - 1));
     sim_.schedule_periodic(util::TimePoint::origin() + offset,
@@ -177,15 +168,14 @@ ControlPlaneSim::ControlPlaneSim(const topo::Topology& topology,
   if (config_.link_failures_per_hour > 0.0) {
     faults::FlapProcess flap;
     flap.rate_per_hour = config_.link_failures_per_hour;
-    flap.downtime_min = config_.failure_downtime;
-    flap.downtime_max = config_.failure_downtime;
+    flap.downtime_min = ControlPlaneSimConfig::failure_downtime;
+    flap.downtime_max = ControlPlaneSimConfig::failure_downtime;
     flap.links = faults::LinkClass::kProviderCustomer;
     plan.flaps.push_back(flap);
   }
   if (legacy_only) plan.seed = config_.seed ^ kFaultSeedMix;
   faults::FaultInjector::Hooks hooks;
   hooks.on_link_down = [this](topo::LinkIndex l) { on_link_down(l); };
-  hooks.on_link_up = [this](topo::LinkIndex l) { on_link_up(l); };
   injector_ = std::make_unique<faults::FaultInjector>(net_, std::move(plan),
                                                       &topology_,
                                                       std::move(hooks));
@@ -232,7 +222,7 @@ void ControlPlaneSim::do_registration(topo::AsIndex leaf) {
       segments.push_back(make_segment(topology_, stored, leaf,
                                       SegmentType::kDown, sign_key, fwd_key,
                                       /*include_peers=*/true));
-      if (segments.size() >= config_.segments_per_registration) break;
+      if (segments.size() >= kSegmentsPerRegistration) break;
     }
     if (segments.empty()) continue;
 
@@ -253,10 +243,6 @@ void ControlPlaneSim::do_registration(topo::AsIndex leaf) {
                           }
                         });
   }
-
-  // Core path servers also absorb their beacon server's core segments
-  // (AS-local operation).
-  if (topology_.is_core(leaf)) return;
 }
 
 std::vector<PathSegment> ControlPlaneSim::fetch_core_segments(
@@ -294,7 +280,7 @@ std::vector<PathSegment> ControlPlaneSim::fetch_core_segments(
   for (const PathSegment& s : result) total_bytes += s.wire_size();
   record_service_message(component::kCoreSegmentLookup, via, src,
                          segment_response_bytes(result.size(), total_bytes));
-  ps.cache_put(cache_key, result, now, config_.cache_ttl);
+  ps.cache_put(cache_key, result, now, kCacheTtl);
   return result;
 }
 
@@ -321,7 +307,7 @@ std::vector<PathSegment> ControlPlaneSim::fetch_down_segments(
     result.insert(result.end(), std::make_move_iterator(fetched.begin()),
                   std::make_move_iterator(fetched.end()));
   }
-  ps.cache_put(dst, result, now, config_.cache_ttl);
+  ps.cache_put(dst, result, now, kCacheTtl);
   return result;
 }
 
@@ -427,24 +413,11 @@ void ControlPlaneSim::on_link_down(topo::LinkIndex l) {
   }
 }
 
-void ControlPlaneSim::on_link_up(topo::LinkIndex l) {
-  const topo::Link& link = topology_.link(l);
-  // Both endpoint ASes see the interface recover: quarantined PCBs are
-  // revalidated, and core origination interfaces get a backoff-scheduled
-  // re-beacon so downstream stores refill before the next interval.
-  for (const topo::AsIndex observer : {link.a, link.b}) {
-    if (core_servers_[observer]) {
-      core_servers_[observer]->on_link_up(l, sim_.now());
-    }
-    intra_servers_[observer]->on_link_up(l, sim_.now());
-  }
-}
-
 void ControlPlaneSim::run() {
   SCION_CHECK(!ran_, "run() is single-shot");
   ran_ = true;
   // Let beaconing populate stores before the workload starts.
-  const util::Duration warmup = config_.beacon_interval * 2;
+  const util::Duration warmup = kBeaconInterval * 2;
   sim_.run_until(util::TimePoint::origin() + warmup);
   schedule_next_lookup();
   const util::TimePoint end =

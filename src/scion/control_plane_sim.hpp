@@ -25,33 +25,25 @@
 namespace scion::svc {
 
 struct ControlPlaneSimConfig {
-  /// Beaconing parameters (shared by both hierarchy levels).
-  util::Duration beacon_interval{util::Duration::minutes(10)};
-  util::Duration pcb_lifetime{util::Duration::hours(6)};
-  std::size_t dissemination_limit{5};
-  std::size_t storage_limit{20};
+  /// Dissemination and storage limits of both hierarchy levels (PCBs per
+  /// origin AS). The beaconing interval (10 minutes) and PCB lifetime
+  /// (6 hours) are the paper's, and revocation evicts stored PCBs.
+  static constexpr std::size_t dissemination_limit = 5;
+  static constexpr std::size_t storage_limit = 20;
   ctrl::AlgorithmKind algorithm{ctrl::AlgorithmKind::kBaseline};
   /// Leaf ASes register segments this often ("every tens of minutes").
   util::Duration registration_interval{util::Duration::minutes(20)};
-  /// Segments registered per origin core AS.
-  std::size_t segments_per_registration{5};
   /// Global endpoint lookup workload (Poisson).
   double lookups_per_second{2.0};
   /// Zipf exponent over destination popularity (Internet traffic follows a
   /// Zipf distribution of destinations, Section 4.1).
   double zipf_exponent{1.1};
-  util::Duration cache_ttl{util::Duration::minutes(30)};
   /// Random provider-customer link failures per hour (drives revocations).
   /// Internally appended to `faults` as a FlapProcess; 0 disables.
   double link_failures_per_hour{2.0};
-  util::Duration failure_downtime{util::Duration::minutes(2)};
-  /// Robustness mechanisms, forwarded to every beacon server (default off;
-  /// see BeaconServerConfig). With quarantine on, a link flap suspends the
-  /// affected PCBs instead of evicting them; backoff re-beacons recovered
-  /// origination interfaces without waiting a full interval.
-  bool stale_quarantine{false};
-  util::Duration stale_timeout{util::Duration::minutes(30)};
-  ctrl::BeaconServerConfig::ReoriginationBackoff reorigination{};
+  /// Downtime of each of those failures.
+  static constexpr util::Duration failure_downtime =
+      util::Duration::minutes(2);
   util::Duration sim_duration{util::Duration::hours(1)};
   std::uint64_t seed{5};
   /// Additional fault scenario, armed when the measurement window starts.
@@ -130,7 +122,6 @@ class ControlPlaneSim {
   void do_lookup();
   void schedule_next_lookup();
   void on_link_down(topo::LinkIndex l);
-  void on_link_up(topo::LinkIndex l);
   topo::AsIndex core_of_isd(topo::IsdId isd, std::size_t salt) const;
   // ISD numbers are 1-based; dense per-ISD tables index from 0.
   static std::size_t isd_slot(topo::IsdId isd) { return isd.value() - 1u; }

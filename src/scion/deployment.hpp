@@ -57,11 +57,6 @@ class DeployedLink {
 
   const DeployedLinkConfig& config() const { return config_; }
 
-  /// No dependency on BGP-routed infrastructure? (Both the native model
-  /// and the short host-routed Router-on-a-stick cross-connection are
-  /// BGP-free; see Section 3.3.)
-  bool bgp_free() const { return true; }
-
   /// Bytes on the wire for a SCION packet of `scion_packet_bytes`.
   util::Bytes wire_bytes(util::Bytes scion_packet_bytes) const;
 

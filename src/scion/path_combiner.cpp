@@ -165,51 +165,47 @@ std::vector<EndToEndPath> combine_segments(
 
       // Shortcut: a shared AS below the core lets the path cross over
       // without visiting either origin.
-      if (options.allow_shortcuts) {
-        for (std::size_t i = 1; i < u.ases.size(); ++i) {
-          for (std::size_t j = 1; j < d.ases.size(); ++j) {
-            if (u.ases[i] != d.ases[j]) continue;
-            EndToEndPath path;
-            path.kind = EndToEndPath::Kind::kShortcut;
-            path.up = share(u);
-            path.down = share(d);
-            path.up_cut = i;
-            path.down_cut = j;
-            append_reverse(path, u, i, /*include_terminal_as=*/true);
-            append_forward(path, d, j, /*include_first_as=*/false);
-            consider(std::move(path));
-          }
+      for (std::size_t i = 1; i < u.ases.size(); ++i) {
+        for (std::size_t j = 1; j < d.ases.size(); ++j) {
+          if (u.ases[i] != d.ases[j]) continue;
+          EndToEndPath path;
+          path.kind = EndToEndPath::Kind::kShortcut;
+          path.up = share(u);
+          path.down = share(d);
+          path.up_cut = i;
+          path.down_cut = j;
+          append_reverse(path, u, i, /*include_terminal_as=*/true);
+          append_forward(path, d, j, /*include_first_as=*/false);
+          consider(std::move(path));
         }
       }
 
       // Peering shortcut: an up-segment AS peers with a down-segment AS and
       // both segments advertise the same peering link.
-      if (options.allow_peering) {
-        const auto& u_entries = u.pcb->entries();
-        const auto& d_entries = d.pcb->entries();
-        for (std::size_t i = 1; i < u.ases.size(); ++i) {
-          for (const ctrl::PeerEntry& pu : u_entries[i].peers) {
-            for (std::size_t j = 1; j < d.ases.size(); ++j) {
-              if (topology.as_id(d.ases[j]) != pu.peer_as) continue;
-              for (const ctrl::PeerEntry& pd : d_entries[j].peers) {
-                if (pd.peer_as != topology.as_id(u.ases[i])) continue;
-                const auto lu =
-                    topology.link_by_interface(u.ases[i], pu.peer_if);
-                const auto ld =
-                    topology.link_by_interface(d.ases[j], pd.peer_if);
-                if (!lu || !ld || *lu != *ld) continue;  // different links
-                EndToEndPath path;
-                path.kind = EndToEndPath::Kind::kPeering;
-                path.up = share(u);
-                path.down = share(d);
-                path.up_cut = i;
-                path.down_cut = j;
-                path.peer_link = *lu;
-                append_reverse(path, u, i, /*include_terminal_as=*/true);
-                path.links.push_back(*lu);
-                append_forward(path, d, j, /*include_first_as=*/true);
-                consider(std::move(path));
-              }
+      const auto& u_entries = u.pcb->entries();
+      const auto& d_entries = d.pcb->entries();
+      for (std::size_t i = 1; i < u.ases.size(); ++i) {
+        for (const ctrl::PeerEntry& pu : u_entries[i].peers) {
+          for (std::size_t j = 1; j < d.ases.size(); ++j) {
+            if (topology.as_id(d.ases[j]) != pu.peer_as) continue;
+            for (const ctrl::PeerEntry& pd : d_entries[j].peers) {
+              if (pd.peer_as != topology.as_id(u.ases[i])) continue;
+              const auto lu =
+                  topology.link_by_interface(u.ases[i], pu.peer_if);
+              const auto ld =
+                  topology.link_by_interface(d.ases[j], pd.peer_if);
+              if (!lu || !ld || *lu != *ld) continue;  // different links
+              EndToEndPath path;
+              path.kind = EndToEndPath::Kind::kPeering;
+              path.up = share(u);
+              path.down = share(d);
+              path.up_cut = i;
+              path.down_cut = j;
+              path.peer_link = *lu;
+              append_reverse(path, u, i, /*include_terminal_as=*/true);
+              path.links.push_back(*lu);
+              append_forward(path, d, j, /*include_first_as=*/true);
+              consider(std::move(path));
             }
           }
         }

@@ -50,8 +50,6 @@ const char* to_string(EndToEndPath::Kind k);
 
 struct CombineOptions {
   std::size_t max_paths{32};
-  bool allow_shortcuts{true};
-  bool allow_peering{true};
 };
 
 /// Enumerates loop-free end-to-end paths from `src` to `dst`, shortest

@@ -66,17 +66,6 @@ std::vector<PathSegment> PathServer::down_segments(topo::AsIndex leaf,
   return valid_of(down_by_leaf_, leaf, now);
 }
 
-void PathServer::register_core_segment(PathSegment segment) {
-  ++stats_.segments_registered;
-  const topo::AsIndex origin = segment.origin_as();
-  insert_segment(core_by_origin_, origin, std::move(segment));
-}
-
-std::vector<PathSegment> PathServer::core_segments(topo::AsIndex origin_core,
-                                                   util::TimePoint now) const {
-  return valid_of(core_by_origin_, origin_core, now);
-}
-
 void PathServer::register_up_segment(PathSegment segment) {
   ++stats_.segments_registered;
   for (PathSegment& existing : up_) {
@@ -113,10 +102,8 @@ std::size_t PathServer::revoke_link(topo::LinkIndex link) {
   };
   // Per-bucket erase_if with a commutative integer total; visit order is
   // irrelevant. simlint:allow(unordered-iter)
-  for (auto* map : {&down_by_leaf_, &core_by_origin_}) {
-    for (auto& [key, bucket] : *map) {
-      dropped += static_cast<std::size_t>(std::erase_if(bucket, contains));
-    }
+  for (auto& [key, bucket] : down_by_leaf_) {
+    dropped += static_cast<std::size_t>(std::erase_if(bucket, contains));
   }
   dropped += static_cast<std::size_t>(std::erase_if(up_, contains));
   return dropped;

@@ -1,10 +1,10 @@
 // Path server (Section 2.2, "Path Segment Dissemination").
 //
 // Each AS's control service runs a path server. A core AS's path server
-// stores the down-path segments registered by the leaf ASes of its ISD and
-// the core-path segments its beacon server discovered; non-core path
-// servers keep the AS's own up-segments and a TTL cache of remote lookup
-// results (the infrastructure "bears similarities to DNS").
+// stores the down-path segments registered by the leaf ASes of its ISD;
+// non-core path servers keep the AS's own up-segments and a TTL cache of
+// remote lookup results (the infrastructure "bears similarities to DNS").
+// Core-path segments are served from the core beacon servers' stores.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +48,6 @@ class PathServer {
   std::vector<PathSegment> down_segments(topo::AsIndex leaf,
                                          util::TimePoint now) const;
 
-  /// Stores a core-path segment towards `segment.origin_as()`.
-  void register_core_segment(PathSegment segment);
-  std::vector<PathSegment> core_segments(topo::AsIndex origin_core,
-                                         util::TimePoint now) const;
-
   // --- local path server role ---
   void register_up_segment(PathSegment segment);
   std::vector<PathSegment> up_segments(util::TimePoint now) const;
@@ -79,7 +74,6 @@ class PathServer {
 
   std::size_t per_key_limit_;
   SegmentMap down_by_leaf_;
-  SegmentMap core_by_origin_;
   std::vector<PathSegment> up_;
   struct CacheEntry {
     std::vector<PathSegment> segments;

@@ -8,8 +8,8 @@
 
 namespace scion::sim {
 
-NodeId Network::add_node(std::string name) {
-  nodes_.push_back(NodeState{std::move(name), Handler{}, true});
+NodeId Network::add_node() {
+  nodes_.push_back(NodeState{Handler{}, true});
   return NodeId{static_cast<std::uint32_t>(nodes_.size() - 1)};
 }
 
@@ -140,26 +140,11 @@ void Network::send(ChannelId ch, NodeId from, Bytes bytes,
   sim_.schedule_after(delay, label, std::move(deliver));
 }
 
-const std::string& Network::node_name(NodeId node) const {
-  SCION_CHECK(node.value() < nodes_.size(), "node id out of range");
-  return nodes_[node.value()].name;
-}
-
 NodeId Network::peer(ChannelId ch, NodeId self) const {
   SCION_CHECK(ch.value() < channels_.size(), "channel id out of range");
   const ChannelState& c = channels_[ch.value()];
   SCION_CHECK(self == c.a || self == c.b, "node is not a channel endpoint");
   return self == c.a ? c.b : c.a;
-}
-
-NodeId Network::endpoint_a(ChannelId ch) const {
-  SCION_CHECK(ch.value() < channels_.size(), "channel id out of range");
-  return channels_[ch.value()].a;
-}
-
-NodeId Network::endpoint_b(ChannelId ch) const {
-  SCION_CHECK(ch.value() < channels_.size(), "channel id out of range");
-  return channels_[ch.value()].b;
 }
 
 Duration Network::latency(ChannelId ch) const {

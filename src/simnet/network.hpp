@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -94,8 +93,8 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Adds a node; the optional name shows up in diagnostics.
-  NodeId add_node(std::string name = {});
+  /// Adds a node.
+  NodeId add_node();
 
   /// Installs the receive handler for a node (replacing any previous one).
   void set_handler(NodeId node, Handler handler);
@@ -150,12 +149,9 @@ class Network {
 
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t channel_count() const { return channels_.size(); }
-  const std::string& node_name(NodeId node) const;
 
   /// The other endpoint of a channel.
   NodeId peer(ChannelId ch, NodeId self) const;
-  NodeId endpoint_a(ChannelId ch) const;
-  NodeId endpoint_b(ChannelId ch) const;
   Duration latency(ChannelId ch) const;
 
   /// Counters for the direction out of `from` on `ch`.
@@ -178,7 +174,6 @@ class Network {
 
  private:
   struct NodeState {
-    std::string name;
     Handler handler;
     bool up{true};
   };

@@ -12,25 +12,32 @@ namespace {
 
 using util::Rng;
 
+/// Probability that a provider-customer adjacency gets an additional
+/// parallel link, applied repeatedly (geometric); core adjacencies use 1.5x,
+/// peering ones 0.5x, and high-degree pairs are boosted further.
+constexpr double kParallelLinkProbability = 0.25;
+/// Hard cap on parallel links per adjacency.
+constexpr int kMaxParallelLinks = 4;
+/// Extra inter-ISD core links beyond the ring, per ISD (multi-ISD worlds).
+constexpr double kExtraCoreLinksPerIsd = 1.0;
+
 /// Number of parallel links for a new adjacency: geometric in
 /// `base_probability`, boosted by the (log of the) smaller endpoint degree —
 /// big networks interconnect at several PoPs.
-int sample_multiplicity(Rng& rng, double base_probability, int max_parallel,
+int sample_multiplicity(Rng& rng, double base_probability,
                         std::size_t min_endpoint_degree) {
   const double boost =
       1.0 + 0.25 * std::log2(1.0 + static_cast<double>(min_endpoint_degree));
   const double p = std::min(0.9, base_probability * boost);
   int m = 1;
-  while (m < max_parallel && rng.bernoulli(p)) ++m;
+  while (m < kMaxParallelLinks && rng.bernoulli(p)) ++m;
   return m;
 }
 
 void add_parallel_links(Topology& topo, Rng& rng, AsIndex a, AsIndex b,
-                        LinkType type, double base_probability,
-                        int max_parallel) {
+                        LinkType type, double base_probability) {
   const std::size_t min_deg = std::min(topo.link_degree(a), topo.link_degree(b));
-  const int m =
-      sample_multiplicity(rng, base_probability, max_parallel, min_deg);
+  const int m = sample_multiplicity(rng, base_probability, min_deg);
   for (int i = 0; i < m; ++i) topo.add_link(a, b, type);
 }
 
@@ -64,8 +71,7 @@ Topology generate_hierarchy(const HierarchyConfig& config) {
   for (AsIndex i = 0; i < config.n_roots; ++i) {
     for (AsIndex j = i + 1; j < config.n_roots; ++j) {
       add_parallel_links(topo, rng, i, j, LinkType::kCore,
-                         config.parallel_link_probability * 1.5,
-                         config.max_parallel_links);
+                         kParallelLinkProbability * 1.5);
     }
   }
 
@@ -88,9 +94,7 @@ Topology generate_hierarchy(const HierarchyConfig& config) {
       }
       if (!chosen.insert(provider).second) continue;
       add_parallel_links(topo, rng, provider, self,
-                         LinkType::kProviderCustomer,
-                         config.parallel_link_probability,
-                         config.max_parallel_links);
+                         LinkType::kProviderCustomer, kParallelLinkProbability);
     }
 
     // Optional peering with an AS of similar age (similar tier).
@@ -103,8 +107,7 @@ Topology generate_hierarchy(const HierarchyConfig& config) {
           lo + static_cast<AsIndex>(rng.index(self - lo));
       if (peer != self && topo.links_between(self, peer).empty()) {
         add_parallel_links(topo, rng, self, peer, LinkType::kPeer,
-                           config.parallel_link_probability * 0.5,
-                           config.max_parallel_links);
+                           kParallelLinkProbability * 0.5);
       }
     }
   }
@@ -290,7 +293,7 @@ Topology generate_multi_isd(const MultiIsdConfig& config) {
       topo.add_link(a, b, LinkType::kCore);
     }
     const auto extra = static_cast<std::size_t>(
-        config.extra_core_links_per_isd * static_cast<double>(config.n_isds));
+        kExtraCoreLinksPerIsd * static_cast<double>(config.n_isds));
     for (std::size_t e = 0; e < extra; ++e) {
       const std::size_t i1 = rng.index(config.n_isds);
       const std::size_t i2 = rng.index(config.n_isds);

@@ -38,11 +38,6 @@ struct HierarchyConfig {
   /// Probability an arriving AS also creates one peering link to an AS of
   /// similar age.
   double peer_probability{0.3};
-  /// Probability that an inter-AS adjacency gets an additional parallel
-  /// link, applied repeatedly (geometric); scaled up for high-degree pairs.
-  double parallel_link_probability{0.25};
-  /// Hard cap on parallel links per adjacency.
-  int max_parallel_links{4};
   /// ISD number used for every AS (re-assigned later for core networks).
   IsdId isd{1};
   std::uint64_t seed{1};
@@ -90,8 +85,6 @@ struct MultiIsdConfig {
   std::size_t cores_per_isd{2};
   /// ASes per ISD, including its cores.
   std::size_t ases_per_isd{12};
-  /// Extra inter-ISD core links beyond the ring, per ISD.
-  double extra_core_links_per_isd{1.0};
   double mean_extra_providers{0.8};
   double peer_probability{0.3};
   std::uint64_t seed{11};

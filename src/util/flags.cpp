@@ -34,6 +34,7 @@ Flags::Flags(int argc, char** argv) {
 }
 
 std::string Flags::get(const std::string& key, const std::string& def) const {
+  read_.insert(key);
   if (const auto it = values_.find(key); it != values_.end()) return it->second;
   // getenv is mt-unsafe only against concurrent setenv; flags are read on
   // the main thread during startup, before any worker exists.
@@ -64,6 +65,14 @@ bool Flags::get_bool(const std::string& key, bool def) const {
 
 void Flags::set(const std::string& key, const std::string& value) {
   values_[key] = value;
+}
+
+std::vector<std::string> Flags::unread() const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : values_) {
+    if (!read_.contains(key)) out.push_back(key);
+  }
+  return out;
 }
 
 }  // namespace scion::util

@@ -6,14 +6,18 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace scion::util {
 
 /// Parsed `--key=value` flags with environment-variable fallback.
 ///
 /// Lookup order for key "scale": the flag `--scale=X`, then the environment
-/// variable `REPRO_SCALE`, then the provided default.
+/// variable `REPRO_SCALE`, then the provided default. Every lookup records
+/// its key, so a caller can reject the flags it never read; the getters are
+/// therefore not safe to call from several threads at once.
 class Flags {
  public:
   Flags() = default;
@@ -32,8 +36,12 @@ class Flags {
   /// Every explicitly set flag, in key order (for run manifests).
   const std::map<std::string, std::string>& values() const { return values_; }
 
+  /// The explicitly set flags no lookup has read so far, in key order.
+  std::vector<std::string> unread() const;
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace scion::util

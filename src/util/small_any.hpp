@@ -10,8 +10,7 @@
 //
 // Type identity uses per-type tag addresses instead of RTTI: get<T>() on a
 // SmallAny holding another type is a SCION_CHECK failure (a protocol bug —
-// a node decoding a payload type it never receives), not a fallible query;
-// get_if<T>() is the fallible form.
+// a node decoding a payload type it never receives), not a fallible query.
 #pragma once
 
 #include <cstddef>
@@ -76,12 +75,6 @@ class SmallAny {
   const T& get() const {
     SCION_CHECK(holds<T>(), "SmallAny holds a different payload type");
     return *ptr<T>();
-  }
-
-  /// nullptr when empty or holding a different type.
-  template <typename T>
-  const T* get_if() const {
-    return holds<T>() ? ptr<T>() : nullptr;
   }
 
   template <typename T>

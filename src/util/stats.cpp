@@ -28,8 +28,6 @@ double OnlineStats::variance() const {
   return m2_ / static_cast<double>(n_ - 1);
 }
 
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
 void EmpiricalCdf::add(double x) {
   values_.push_back(x);
   sorted_ = false;

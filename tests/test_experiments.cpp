@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "experiments/overhead_experiment.hpp"
 #include "experiments/quality_experiment.hpp"
+#include "experiments/resilience_experiment.hpp"
 #include "experiments/scale.hpp"
 #include "experiments/scionlab_experiment.hpp"
 #include "experiments/table1_experiment.hpp"
@@ -228,6 +231,59 @@ TEST(QualityExperiment, DiversityBeatsBaselineOnAggregate) {
   }
   EXPECT_GE(diversity, baseline) << "Fig. 6: diversity at least matches baseline";
   EXPECT_GT(diversity, bgp_frac) << "Fig. 6: SCION beats BGP multipath";
+}
+
+/// Every field of a dynamic-resilience result, floats in hex.
+std::string transcript(const DynResilienceResult& r) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const auto& [a, b] : r.pairs) out << a << '-' << b << ' ';
+  for (const DynResilienceSeries& s : r.series) {
+    out << '\n' << s.name << " lag=";
+    for (const double x : s.recovery_seconds.sorted()) out << x << ',';
+    out << " outages=" << s.outages << " rec=" << s.recovered << '/'
+        << s.unrecovered << " avail=" << s.availability
+        << " probes=" << s.probes_up << '/' << s.probes
+        << " faults=" << s.fault_stats.link_down_events
+        << " drops=" << s.drops.total() << " revoked=" << s.pcbs_revoked;
+  }
+  return std::move(out).str();
+}
+
+// Without a fault plan the experiment synthesizes its default flap process
+// (the fault smoke always passes a scenario file, so only this runs it). At
+// a storm rate every series sees outages, and some are still open when the
+// run ends.
+TEST(DynResilienceExperiment, DefaultFlapScenarioProbesEverySeries) {
+  const Scale s = tiny_scale();
+  const topo::Topology internet = build_internet(s);
+  const CoreNetworks nets = build_core_networks(s, internet);
+  DynResilienceConfig config;
+  config.sampled_pairs = 15;
+  config.sim_duration = util::Duration::minutes(20);
+  config.probe_interval = util::Duration::seconds(30);
+  config.default_flap_rate_per_hour = 1200.0;
+  config.seed = 3;
+  config.jobs = 1;
+  const DynResilienceResult serial =
+      run_dyn_resilience_experiment(nets.bgp_view, nets.scion_view, config);
+
+  ASSERT_EQ(serial.series.size(), 3u);  // baseline, diversity, BGP
+  ASSERT_FALSE(serial.pairs.empty());
+  for (const DynResilienceSeries& series : serial.series) {
+    EXPECT_GT(series.probes, 0u) << series.name;
+    EXPECT_EQ(series.probes % serial.pairs.size(), 0u) << series.name;
+    EXPECT_GT(series.outages, 0u) << series.name;
+    EXPECT_EQ(series.outages, series.recovered + series.unrecovered)
+        << series.name;
+    EXPECT_GT(series.fault_stats.link_down_events, 0u)
+        << series.name << ": the default flap process fired";
+  }
+
+  config.jobs = 3;
+  const DynResilienceResult parallel =
+      run_dyn_resilience_experiment(nets.bgp_view, nets.scion_view, config);
+  EXPECT_EQ(transcript(serial), transcript(parallel));
 }
 
 TEST(ScionLabExperiment, RunsAndMatchesPaperShape) {

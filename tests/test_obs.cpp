@@ -557,8 +557,8 @@ TEST(ObsEventProfile, NetworkAttributesOnlyLabeledSends) {
   {
     sim::Simulator simulator;
     sim::Network net{simulator};
-    const sim::NodeId a = net.add_node("a");
-    const sim::NodeId b = net.add_node("b");
+    const sim::NodeId a = net.add_node();
+    const sim::NodeId b = net.add_node();
     const sim::ChannelId ch =
         net.add_channel(a, b, util::Duration::milliseconds(1));
     net.send(ch, a, util::Bytes{10}, 0, kDeliver);

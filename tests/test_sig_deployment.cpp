@@ -208,16 +208,6 @@ TEST(DeployedLink, RedundantAvailabilityDominates) {
   EXPECT_NEAR(native, 0.99, 1e-12);
 }
 
-TEST(DeployedLink, AllModelsBgpFree) {
-  for (const auto model :
-       {InterIspModel::kNativeCrossConnect, InterIspModel::kRouterOnAStick,
-        InterIspModel::kRedundant}) {
-    DeployedLinkConfig config;
-    config.model = model;
-    EXPECT_TRUE(DeployedLink{config}.bgp_free()) << to_string(model);
-  }
-}
-
 // --- IXP fabrics ----------------------------------------------------------------------
 
 TEST(IxpFabric, BigSwitchIsSingleFailureDomain) {

@@ -134,8 +134,8 @@ TEST(Simulator, PeriodicCallbackMayRegisterNewPeriodics) {
 TEST(Network, DeliversAfterLatency) {
   Simulator sim;
   Network net{sim};
-  const NodeId a = net.add_node("a");
-  const NodeId b = net.add_node("b");
+  const NodeId a = net.add_node();
+  const NodeId b = net.add_node();
   const ChannelId ch = net.add_channel(a, b, Duration::milliseconds(10));
 
   TimePoint delivered;

@@ -326,5 +326,22 @@ TEST(Flags, FlagBeatsEnvironment) {
   ::unsetenv("REPRO_WIDTH");
 }
 
+TEST(Flags, UnreadListsSetFlagsNoLookupRead) {
+  const char* argv[] = {"prog", "--scale=0.2", "--sampled-pairs=20",
+                        "--jobs=4", "--dry-run"};
+  Flags flags{5, const_cast<char**>(argv)};
+  EXPECT_EQ(flags.unread(),
+            (std::vector<std::string>{"dry-run", "jobs", "sampled-pairs",
+                                      "scale"}));
+  EXPECT_DOUBLE_EQ(flags.get_double("scale", 1.0), 0.2);
+  EXPECT_TRUE(flags.get_bool("dry-run", false));
+  // Reading a key that was not set marks nothing set as read.
+  EXPECT_EQ(flags.get_int("pairs", 60), 60);
+  EXPECT_EQ(flags.unread(),
+            (std::vector<std::string>{"jobs", "sampled-pairs"}));
+  EXPECT_EQ(flags.get_int("jobs", 1), 4);
+  EXPECT_EQ(flags.unread(), std::vector<std::string>{"sampled-pairs"});
+}
+
 }  // namespace
 }  // namespace scion::util
