@@ -54,7 +54,7 @@ SweepRow run_point(const std::string& label, const topo::Topology& scion_view,
 }
 
 /// One sweep point (its own simulator, evaluator, and rng — independent of
-/// every other point, so the sweep fans out over the task pool).
+/// every other point, so the sweep fans out over exec::parallel_map).
 struct PointSpec {
   std::string label;
   ctrl::AlgorithmKind algorithm{ctrl::AlgorithmKind::kBaseline};

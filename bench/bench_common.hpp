@@ -1,8 +1,8 @@
 // Shared main() for the bench binaries.
 //
 // Every binary runs standalone with no arguments at the default scale and
-// accepts the Scale flags (--paper, --core-ases=..., REPRO_* environment
-// variables). bench_main parses the flags, calls the bench's `run` once —
+// accepts the Scale flags (--paper, --core-ases=..., --scale=...).
+// bench_main parses the flags, calls the bench's `run` once —
 // which runs the experiment, prints the figure and fills the report — and
 // prints the run's wall time as one line on stderr, so stdout stays
 // byte-identical across runs and --jobs values.
@@ -15,10 +15,14 @@
 //   --bench-out=FILE   report path (default BENCH_<name>.json; "none"
 //                      disables the report)
 //
-// A flag the run never read is a mistake on the command line: bench_main
-// then prints `bench_<name>: unknown flag --<key>`, writes no report and
-// returns 2. Google-benchmark's own --benchmark_* flags (bench_micro) are
-// read by google-benchmark, not through util::Flags, and are exempt.
+// A mistake on the command line makes bench_main print one line per problem
+// on stderr, write no report and return 2: an argument that is not a
+// --key[=value] flag (`bench_<name>: unexpected argument <arg>`, before
+// anything runs), a value that does not parse (`bench_<name>: invalid
+// value for --<key>: <value>`), or a flag the run never read
+// (`bench_<name>: unknown flag --<key>`). Google-benchmark's own
+// --benchmark_* flags (bench_micro) are read by google-benchmark, not
+// through util::Flags, and are exempt.
 #pragma once
 
 #include <algorithm>
@@ -103,43 +107,48 @@ using BenchRun =
     std::function<void(const util::Flags&, const Scale&, BenchReport&)>;
 
 /// Runs `run` once, then (unless --bench-out=none) writes the JSON report.
-/// Returns 2 without a report if the command line set a flag nothing read.
+/// Returns 2 without a report on a stray argument, a malformed flag value or
+/// a flag nothing read.
 inline int bench_main(const std::string& name, int argc, char** argv,
                       const BenchRun& run) {
+  const std::string program = "bench_" + name;
   const util::Flags flags{argc, argv};
-  const Scale scale = Scale::from_flags(flags);
-  // --jobs=N parallelizes the experiment's independent units (default 1 =
-  // serial). ObsSession records explicitly-set flags into the manifest, so
-  // the job count lands in BENCH_<name>.json; results are byte-identical
-  // for any value (tests/test_determinism.cpp).
-  exec::set_default_jobs(static_cast<std::size_t>(
-      std::max<std::int64_t>(1, flags.get_int("jobs", 1))));
-  obs::ObsSession session{"bench_" + name, flags, scale.seed};
+  if (!flags.strays().empty()) return util::reject_unused(flags, program);
+  try {
+    const Scale scale = Scale::from_flags(flags);
+    // --jobs=N parallelizes the experiment's independent units (default 1 =
+    // serial). ObsSession records explicitly-set flags into the manifest, so
+    // the job count lands in BENCH_<name>.json; results are byte-identical
+    // for any value (tests/test_determinism.cpp).
+    exec::set_default_jobs(static_cast<std::size_t>(
+        std::max<std::int64_t>(1, flags.get_int("jobs", 1))));
+    obs::ObsSession session{program, flags, scale.seed};
 
-  BenchReport report;
-  const std::int64_t start_ns = obs::profiler_wall_now_ns();
-  run(flags, scale, report);
-  const double wall_s =
-      static_cast<double>(obs::profiler_wall_now_ns() - start_ns) / 1e9;
-  std::cerr << "bench_" << name << ": wall " << obs::fmt_f(wall_s, 3)
-            << " s\n";
+    BenchReport report;
+    const std::int64_t start_ns = obs::profiler_wall_now_ns();
+    run(flags, scale, report);
+    const double wall_s =
+        static_cast<double>(obs::profiler_wall_now_ns() - start_ns) / 1e9;
+    std::cerr << program << ": wall " << obs::fmt_f(wall_s, 3) << " s\n";
 
-  const std::string path = flags.get("bench-out", "BENCH_" + name + ".json");
-  for (const std::string& key : flags.unread()) {
-    if (key.starts_with("benchmark_")) continue;
-    std::cerr << "bench_" << name << ": unknown flag --" << key << '\n';
+    const std::string path = flags.get("bench-out", "BENCH_" + name + ".json");
+    if (const int status = util::reject_unused(flags, program); status != 0) {
+      return status;
+    }
+    if (path != "none") {
+      std::ofstream out{path};
+      if (!out) {
+        std::cerr << "bench: cannot open --bench-out file " << path << '\n';
+        return 1;
+      }
+      out << bench_report_json(name, session, report) << '\n';
+    }
+    session.finish();
+    return 0;
+  } catch (const util::FlagError& e) {
+    std::cerr << program << ": " << e.what() << '\n';
     return 2;
   }
-  if (path != "none") {
-    std::ofstream out{path};
-    if (!out) {
-      std::cerr << "bench: cannot open --bench-out file " << path << '\n';
-      return 1;
-    }
-    out << bench_report_json(name, session, report) << '\n';
-  }
-  session.finish();
-  return 0;
 }
 
 }  // namespace scion::exp

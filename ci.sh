@@ -14,9 +14,12 @@
 # tools/bench_diff (deterministic fields gate exactly; see
 # tools/bench_baseline/README.md), and does the same for the diversity
 # scoring ablation, the latency extension, and the Table 1 and
-# dynamic-resilience reports of the obs and fault smoke fixtures. Last, it
+# dynamic-resilience reports of the obs and fault smoke fixtures. It
 # builds the performance benchmark (perfbench/, Release) and checks its
-# outputs against perfbench/references.json.
+# outputs against perfbench/references.json. Last, with any preset but
+# tsan (whose suite already runs under ThreadSanitizer), it builds the
+# parallel tests and smokes in the tsan tree and runs them: ThreadSanitizer
+# is the race gate on every run.
 #
 # Usage: ./ci.sh [preset]   (default: asan-ubsan; try `tsan` or `checked`)
 set -eu
@@ -49,10 +52,9 @@ esac
 # Determinism + architecture lint: simulator sources, benches, and tools.
 # The observed module include graph lands in $build_dir/include_graph.dot
 # (deterministic DOT) for review against DESIGN.md's dependency table. The
-# shared-state inventory (mutable-global / unguarded-shared /
-# guarded-member counts) is diffed against tools/state_baseline.json: any
-# per-(file, rule) count increase fails here until the baseline is updated
-# deliberately, and a failure names the offending (file, rule) pair. See
+# shared-state inventory (per-file mutable-global counts) is diffed against
+# tools/state_baseline.json: any per-file count increase fails here until
+# the baseline is updated deliberately, and a failure names the file. See
 # DESIGN.md "Concurrency discipline" for the regeneration recipe. Per-event
 # cost is not linted: the allocation-budget tests in the ctest run above
 # gate it.
@@ -162,9 +164,9 @@ done
 # counters (suppressed, stale-retained, quarantined, re-originated) cannot
 # drift silently. The 60-minute window is load-bearing: the example's burst
 # storm and session restarts start at 15m+. --jobs=4 runs the five series
-# on the TaskPool: under the tsan preset this race-gates the PR 8 survival
-# bookkeeping, and the exact bench_diff below doubles as the proof that the
-# parallel run's deterministic fields match the serial baseline.
+# in parallel, and the exact bench_diff below doubles as the proof that the
+# parallel run's deterministic fields match the serial baseline (the tsan
+# leg at the end repeats it under ThreadSanitizer).
 churn_dir="$build_dir/churn_ci"
 mkdir -p "$churn_dir"
 "$build_dir/bench/bench_churn_response" \
@@ -184,10 +186,10 @@ mkdir -p "$churn_dir"
   --current="$churn_dir/BENCH_churn_response.json" \
   --report-out="$churn_dir/bench_diff.txt"
 
-# Parallel-execution smoke: a quality bench on the exec::TaskPool with
-# --jobs=4. Under the tsan preset this is the data-race gate for the
-# worker pool and the sharded telemetry merge; under the other presets it
-# still proves the parallel path produces schema-valid artifacts.
+# Parallel-execution smoke: a quality bench with --jobs=4 (per-pair
+# max-flow optima as one exec::parallel_map batch). It proves the parallel
+# path produces schema-valid artifacts; the tsan leg at the end runs it
+# under ThreadSanitizer.
 par_dir="$build_dir/par_ci"
 mkdir -p "$par_dir"
 "$build_dir/bench/bench_fig6b_capacity" --scale=0.2 --pairs=40 \
@@ -235,4 +237,36 @@ cp "$div_dir/BENCH_ablation_scoring.json" "$div_dir/BENCH_ext_latency.json" \
    "$div_dir/ext_latency_bench_diff.txt" "$artifact_dir/"
 echo "ci: artifacts: $artifact_dir/BENCH_fig5_overhead.json $artifact_dir/chrome_trace.json $artifact_dir/bench_diff.txt"
 
-echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gates (fig5, diversity ablation, latency extension, Table 1 smoke, dynamic-resilience smoke), perfbench build + output check, and telemetry artifacts all green"
+# Race gate: ThreadSanitizer over everything that runs threads. The tsan
+# preset ran the whole suite under it above; any other preset builds only
+# the parallel tests, the two --jobs=4 smokes and bench_diff in the tsan
+# tree (about 2 min on 4 cores from clean) and runs them. A binary with a
+# ThreadSanitizer report exits 66, so a data race fails the script here.
+if [ "$preset" != "tsan" ]; then
+  tsan_dir="build-tsan"
+  cmake --preset tsan
+  cmake --build --preset tsan -j "$(nproc)" --target test_task_pool \
+    test_determinism test_obs bench_churn_response bench_fig6b_capacity \
+    bench_diff
+  for test in test_task_pool test_determinism test_obs; do
+    "$tsan_dir/tests/$test" --gtest_brief=1
+  done
+  tsan_ci="$tsan_dir/tsan_ci"
+  mkdir -p "$tsan_ci"
+  "$tsan_dir/bench/bench_churn_response" \
+    --core-isds=3 --core-ases=12 --internet-ases=200 \
+    --churn-minutes=60 --probe-interval-s=30 --jobs=4 \
+    --faults=examples/churn.faults \
+    --metrics-out="$tsan_ci/metrics.json" \
+    --trace-out="$tsan_ci/trace.jsonl" \
+    --trace-filter=fault \
+    --bench-out="$tsan_ci/BENCH_churn_response.json" > "$tsan_ci/churn.txt"
+  "$tsan_dir/tools/bench_diff" \
+    --baseline=tools/bench_baseline/BENCH_churn_response.json \
+    --current="$tsan_ci/BENCH_churn_response.json" \
+    --report-out="$tsan_ci/churn_bench_diff.txt"
+  "$tsan_dir/bench/bench_fig6b_capacity" --scale=0.2 --pairs=40 --jobs=4 \
+    --bench-out="$tsan_ci/BENCH_fig6b_capacity.json" > "$tsan_ci/fig6b.txt"
+fi
+
+echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gates (fig5, diversity ablation, latency extension, Table 1 smoke, dynamic-resilience smoke), perfbench build + output check, ThreadSanitizer race gate, and telemetry artifacts all green"

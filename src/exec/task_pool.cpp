@@ -1,6 +1,11 @@
 #include "exec/task_pool.hpp"
 
-#include "util/check.hpp"
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
+
+#include "obs/parallel.hpp"
 
 namespace scion::exec {
 
@@ -23,88 +28,36 @@ std::size_t resolve_jobs(std::size_t jobs) {
   return jobs;
 }
 
-TaskPool::TaskPool(std::size_t jobs) : jobs_{jobs == 0 ? 1 : jobs} {
-  threads_.reserve(jobs_ - 1);
-  for (std::size_t i = 0; i + 1 < jobs_; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-TaskPool::~TaskPool() {
-  {
-    const util::MutexLock lock{mu_};
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void TaskPool::worker_loop() {
-  std::uint64_t seen = 0;
-  for (;;) {
-    std::shared_ptr<Batch> batch;
-    {
-      const util::MutexLock lock{mu_};
-      while (!stop_ && generation_ == seen) cv_work_.wait(mu_);
-      if (stop_) return;
-      seen = generation_;
-      // Snapshot under the lock: a worker late to one batch can only ever
-      // claim from its snapshot, whose index queue is already exhausted, so
-      // it can never touch a newer batch's slots through stale pointers.
-      batch = batch_;
-    }
-    work_on(*batch);
-  }
-}
-
-void TaskPool::work_on(Batch& batch) {
-  for (;;) {
-    const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch.n) return;
-    obs::TaskCapture& capture = (*batch.captures)[i];
-    capture.begin();
-    try {
-      (*batch.body)(i);
-    } catch (...) {
-      (*batch.errors)[i] = std::current_exception();
-    }
-    capture.end();
-    {
-      const util::MutexLock lock{mu_};
-      if (++batch.done == batch.n) cv_done_.notify_all();
-    }
-  }
-}
-
-void TaskPool::run(std::size_t n,
-                   const std::function<void(std::size_t)>& body) {
+void parallel_for_n(std::size_t n, const std::function<void(std::size_t)>& fn,
+                    std::size_t jobs) {
   if (n == 0) return;
   std::vector<obs::TaskCapture> captures(n);
   std::vector<std::exception_ptr> errors(n);
-  const auto batch = std::make_shared<Batch>();
-  batch->n = n;
-  batch->body = &body;
-  batch->captures = &captures;
-  batch->errors = &errors;
-  if (!threads_.empty()) {
-    {
-      const util::MutexLock lock{mu_};
-      batch_ = batch;
-      ++generation_;
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      captures[i].begin();
+      try {
+        fn(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+      captures[i].end();
     }
-    cv_work_.notify_all();
-  }
-  // The caller is an executor too: with jobs=1 this inline loop runs every
-  // task (in index order, exactly the serial trajectory).
-  work_on(*batch);
+  };
   {
-    const util::MutexLock lock{mu_};
-    while (batch->done != batch->n) cv_done_.wait(mu_);
-  }
-  // All workers are past their last unlock of mu_ for this batch, which
-  // happens-before the wait above returned: captures and errors are safe to
-  // read. Merge telemetry first (every task ran, even past failures), then
-  // surface the lowest-index failure.
+    const std::size_t helpers = std::min(resolve_jobs(jobs), n) - 1;
+    std::vector<std::jthread> threads;
+    threads.reserve(helpers);
+    for (std::size_t t = 0; t < helpers; ++t) threads.emplace_back(drain);
+    // The caller is an executor too: with jobs=1 this runs every task, in
+    // index order — exactly the serial trajectory.
+    drain();
+  }  // Joins the threads; their writes to captures and errors happen-before.
+  // Merge telemetry first (every task ran, even past failures), then surface
+  // the lowest-index failure.
   for (obs::TaskCapture& capture : captures) capture.merge();
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);

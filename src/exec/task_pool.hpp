@@ -6,8 +6,8 @@
 // outputs (ROADMAP, test_determinism). This layer makes the two compatible:
 //
 //  - Work is decomposed into *tasks* whose count and content never depend
-//    on the job count; `--jobs` only changes how many workers drain the
-//    shared index queue.
+//    on the job count; `--jobs` only changes how many threads claim task
+//    indices from the batch's shared counter.
 //  - Results are written into pre-sized slots by task index, so the output
 //    vector is order-preserving regardless of completion order.
 //  - Telemetry recorded inside a task goes to a private obs::TaskCapture
@@ -25,20 +25,14 @@
 // lowest-index exception is rethrown — again independent of scheduling.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "obs/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/thread_safety.hpp"
 
 namespace scion::exec {
 
@@ -51,61 +45,23 @@ void set_default_jobs(std::size_t jobs);
 /// 0 -> default_jobs(); anything else clamped to at least 1.
 std::size_t resolve_jobs(std::size_t jobs);
 
-/// A fixed-size worker pool executing one batch of index-addressed tasks at
-/// a time. `jobs` counts total executors: the caller participates, so a
-/// pool with jobs=1 spawns no threads and runs every task inline, and
-/// jobs=N spawns N-1 workers.
-class TaskPool {
- public:
-  explicit TaskPool(std::size_t jobs);
-  ~TaskPool();
-
-  TaskPool(const TaskPool&) = delete;
-  TaskPool& operator=(const TaskPool&) = delete;
-
-  std::size_t jobs() const { return jobs_; }
-
-  /// Runs body(0..n-1), blocking until all tasks finished and their
-  /// telemetry captures merged in index order. `body` is invoked
-  /// concurrently from multiple threads and must only mutate task-local or
-  /// per-index state. Not reentrant from within a task on the same pool
-  /// (parallel_map builds a fresh pool per call, which nests fine).
-  void run(std::size_t n, const std::function<void(std::size_t)>& body);
-
- private:
-  struct Batch {
-    std::size_t n{0};
-    const std::function<void(std::size_t)>* body{nullptr};
-    std::vector<obs::TaskCapture>* captures{nullptr};
-    std::vector<std::exception_ptr>* errors{nullptr};
-    std::atomic<std::size_t> next{0};
-    std::size_t done{0};  // guarded by the pool mutex
-  };
-
-  void worker_loop();
-  void work_on(Batch& batch);
-
-  const std::size_t jobs_;
-  util::Mutex mu_;
-  util::CondVar cv_work_;
-  util::CondVar cv_done_;
-  std::shared_ptr<Batch> batch_ SCION_GUARDED_BY(mu_);
-  std::uint64_t generation_ SCION_GUARDED_BY(mu_) = 0;
-  bool stop_ SCION_GUARDED_BY(mu_) = false;
-  // Written in the constructor, joined in the destructor; never touched
-  // while workers run. simlint:allow(unguarded-shared)
-  std::vector<std::thread> threads_;
-};
+/// Runs fn(0..n-1) as one batch and returns once every task finished and
+/// its telemetry capture merged in index order. `jobs` counts executors:
+/// the caller is one, so jobs=1 starts no thread and runs every task inline
+/// in index order, and otherwise min(jobs, n) - 1 threads are started and
+/// joined. `fn` is invoked concurrently and must only mutate task-local or
+/// per-index state. Nests: a task may call parallel_for_n itself.
+void parallel_for_n(std::size_t n, const std::function<void(std::size_t)>& fn,
+                    std::size_t jobs = 0);
 
 /// Order-preserving parallel map over [0, n): out[i] = fn(i). The job-count
-/// determinism contract of TaskPool applies; fn must be safe to invoke
-/// concurrently.
+/// determinism contract of parallel_for_n applies; fn must be safe to
+/// invoke concurrently.
 template <typename Fn>
 auto parallel_map_n(std::size_t n, Fn&& fn, std::size_t jobs = 0) {
   using R = std::invoke_result_t<Fn&, std::size_t>;
   std::vector<std::optional<R>> slots(n);
-  TaskPool pool{resolve_jobs(jobs)};
-  pool.run(n, [&](std::size_t i) { slots[i].emplace(fn(i)); });
+  parallel_for_n(n, [&](std::size_t i) { slots[i].emplace(fn(i)); }, jobs);
   std::vector<R> out;
   out.reserve(n);
   for (auto& slot : slots) out.push_back(std::move(*slot));
@@ -132,15 +88,6 @@ auto parallel_map_seeded(const std::vector<T>& items, std::uint64_t seed,
         return fn(items[i], rng);
       },
       jobs);
-}
-
-/// Void companion of parallel_map_n for heterogeneous task sets that write
-/// into their own result slots.
-template <typename Fn>
-void parallel_for_n(std::size_t n, Fn&& fn, std::size_t jobs = 0) {
-  TaskPool pool{resolve_jobs(jobs)};
-  const std::function<void(std::size_t)> body = [&](std::size_t i) { fn(i); };
-  pool.run(n, body);
 }
 
 }  // namespace scion::exec

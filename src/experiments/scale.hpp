@@ -3,8 +3,8 @@
 // The paper's simulations run at Internet scale (12000-AS topology, 2000
 // core ASes in 200 ISDs, a 7028-AS ISD). The default scale here is chosen
 // so that the full bench suite completes on a laptop while preserving every
-// qualitative result; `--paper` (or individual flags / REPRO_* environment
-// variables) raises the sizes towards the paper's.
+// qualitative result; `--paper` (or individual flags) raises the sizes
+// towards the paper's.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +49,8 @@ struct Scale {
   util::Duration bgp_churn_window{util::Duration::hours(1)};
   std::uint64_t seed{1};
 
-  /// Resolves from --key=value flags / REPRO_* env. `--paper` selects the
-  /// paper-scale preset before individual overrides apply.
+  /// Resolves from --key=value flags. `--paper` selects the paper-scale
+  /// preset before individual overrides apply.
   static Scale from_flags(const util::Flags& flags);
 
   /// The paper-scale preset (hours of runtime, tens of GB of memory).

@@ -20,7 +20,7 @@ EventProfiler& EventProfiler::global() {
 
 EventLabel EventProfiler::intern(std::string_view name) {
   SCION_CHECK(!name.empty(), "event label name must not be empty");
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   if (names_.empty()) {
     names_.emplace_back("(unlabeled)");
     ids_.emplace(names_.front(), 0u);
@@ -39,12 +39,12 @@ EventLabel event_label(std::string_view name) {
 }
 
 std::size_t EventProfiler::label_count() const {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   return names_.empty() ? 1 : names_.size();
 }
 
 std::string EventProfiler::label_name(std::uint32_t id) const {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   if (names_.empty() && id == 0) return "(unlabeled)";
   SCION_CHECK(id < names_.size(), "unknown event label id");
   return names_[id];
@@ -52,7 +52,7 @@ std::string EventProfiler::label_name(std::uint32_t id) const {
 
 void EventProfiler::merge(const std::vector<LabelStats>& stats,
                           const std::vector<QueueSample>& samples) {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   if (stats_.size() < stats.size()) stats_.resize(stats.size());
   for (std::size_t i = 0; i < stats.size(); ++i) {
     stats_[i].events += stats[i].events;
@@ -73,20 +73,20 @@ void EventProfiler::set_enabled(bool on) {
 bool EventProfiler::enabled() const { return event_profiling_enabled(); }
 
 void EventProfiler::reset_counters() {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   for (LabelStats& s : stats_) s = LabelStats{};
   queue_.clear();
 }
 
 std::uint64_t EventProfiler::total_events() const {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   std::uint64_t total = 0;
   for (const LabelStats& s : stats_) total += s.events;
   return total;
 }
 
 std::uint64_t EventProfiler::attributed_events() const {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   std::uint64_t total = 0;
   for (std::size_t i = 1; i < stats_.size(); ++i) total += stats_[i].events;
   return total;
@@ -96,7 +96,7 @@ std::vector<std::pair<std::string, std::uint64_t>>
 EventProfiler::top_allocating_labels(std::size_t k) const {
   std::vector<std::pair<std::string, std::uint64_t>> out;
   {
-    const util::MutexLock lock{mu_};
+    const std::lock_guard lock{mu_};
     for (std::size_t i = 0; i < stats_.size(); ++i) {
       if (stats_[i].allocs == 0) continue;
       out.emplace_back(i < names_.size() ? names_[i] : "(unlabeled)",
@@ -115,7 +115,7 @@ std::vector<std::pair<std::string, LabelStats>>
 EventProfiler::label_snapshot() const {
   std::vector<std::pair<std::string, LabelStats>> out;
   {
-    const util::MutexLock lock{mu_};
+    const std::lock_guard lock{mu_};
     for (std::size_t i = 0; i < stats_.size(); ++i) {
       if (stats_[i].events == 0) continue;
       out.emplace_back(i < names_.size() ? names_[i] : "(unlabeled)",
@@ -128,7 +128,7 @@ EventProfiler::label_snapshot() const {
 }
 
 std::vector<QueueSample> EventProfiler::queue_timeline() const {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   std::vector<QueueSample> out;
   out.reserve(queue_.size());
   for (const auto& [t_ns, depth] : queue_) {

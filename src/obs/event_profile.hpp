@@ -25,12 +25,11 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "util/thread_safety.hpp"
 
 namespace scion::obs {
 
@@ -88,17 +87,17 @@ class EventProfiler {
   /// Interns a label name (id 0 = "(unlabeled)" is pre-registered).
   /// Thread-safe; the table survives reset_counters() because call sites
   /// cache handles in file-scope constants.
-  EventLabel intern(std::string_view name) SCION_EXCLUDES(mu_);
+  EventLabel intern(std::string_view name);
 
   /// Label table lookups (main thread / reporting only).
-  std::size_t label_count() const SCION_EXCLUDES(mu_);
-  std::string label_name(std::uint32_t id) const SCION_EXCLUDES(mu_);
+  std::size_t label_count() const;
+  std::string label_name(std::uint32_t id) const;
 
   /// Merges one shard's per-label stats (indexed by label id; addition) and
   /// queue samples (per-timestamp max). Both operations commute, so merge
   /// order — and therefore --jobs=N scheduling — cannot change the result.
   void merge(const std::vector<LabelStats>& stats,
-             const std::vector<QueueSample>& samples) SCION_EXCLUDES(mu_);
+             const std::vector<QueueSample>& samples);
 
   /// Runtime enable/disable of the per-event record path (both orders are
   /// proven byte-identical in test_determinism).
@@ -108,22 +107,21 @@ class EventProfiler {
   /// Clears accumulated stats and queue samples but keeps the intern table
   /// (file-scope label constants hold baked-in ids). ObsSession calls this
   /// so every harness run starts from zero.
-  void reset_counters() SCION_EXCLUDES(mu_);
+  void reset_counters();
 
   /// Totals across all labels; `attributed` excludes the default label.
-  std::uint64_t total_events() const SCION_EXCLUDES(mu_);
-  std::uint64_t attributed_events() const SCION_EXCLUDES(mu_);
+  std::uint64_t total_events() const;
+  std::uint64_t attributed_events() const;
 
   /// Top-k labels by allocation count, descending (ties: label name order).
   /// Used by check_alloc_budget to point a budget breach at its handler.
   std::vector<std::pair<std::string, std::uint64_t>> top_allocating_labels(
-      std::size_t k) const SCION_EXCLUDES(mu_);
+      std::size_t k) const;
 
   /// Snapshot for the Chrome-trace exporter: (name, stats) sorted by name,
   /// plus the merged queue timeline sorted by time.
-  std::vector<std::pair<std::string, LabelStats>> label_snapshot() const
-      SCION_EXCLUDES(mu_);
-  std::vector<QueueSample> queue_timeline() const SCION_EXCLUDES(mu_);
+  std::vector<std::pair<std::string, LabelStats>> label_snapshot() const;
+  std::vector<QueueSample> queue_timeline() const;
 
   /// The `event_profile` report section:
   /// {"enabled": ..., "total_events": ..., "attributed_events": ...,
@@ -131,17 +129,16 @@ class EventProfiler {
   ///  "labels": [{"label":...,"events":...,"allocs":...,"alloc_bytes":...,
   ///              "wall_ns":...,"wall_s":...}, ...]}
   /// Labels sort by name; all keys except wall_ns/wall_s are deterministic.
-  std::string to_json() const SCION_EXCLUDES(mu_);
+  std::string to_json() const;
 
  private:
-  mutable util::Mutex mu_;
+  mutable std::mutex mu_;
   // id -> name and name -> id halves of the intern table.
-  std::vector<std::string> names_ SCION_GUARDED_BY(mu_);
-  std::map<std::string, std::uint32_t, std::less<>> ids_
-      SCION_GUARDED_BY(mu_);
+  std::vector<std::string> names_;
+  std::map<std::string, std::uint32_t, std::less<>> ids_;
   // id -> merged stats; t_ns -> max queue depth.
-  std::vector<LabelStats> stats_ SCION_GUARDED_BY(mu_);
-  std::map<std::int64_t, std::uint64_t> queue_ SCION_GUARDED_BY(mu_);
+  std::vector<LabelStats> stats_;
+  std::map<std::int64_t, std::uint64_t> queue_;
 };
 
 /// Per-Simulator accumulator: dense per-label counters plus a queue-depth

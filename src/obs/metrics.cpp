@@ -10,7 +10,7 @@ namespace scion::obs {
 namespace {
 
 // Per-thread capture target; installed/uninstalled by the owning thread
-// only (exec::TaskPool around each task). simlint:allow(mutable-global)
+// only (exec::parallel_for_n around each task). simlint:allow(mutable-global)
 thread_local MetricShard* t_shard = nullptr;
 
 }  // namespace
@@ -57,14 +57,14 @@ MetricsRegistry& MetricsRegistry::global() {
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   const auto it = counter_map_.find(name);
   if (it != counter_map_.end()) return it->second;
   return counter_map_.emplace(std::string{name}, Counter{}).first->second;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   const auto it = gauge_map_.find(name);
   if (it != gauge_map_.end()) return it->second;
   return gauge_map_.emplace(std::string{name}, Gauge{}).first->second;
@@ -76,7 +76,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> bounds) {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   const auto it = histogram_map_.find(name);
   if (it != histogram_map_.end()) return it->second;
   return histogram_map_.emplace(std::string{name}, Histogram{std::move(bounds)})
@@ -84,7 +84,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
 }
 
 CounterHandle MetricsRegistry::intern_counter(std::string_view name) {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   auto map_it = counter_map_.find(name);
   if (map_it == counter_map_.end()) {
     map_it = counter_map_.emplace(std::string{name}, Counter{}).first;
@@ -100,7 +100,7 @@ CounterHandle MetricsRegistry::intern_counter(std::string_view name) {
 }
 
 GaugeHandle MetricsRegistry::intern_gauge(std::string_view name) {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   auto map_it = gauge_map_.find(name);
   if (map_it == gauge_map_.end()) {
     map_it = gauge_map_.emplace(std::string{name}, Gauge{}).first;
@@ -116,7 +116,7 @@ GaugeHandle MetricsRegistry::intern_gauge(std::string_view name) {
 }
 
 HistogramHandle MetricsRegistry::intern_histogram(std::string_view name) {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   auto map_it = histogram_map_.find(name);
   if (map_it == histogram_map_.end()) {
     map_it = histogram_map_
@@ -135,14 +135,14 @@ HistogramHandle MetricsRegistry::intern_histogram(std::string_view name) {
 }
 
 void MetricsRegistry::reset() {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   for (auto& [name, c] : counter_map_) c.reset();
   for (auto& [name, g] : gauge_map_) g.reset();
   for (auto& [name, h] : histogram_map_) h.reset();
 }
 
 std::string MetricsRegistry::to_json() const {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   JsonWriter w;
   w.begin_object();
   w.key("counters").begin_object();
@@ -219,7 +219,7 @@ void MetricShard::merge_into_registry() const {
   MetricsRegistry& reg = MetricsRegistry::global();
   // The lock orders this merge against concurrent interning from sibling
   // parallel regions; merges themselves are already serialized per context.
-  const util::MutexLock lock{reg.mu_};
+  const std::lock_guard lock{reg.mu_};
   for (std::size_t id = 0; id < counter_deltas_.size(); ++id) {
     if (counter_deltas_[id] != 0) reg.counter_slots_[id]->add(counter_deltas_[id]);
   }

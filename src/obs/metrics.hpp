@@ -13,8 +13,8 @@
 // never removes a registration, which keeps interned handles valid.
 //
 // Parallel execution (src/exec): recording is routed through a thread-local
-// MetricShard while a task capture is active (exec::TaskPool installs one
-// around every task). Shards are merged into their parent context in task
+// MetricShard while a task capture is active (exec::parallel_for_n installs
+// one around every task). Shards are merged into their parent context in task
 // *index* order, never in worker or completion order, so the registry
 // contents — including floating-point histogram sums — are byte-identical
 // for any --jobs value. Registration itself is mutex-protected (it happens
@@ -23,11 +23,10 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/thread_safety.hpp"
 
 namespace scion::obs {
 
@@ -110,40 +109,35 @@ class MetricsRegistry {
 
   /// Finds or creates. References stay valid for the registry's lifetime
   /// (std::map nodes are stable; reset() keeps registrations). Thread-safe.
-  Counter& counter(std::string_view name) SCION_EXCLUDES(mu_);
-  Gauge& gauge(std::string_view name) SCION_EXCLUDES(mu_);
-  Histogram& histogram(std::string_view name) SCION_EXCLUDES(mu_);
-  Histogram& histogram(std::string_view name, std::vector<double> bounds)
-      SCION_EXCLUDES(mu_);
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
+  Histogram& histogram(std::string_view name);
+  Histogram& histogram(std::string_view name, std::vector<double> bounds);
 
   /// Finds-or-creates *and* assigns a dense id usable in MetricShards.
   /// Thread-safe; called once per macro call site (magic static).
-  CounterHandle intern_counter(std::string_view name) SCION_EXCLUDES(mu_);
-  GaugeHandle intern_gauge(std::string_view name) SCION_EXCLUDES(mu_);
-  HistogramHandle intern_histogram(std::string_view name) SCION_EXCLUDES(mu_);
+  CounterHandle intern_counter(std::string_view name);
+  GaugeHandle intern_gauge(std::string_view name);
+  HistogramHandle intern_histogram(std::string_view name);
 
   /// Read-side accessors; call from the owning (main) thread only, with no
-  /// parallel region in flight — a quiescence argument the lock analysis
-  /// cannot see, hence the explicit opt-out.
-  const std::map<std::string, Counter, std::less<>>& counters() const
-      SCION_NO_THREAD_SAFETY_ANALYSIS {
+  /// parallel region in flight: they return the maps unlocked.
+  const std::map<std::string, Counter, std::less<>>& counters() const {
     return counter_map_;
   }
-  const std::map<std::string, Gauge, std::less<>>& gauges() const
-      SCION_NO_THREAD_SAFETY_ANALYSIS {
+  const std::map<std::string, Gauge, std::less<>>& gauges() const {
     return gauge_map_;
   }
-  const std::map<std::string, Histogram, std::less<>>& histograms() const
-      SCION_NO_THREAD_SAFETY_ANALYSIS {
+  const std::map<std::string, Histogram, std::less<>>& histograms() const {
     return histogram_map_;
   }
 
   /// Zeroes every value; registrations (ids, handles) survive.
-  void reset() SCION_EXCLUDES(mu_);
+  void reset();
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}} with keys in
   /// name order.
-  std::string to_json() const SCION_EXCLUDES(mu_);
+  std::string to_json() const;
 
  private:
   friend class MetricShard;
@@ -151,27 +145,22 @@ class MetricsRegistry {
   // Guards registration (maps + slot vectors), not the metric values
   // themselves: value mutation goes through shards or happens
   // single-threaded. mutable so const reporting (to_json) can lock.
-  mutable util::Mutex mu_;
-  std::map<std::string, Counter, std::less<>> counter_map_
-      SCION_GUARDED_BY(mu_);
-  std::map<std::string, Gauge, std::less<>> gauge_map_ SCION_GUARDED_BY(mu_);
-  std::map<std::string, Histogram, std::less<>> histogram_map_
-      SCION_GUARDED_BY(mu_);
+  mutable std::mutex mu_;
+  std::map<std::string, Counter, std::less<>> counter_map_;
+  std::map<std::string, Gauge, std::less<>> gauge_map_;
+  std::map<std::string, Histogram, std::less<>> histogram_map_;
   // id -> root object, for shard merges; appended under mu_ at intern time.
-  std::vector<Counter*> counter_slots_ SCION_GUARDED_BY(mu_);
-  std::vector<Gauge*> gauge_slots_ SCION_GUARDED_BY(mu_);
-  std::vector<Histogram*> histogram_slots_ SCION_GUARDED_BY(mu_);
-  std::map<std::string, std::size_t, std::less<>> counter_ids_
-      SCION_GUARDED_BY(mu_);
-  std::map<std::string, std::size_t, std::less<>> gauge_ids_
-      SCION_GUARDED_BY(mu_);
-  std::map<std::string, std::size_t, std::less<>> histogram_ids_
-      SCION_GUARDED_BY(mu_);
+  std::vector<Counter*> counter_slots_;
+  std::vector<Gauge*> gauge_slots_;
+  std::vector<Histogram*> histogram_slots_;
+  std::map<std::string, std::size_t, std::less<>> counter_ids_;
+  std::map<std::string, std::size_t, std::less<>> gauge_ids_;
+  std::map<std::string, std::size_t, std::less<>> histogram_ids_;
 };
 
 /// One task's private metric buffer. All SCION_METRIC_* recording on a
-/// thread goes to the installed shard (see set_current_shard); the task
-/// pool merges shards in task-index order, so parallel runs accumulate
+/// thread goes to the installed shard (see set_current_shard);
+/// exec::parallel_for_n merges shards in task-index order, so parallel runs accumulate
 /// metrics in exactly the order a --jobs=1 run would.
 class MetricShard {
  public:

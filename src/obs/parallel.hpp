@@ -1,7 +1,7 @@
 // Per-task telemetry capture for deterministic parallel execution.
 //
 // The problem: metrics and traces are recorded from inside simulation code
-// that the task pool (src/exec) may run on any worker thread, in any
+// that exec::parallel_for_n may run on any of its threads, in any
 // completion order — but the telemetry outputs must be byte-identical for
 // every --jobs value. A global mutex would serialize the hot path AND still
 // leave the *order* (and therefore floating-point histogram sums and trace
@@ -11,7 +11,7 @@
 // executes, its capture installs a thread-local MetricShard (obs/metrics)
 // and a thread-local TraceSink override (obs/trace) writing to a private
 // buffer, so the task's recordings never touch shared state. After the
-// whole batch completes, the pool merges captures strictly in task-index
+// whole batch completes, exec::parallel_for_n merges captures strictly in task-index
 // order into the enclosing context — the outer task's capture for nested
 // parallelism, or the registry roots / process-wide sink at top level.
 // Since the task decomposition itself is independent of the job count, the
@@ -42,7 +42,7 @@ class TaskCapture {
   void end();
 
   /// Folds this capture into the context active on the *calling* thread
-  /// (the pool's caller after the batch): an enclosing task's shard/sink if
+  /// (the batch's caller, after the batch): an enclosing task's shard/sink if
   /// one is installed, otherwise the registry roots and process-wide sink.
   /// Call in task-index order.
   void merge();

@@ -15,7 +15,7 @@ PhaseProfiler& PhaseProfiler::global() {
 
 void PhaseProfiler::record(std::string_view name, std::int64_t wall_ns,
                            std::uint64_t allocs, std::uint64_t alloc_bytes) {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   auto it = phases_.find(name);
   if (it == phases_.end()) {
     it = phases_.emplace(std::string{name}, Phase{}).first;
@@ -29,24 +29,24 @@ void PhaseProfiler::record(std::string_view name, std::int64_t wall_ns,
 void PhaseProfiler::record_span(std::string_view name, std::int64_t start_ns,
                                 std::int64_t end_ns,
                                 std::uint32_t thread_ordinal) {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   if (spans_.size() >= kMaxSpans) return;
   spans_.push_back(Span{std::string{name}, start_ns, end_ns, thread_ordinal});
 }
 
 std::vector<PhaseProfiler::Span> PhaseProfiler::spans() const {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   return spans_;
 }
 
 void PhaseProfiler::reset() {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   phases_.clear();
   spans_.clear();
 }
 
 std::string PhaseProfiler::to_json() const {
-  const util::MutexLock lock{mu_};
+  const std::lock_guard lock{mu_};
   JsonWriter w;
   w.begin_array();
   for (const auto& [name, p] : phases_) {

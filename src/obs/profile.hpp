@@ -16,11 +16,10 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/thread_safety.hpp"
 
 namespace scion::obs {
 
@@ -55,34 +54,31 @@ class PhaseProfiler {
   /// Call counts stay deterministic across --jobs values; wall times are
   /// wall times and never feed determinism-compared output.
   void record(std::string_view name, std::int64_t wall_ns,
-              std::uint64_t allocs = 0, std::uint64_t alloc_bytes = 0)
-      SCION_EXCLUDES(mu_);
+              std::uint64_t allocs = 0, std::uint64_t alloc_bytes = 0);
   /// Logs one closed phase interval for the Chrome-trace export. Capped at
   /// kMaxSpans (further spans still accumulate via record(), they just stop
   /// appearing as individual trace slices).
   void record_span(std::string_view name, std::int64_t start_ns,
-                   std::int64_t end_ns, std::uint32_t thread_ordinal)
-      SCION_EXCLUDES(mu_);
-  /// Main thread only, with no parallel region in flight — quiescence the
-  /// lock analysis cannot prove, hence the explicit opt-out.
-  const std::map<std::string, Phase, std::less<>>& phases() const
-      SCION_NO_THREAD_SAFETY_ANALYSIS {
+                   std::int64_t end_ns, std::uint32_t thread_ordinal);
+  /// Main thread only, with no parallel region in flight: returns the map
+  /// unlocked.
+  const std::map<std::string, Phase, std::less<>>& phases() const {
     return phases_;
   }
   /// Snapshot of the span log (main thread / reporting only).
-  std::vector<Span> spans() const SCION_EXCLUDES(mu_);
-  void reset() SCION_EXCLUDES(mu_);
+  std::vector<Span> spans() const;
+  void reset();
 
   /// [{"phase": "beaconing", "calls": 2, "wall_ns": ..., "wall_s": ...,
   ///   "allocs": ..., "alloc_bytes": ...}, ...]
-  std::string to_json() const SCION_EXCLUDES(mu_);
+  std::string to_json() const;
 
  private:
   static constexpr std::size_t kMaxSpans = 4096;
 
-  mutable util::Mutex mu_;
-  std::map<std::string, Phase, std::less<>> phases_ SCION_GUARDED_BY(mu_);
-  std::vector<Span> spans_ SCION_GUARDED_BY(mu_);
+  mutable std::mutex mu_;
+  std::map<std::string, Phase, std::less<>> phases_;
+  std::vector<Span> spans_;
 };
 
 /// The single sanctioned wall-clock read in the tree (implemented in

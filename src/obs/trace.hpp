@@ -131,7 +131,7 @@ TraceSink* trace_sink();
 /// and stream alive. Main thread only (never call during a parallel region).
 void set_trace_sink(TraceSink* sink);
 /// Redirects this thread's SCION_TRACE output (nullptr to clear); returns
-/// the previous override. The task pool brackets every task with this.
+/// the previous override. exec::parallel_for_n brackets every task with this.
 TraceSink* set_thread_trace_override(TraceSink* sink);
 
 }  // namespace scion::obs

@@ -2,18 +2,24 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <string_view>
+#include <charconv>
+#include <iostream>
 
 namespace scion::util {
 
 namespace {
 
-std::string env_key_for(const std::string& key) {
-  std::string out = "REPRO_";
-  for (char c : key) {
-    out += (c == '-') ? '_' : static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  }
+FlagError invalid_value(const std::string& key, const std::string& v) {
+  return FlagError{"invalid value for --" + key + ": " + v};
+}
+
+/// Parses all of `v` as a T, or throws FlagError naming the flag.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& v) {
+  T out{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+  if (ec != std::errc{} || ptr != end) throw invalid_value(key, v);
   return out;
 }
 
@@ -22,7 +28,10 @@ std::string env_key_for(const std::string& key) {
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg{argv[i]};
-    if (arg.substr(0, 2) != "--") continue;
+    if (arg.substr(0, 2) != "--") {
+      strays_.emplace_back(arg);
+      continue;
+    }
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
     if (eq == std::string_view::npos) {
@@ -33,34 +42,40 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
-std::string Flags::get(const std::string& key, const std::string& def) const {
+const std::string* Flags::lookup(const std::string& key) const {
   read_.insert(key);
-  if (const auto it = values_.find(key); it != values_.end()) return it->second;
-  // getenv is mt-unsafe only against concurrent setenv; flags are read on
-  // the main thread during startup, before any worker exists.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (const char* env = std::getenv(env_key_for(key).c_str())) return env;
-  return def;
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+std::string Flags::get(const std::string& key, const std::string& def) const {
+  const std::string* v = lookup(key);
+  return v == nullptr ? def : *v;
 }
 
 std::int64_t Flags::get_int(const std::string& key, std::int64_t def) const {
-  const std::string v = get(key, "");
-  if (v.empty()) return def;
-  return std::strtoll(v.c_str(), nullptr, 10);
+  const std::string* v = lookup(key);
+  return v == nullptr ? def : parse_whole<std::int64_t>(key, *v);
 }
 
 double Flags::get_double(const std::string& key, double def) const {
-  const std::string v = get(key, "");
-  if (v.empty()) return def;
-  return std::strtod(v.c_str(), nullptr);
+  const std::string* v = lookup(key);
+  return v == nullptr ? def : parse_whole<double>(key, *v);
 }
 
 bool Flags::get_bool(const std::string& key, bool def) const {
-  std::string v = get(key, "");
-  if (v.empty()) return def;
-  std::transform(v.begin(), v.end(), v.begin(),
+  const std::string* v = lookup(key);
+  if (v == nullptr) return def;
+  std::string lower = *v;
+  std::transform(lower.begin(), lower.end(), lower.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (lower == "1" || lower == "true" || lower == "yes" || lower == "on") {
+    return true;
+  }
+  if (lower == "0" || lower == "false" || lower == "no" || lower == "off") {
+    return false;
+  }
+  throw invalid_value(key, *v);
 }
 
 void Flags::set(const std::string& key, const std::string& value) {
@@ -73,6 +88,21 @@ std::vector<std::string> Flags::unread() const {
     if (!read_.contains(key)) out.push_back(key);
   }
   return out;
+}
+
+int reject_unused(const Flags& flags, std::string_view program) {
+  bool rejected = false;
+  for (const std::string& arg : flags.strays()) {
+    std::cerr << program << ": unexpected argument " << arg << '\n';
+    rejected = true;
+  }
+  if (rejected) return 2;
+  for (const std::string& key : flags.unread()) {
+    if (key.starts_with("benchmark_")) continue;
+    std::cerr << program << ": unknown flag --" << key << '\n';
+    rejected = true;
+  }
+  return rejected ? 2 : 0;
 }
 
 }  // namespace scion::util

@@ -326,7 +326,7 @@ TEST(SimlintRawThread, SynchronizationPrimitivesAreClean) {
 }
 
 TEST(SimlintRawThread, TaskPoolFilesAreExempt) {
-  // The pool is the sanctioned owner of worker threads.
+  // src/exec/task_pool.* is the one sanctioned place that starts threads.
   EXPECT_TRUE(lint_one("std::thread t{[] { loop(); }};",
                        "src/exec/task_pool.cpp")
                   .empty());
@@ -625,75 +625,6 @@ TEST(SimlintState, MacroGeneratedStaticIsFlagged) {
             std::vector<std::string>{"mutable-global"});
 }
 
-TEST(SimlintState, UnguardedMemberOfMutexOwningClassIsFlagged) {
-  const auto f = state_lint_one("class C {\n"
-                                " private:\n"
-                                "  std::mutex mu_;\n"
-                                "  int total_ = 0;\n"
-                                "};\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "unguarded-shared");
-  EXPECT_EQ(f[0].line, 4);
-  EXPECT_NE(f[0].message.find("total_"), std::string::npos);
-  // util::Mutex declares a lock protocol just like std::mutex.
-  EXPECT_EQ(rules_of(state_lint_one("class C {\n"
-                                    "  util::Mutex mu_;\n"
-                                    "  int n_ = 0;\n"
-                                    "};\n")),
-            std::vector<std::string>{"unguarded-shared"});
-}
-
-TEST(SimlintState, GuardedAndExemptMembersAreClean) {
-  EXPECT_TRUE(state_lint_one("class C {\n"
-                             "  mutable util::Mutex mu_;\n"
-                             "  int total_ SCION_GUARDED_BY(mu_) = 0;\n"
-                             "  std::vector<int> rows_ SCION_GUARDED_BY(mu_);\n"
-                             "  util::CondVar cv_;\n"
-                             "  const int limit_ = 4;\n"
-                             "  static constexpr int kCap = 8;\n"
-                             "};\n")
-                  .empty());
-  // A wrapped declaration with the annotation on its continuation line.
-  EXPECT_TRUE(state_lint_one("class C {\n"
-                             "  std::mutex mu_;\n"
-                             "  std::map<std::string, int> by_name_\n"
-                             "      SCION_GUARDED_BY(mu_);\n"
-                             "};\n")
-                  .empty());
-}
-
-TEST(SimlintState, AnnotationInsideCommentDoesNotCount) {
-  EXPECT_EQ(rules_of(state_lint_one("class C {\n"
-                                    "  std::mutex mu_;\n"
-                                    "  int n_ = 0;  // SCION_GUARDED_BY(mu_)\n"
-                                    "};\n")),
-            std::vector<std::string>{"unguarded-shared"});
-}
-
-TEST(SimlintState, MutexFreeClassIsClean) {
-  EXPECT_TRUE(state_lint_one("class PlainCounter {\n"
-                             "  int total_ = 0;\n"
-                             "  std::vector<int> rows_;\n"
-                             "};\n")
-                  .empty());
-  // A mutex *reference* is not ownership: no lock protocol declared here.
-  EXPECT_TRUE(state_lint_one("class Lock {\n"
-                             "  util::Mutex& mu_;\n"
-                             "};\n")
-                  .empty());
-}
-
-TEST(SimlintState, AllowOnMemberSuppresses) {
-  EXPECT_TRUE(state_lint_one(
-                  "class C {\n"
-                  "  std::mutex mu_;\n"
-                  "  // Set once in the constructor. "
-                  "simlint:allow(unguarded-shared)\n"
-                  "  std::vector<std::thread> threads_;\n"
-                  "};\n")
-                  .empty());
-}
-
 TEST(SimlintState, AllowlistSuppressesByFileAndName) {
   StateAnalyzer a;
   a.set_allowlist({{"src/obs/metrics.cpp", "registry"}});
@@ -712,22 +643,18 @@ TEST(SimlintState, ReportCountsAllowedSitesAndIsDeterministic) {
     a.add_file("src/x.cpp",
                "int g_a = 0;  // simlint:allow(mutable-global)\n"
                "int g_b = 0;\n");
-    a.add_file("src/y.hpp",
-               "class C {\n"
-               "  std::mutex mu_;\n"
-               "  int n_ SCION_GUARDED_BY(mu_) = 0;\n"
-               "};\n");
+    a.add_file("src/y.hpp", "const int kLimit = 4;\n");
     a.check();
     return a.state_report_json();
   };
   const std::string report = build();
   EXPECT_EQ(report, build());
   // Allowed sites still count: the report is the budget, lint is the gate.
-  EXPECT_NE(report.find("\"src/x.cpp\", \"counts\": {\"guarded-member\": 0, "
-                        "\"mutable-global\": 2, \"unguarded-shared\": 0}"),
+  EXPECT_NE(report.find("\"src/x.cpp\", \"counts\": {\"mutable-global\": 2}"),
             std::string::npos);
-  EXPECT_NE(report.find("\"src/y.hpp\", \"counts\": {\"guarded-member\": 1, "
-                        "\"mutable-global\": 0, \"unguarded-shared\": 0}"),
+  // A file with no site is not listed.
+  EXPECT_EQ(report.find("src/y.hpp"), std::string::npos);
+  EXPECT_NE(report.find("\"totals\": {\"mutable-global\": 2}"),
             std::string::npos);
 }
 

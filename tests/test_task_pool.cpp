@@ -1,8 +1,8 @@
 // Tests for the deterministic parallel execution layer (src/exec):
 // order preservation, caller-participates scheduling, exception
 // propagation, per-task rng substreams, nesting, and the telemetry-merge
-// determinism contract (jobs=1 and jobs=8 produce byte-identical metric
-// and trace output).
+// determinism contract (jobs=1, 2 and 8 produce byte-identical metric and
+// trace output, with and without nested batches).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -32,10 +32,9 @@ TEST(TaskPool, JobsResolveAgainstDefault) {
 }
 
 TEST(TaskPool, SingleJobRunsInline) {
-  TaskPool pool{1};
-  EXPECT_EQ(pool.jobs(), 1u);
   std::vector<int> order;
-  pool.run(8, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  parallel_for_n(
+      8, [&](std::size_t i) { order.push_back(static_cast<int>(i)); }, 1);
   // With one executor the caller runs every task in index order.
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
@@ -66,27 +65,31 @@ TEST(TaskPool, EmptyInputYieldsEmptyOutput) {
 }
 
 TEST(TaskPool, LowestIndexExceptionWins) {
-  TaskPool pool{8};
   try {
-    pool.run(32, [](std::size_t i) {
-      if (i == 7 || i == 23) throw std::runtime_error{std::to_string(i)};
-    });
+    parallel_for_n(
+        32,
+        [](std::size_t i) {
+          if (i == 7 || i == 23) throw std::runtime_error{std::to_string(i)};
+        },
+        8);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
-    // Both tasks fail on every run; the pool surfaces the earliest by task
+    // Both tasks fail on every run; the batch surfaces the earliest by task
     // index, not by completion time.
     EXPECT_STREQ(e.what(), "7");
   }
 }
 
 TEST(TaskPool, EveryTaskRunsDespiteFailures) {
-  TaskPool pool{4};
   std::vector<char> ran(64, 0);
   try {
-    pool.run(64, [&](std::size_t i) {
-      ran[i] = 1;  // each slot is written only by its own task
-      if (i % 10 == 3) throw std::runtime_error{"boom"};
-    });
+    parallel_for_n(
+        64,
+        [&](std::size_t i) {
+          ran[i] = 1;  // each slot is written only by its own task
+          if (i % 10 == 3) throw std::runtime_error{"boom"};
+        },
+        4);
     FAIL() << "expected an exception";
   } catch (const std::runtime_error&) {
   }
@@ -114,7 +117,7 @@ TEST(TaskPool, SeededMapGivesEachTaskItsOwnSubstream) {
 }
 
 TEST(TaskPool, NestedParallelMapWorks) {
-  // An inner pool inside a task must not deadlock or corrupt ordering: the
+  // An inner batch inside a task must not deadlock or corrupt ordering: the
   // inner merge runs on the outer task's thread, inside its capture.
   std::vector<int> outer{0, 1, 2, 3};
   const std::vector<int> out = parallel_map(
@@ -132,8 +135,12 @@ TEST(TaskPool, NestedParallelMapWorks) {
 }
 
 /// Runs a telemetry-heavy workload at the given job count and returns the
-/// metrics JSON and the raw trace stream it produced.
-std::pair<std::string, std::string> telemetry_run(std::size_t jobs) {
+/// metrics JSON and the raw trace stream it produced. With `nested`, every
+/// task also runs an inner batch whose captures merge into the task's own
+/// shard and trace buffer (MetricShard::merge_into_shard) before the task's
+/// capture merges into the registry.
+std::pair<std::string, std::string> telemetry_run(std::size_t jobs,
+                                                  bool nested) {
   obs::MetricsRegistry::global().reset();
   std::ostringstream trace_out;
   obs::TraceSink sink{trace_out};
@@ -142,7 +149,7 @@ std::pair<std::string, std::string> telemetry_run(std::size_t jobs) {
 
   parallel_for_n(
       24,
-      [](std::size_t i) {
+      [&](std::size_t i) {
         SCION_METRIC_COUNT("test.pool.tasks", 1);
         SCION_METRIC_COUNT("test.pool.work", i);
         SCION_METRIC_GAUGE_MAX("test.pool.high_water",
@@ -154,6 +161,20 @@ std::pair<std::string, std::string> telemetry_run(std::size_t jobs) {
                     util::TimePoint::origin() +
                         util::Duration::seconds(static_cast<std::int64_t>(i)),
                     "task", {"i", i});
+        if (!nested) return;
+        parallel_for_n(
+            6,
+            [i](std::size_t j) {
+              SCION_METRIC_COUNT("test.pool.inner", j + 1);
+              SCION_METRIC_OBSERVE("test.pool.inner_value",
+                                   0.1 * static_cast<double>(i * 6 + j));
+              SCION_TRACE(obs::Category::kExperiment,
+                          util::TimePoint::origin() +
+                              util::Duration::seconds(
+                                  static_cast<std::int64_t>(j)),
+                          "inner", {"i", i}, {"j", j});
+            },
+            jobs);
       },
       jobs);
 
@@ -162,12 +183,19 @@ std::pair<std::string, std::string> telemetry_run(std::size_t jobs) {
 }
 
 TEST(TaskPool, TelemetryIsByteIdenticalAcrossJobCounts) {
-  const auto [metrics1, trace1] = telemetry_run(1);
-  EXPECT_NE(trace1.find("\"ev\":\"task\""), std::string::npos);
-  for (const std::size_t jobs : {2u, 8u}) {
-    const auto [metrics, trace] = telemetry_run(jobs);
-    EXPECT_EQ(metrics, metrics1) << "jobs=" << jobs;
-    EXPECT_EQ(trace, trace1) << "jobs=" << jobs;
+  for (const bool nested : {false, true}) {
+    const auto [metrics1, trace1] = telemetry_run(1, nested);
+    EXPECT_NE(trace1.find("\"ev\":\"task\""), std::string::npos);
+    // 24 tasks x 6 inner tasks, each adding j + 1: 24 * 21.
+    EXPECT_EQ(metrics1.find("\"test.pool.inner\":504") != std::string::npos,
+              nested)
+        << metrics1;
+    EXPECT_EQ(trace1.find("\"ev\":\"inner\"") != std::string::npos, nested);
+    for (const std::size_t jobs : {2u, 8u}) {
+      const auto [metrics, trace] = telemetry_run(jobs, nested);
+      EXPECT_EQ(metrics, metrics1) << "jobs=" << jobs << " nested=" << nested;
+      EXPECT_EQ(trace, trace1) << "jobs=" << jobs << " nested=" << nested;
+    }
   }
   obs::MetricsRegistry::global().reset();
 }

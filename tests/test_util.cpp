@@ -3,6 +3,9 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/flags.hpp"
 #include "util/rng.hpp"
@@ -309,21 +312,51 @@ TEST(Flags, ParsesKeyValueAndBooleans) {
   EXPECT_TRUE(flags.get_bool("paper", false));
   EXPECT_EQ(flags.get("name", ""), "abc");
   EXPECT_EQ(flags.get_int("missing", 7), 7);
+  // Anything that is not a --key[=value] flag is kept as a stray.
+  EXPECT_EQ(flags.strays(), std::vector<std::string>{"ignored"});
+
+  // perfbench's --seed=%d, --seconds=%g and --trace=0|1 values.
+  const char* perf_argv[] = {"prog",        "--seed=-3",  "--seconds=2.5e-05",
+                             "--big=1e+06", "--trace=0",  "--on=1",
+                             "--count=20"};
+  const Flags perf{7, const_cast<char**>(perf_argv)};
+  EXPECT_EQ(perf.get_int("seed", 1), -3);
+  EXPECT_EQ(perf.get_double("seconds", 0.0), 2.5e-05);
+  EXPECT_EQ(perf.get_double("big", 0.0), 1e+06);
+  EXPECT_EQ(perf.get_double("count", 0.0), 20.0);
+  EXPECT_FALSE(perf.get_bool("trace", true));
+  EXPECT_TRUE(perf.get_bool("on", false));
 }
 
-TEST(Flags, EnvironmentFallback) {
-  ::setenv("REPRO_TEST_KNOB", "123", 1);
-  Flags flags;
-  EXPECT_EQ(flags.get_int("test-knob", 0), 123);
-  ::unsetenv("REPRO_TEST_KNOB");
+/// The message of the std::runtime_error `get` throws, or "" if it returns.
+template <typename Get>
+std::string parse_error(Get get) {
+  try {
+    get();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
-TEST(Flags, FlagBeatsEnvironment) {
-  ::setenv("REPRO_WIDTH", "1", 1);
-  const char* argv[] = {"prog", "--width=2"};
-  Flags flags{2, const_cast<char**>(argv)};
-  EXPECT_EQ(flags.get_int("width", 0), 2);
-  ::unsetenv("REPRO_WIDTH");
+TEST(Flags, MalformedValuesAreRejected) {
+  const char* argv[] = {"prog",        "--minutes=abc", "--hours=5x",
+                        "--scale=0.2.1", "--pairs=",    "--paper=maybe",
+                        "--jobs"};
+  const Flags flags{7, const_cast<char**>(argv)};
+  EXPECT_EQ(parse_error([&] { return flags.get_int("minutes", 60); }),
+            "invalid value for --minutes: abc");
+  EXPECT_EQ(parse_error([&] { return flags.get_int("hours", 1); }),
+            "invalid value for --hours: 5x");
+  EXPECT_EQ(parse_error([&] { return flags.get_double("scale", 1.0); }),
+            "invalid value for --scale: 0.2.1");
+  EXPECT_EQ(parse_error([&] { return flags.get_int("pairs", 60); }),
+            "invalid value for --pairs: ");
+  EXPECT_EQ(parse_error([&] { return flags.get_bool("paper", false); }),
+            "invalid value for --paper: maybe");
+  // A bare --jobs means "true", which is no count.
+  EXPECT_EQ(parse_error([&] { return flags.get_int("jobs", 1); }),
+            "invalid value for --jobs: true");
 }
 
 TEST(Flags, UnreadListsSetFlagsNoLookupRead) {
@@ -341,6 +374,20 @@ TEST(Flags, UnreadListsSetFlagsNoLookupRead) {
             (std::vector<std::string>{"jobs", "sampled-pairs"}));
   EXPECT_EQ(flags.get_int("jobs", 1), 4);
   EXPECT_EQ(flags.unread(), std::vector<std::string>{"sampled-pairs"});
+}
+
+TEST(Flags, RejectUnusedNamesStraysThenUnreadFlags) {
+  const char* stray_argv[] = {"prog", "minutes=1", "--minutes=1"};
+  const Flags strays{3, const_cast<char**>(stray_argv)};
+  EXPECT_EQ(strays.strays(), std::vector<std::string>{"minutes=1"});
+  EXPECT_EQ(reject_unused(strays, "prog"), 2);
+
+  const char* argv[] = {"prog", "--minutes=1", "--benchmark_filter=BM_x"};
+  const Flags flags{3, const_cast<char**>(argv)};
+  EXPECT_EQ(reject_unused(flags, "prog"), 2);  // --minutes unread
+  EXPECT_EQ(flags.get_int("minutes", 60), 1);
+  // google-benchmark reads its own flags.
+  EXPECT_EQ(reject_unused(flags, "prog"), 0);
 }
 
 }  // namespace

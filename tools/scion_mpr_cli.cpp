@@ -217,25 +217,36 @@ int cmd_table1(const util::Flags& flags) {
   return 0;
 }
 
+int run_command(const std::string& command, const util::Flags& flags) {
+  if (command == "gen") return cmd_gen(flags);
+  if (command == "beacon") return cmd_beacon(flags);
+  if (command == "quality") return cmd_quality(flags);
+  if (command == "table1") return cmd_table1(flags);
+  return usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const util::Flags flags{argc, argv};
-  exec::set_default_jobs(static_cast<std::size_t>(
-      std::max<std::int64_t>(1, flags.get_int("jobs", 1))));
-  obs::ObsSession session{
-      "scion-mpr " + command, flags,
-      static_cast<std::uint64_t>(flags.get_int("seed", 1))};
+  // The flags follow the command word.
+  const util::Flags flags{argc - 1, argv + 1};
+  if (!flags.strays().empty()) return util::reject_unused(flags, "scion-mpr");
   try {
-    if (command == "gen") return cmd_gen(flags);
-    if (command == "beacon") return cmd_beacon(flags);
-    if (command == "quality") return cmd_quality(flags);
-    if (command == "table1") return cmd_table1(flags);
+    exec::set_default_jobs(static_cast<std::size_t>(
+        std::max<std::int64_t>(1, flags.get_int("jobs", 1))));
+    obs::ObsSession session{
+        "scion-mpr " + command, flags,
+        static_cast<std::uint64_t>(flags.get_int("seed", 1))};
+    const int status = run_command(command, flags);
+    if (status != 0) return status;
+    return util::reject_unused(flags, "scion-mpr");
+  } catch (const util::FlagError& e) {
+    std::cerr << "scion-mpr: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  return usage();
 }

@@ -10,8 +10,8 @@
 // against reality.
 //
 // --state-report=PATH writes the deterministic shared-state inventory JSON
-// (simlint_state.hpp: per-file mutable-global / unguarded-shared /
-// guarded-member counts, simlint:allow-suppressed sites included).
+// (simlint_state.hpp: per-file mutable-global counts, simlint:allow-
+// suppressed sites included).
 // --state-baseline=PATH diffs those counts against a checked-in report
 // (tools/state_baseline.json) and fails on any increase.
 //
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
                  "[--state-baseline=PATH] <file-or-dir>...\n"
                  "rules: wall-clock std-rng unordered-iter float-accum "
                  "raw-output raw-thread layering module-cycle\n"
-                 "       mutable-global unguarded-shared\n"
+                 "       mutable-global\n"
                  "suppress with // simlint:allow(<rule>) on or above the "
                  "offending line\n"
                  "--dot=PATH writes the observed module include graph as "

@@ -27,12 +27,13 @@
 //                   the renderer itself and are exempt. stderr diagnostics
 //                   and snprintf string formatting are not flagged.
 //   raw-thread      raw threading primitives (std::thread, std::jthread,
-//                   std::async, pthread_create) outside the task pool.
+//                   std::async, pthread_create) outside exec/task_pool.*.
 //                   Ad-hoc threads bypass the per-task telemetry captures
 //                   and substream seeding that keep parallel runs
 //                   byte-identical; all parallelism must flow through
-//                   exec::TaskPool / exec::parallel_map. Files whose stem
-//                   contains "task_pool" are the pool itself and exempt.
+//                   exec::parallel_for_n / exec::parallel_map. Files whose
+//                   stem contains "task_pool" start those threads and are
+//                   exempt.
 //
 // Provably order-insensitive iteration (pure counting, erase-only sweeps)
 // is silenced in place with `// simlint:allow(<rule>)` on the offending
@@ -265,7 +266,7 @@ inline std::vector<Finding> Linter::run() const {
     // The obs renderer owns the sanctioned stdout sites.
     const bool obs_exempt = name.find("/obs/") != std::string::npos ||
                             name.rfind("obs/", 0) == 0;
-    // The task pool is the one sanctioned owner of worker threads.
+    // exec/task_pool.* is the one sanctioned place that starts threads.
     const bool pool_exempt = stem.find("task_pool") != std::string::npos;
     std::set<std::string> unordered = global_unordered;
     std::set<std::string> floats;
@@ -350,7 +351,7 @@ inline std::vector<Finding> Linter::run() const {
       if (!pool_exempt && std::regex_search(code_str, kRawThread)) {
         report("raw-thread",
                "raw thread primitive; route parallelism through "
-               "exec::TaskPool / exec::parallel_map");
+               "exec::parallel_for_n / exec::parallel_map");
       }
 
       bool flagged_iteration = false;

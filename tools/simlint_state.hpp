@@ -1,37 +1,28 @@
-// simlint shared-state analyzer — the mutable-state inventory for parallel
-// execution.
+// simlint shared-state analyzer — the inventory of process-wide mutable
+// state.
 //
-// ROADMAP item 2 shards the serial event loop across workers; before that
-// lands, "what mutable state is shared, and under which lock?" must be a
-// machine-checked inventory, not tribal knowledge. Clang Thread Safety
-// Analysis (src/util/thread_safety.hpp) proves lock protocols wherever a
-// Clang toolchain builds the tree; this analyzer is the
-// toolchain-independent half, enforcing two rules on the source text:
+// Tasks of one exec::parallel_for_n batch run on several threads, so every
+// process-wide mutable object is state they may share. ThreadSanitizer
+// catches a race on such state only on the paths a run executes; this
+// analyzer keeps the list of such objects short and reviewed, with one rule
+// on the source text:
 //
 //   mutable-global    non-const namespace-scope state, and `static` /
 //                     `thread_local` mutable variables at any scope
 //                     (including #define bodies, so macro-generated statics
-//                     are caught). Every process-wide mutable object is a
-//                     shared-state hazard the moment the event loop runs on
-//                     more than one thread, so each one must be on the
-//                     built-in allowlist (the interned metric/label
-//                     registries' magic statics) or carry a
+//                     are caught). Each one must be on the built-in
+//                     allowlist (the interned metric/label registries'
+//                     magic statics) or carry a
 //                     `// simlint:allow(mutable-global)` directive whose
 //                     comment says why it is safe.
-//   unguarded-shared  a class that owns a mutex declares a lock protocol;
-//                     every mutable data member it owns must then carry a
-//                     SCION_GUARDED_BY / SCION_PT_GUARDED_BY annotation (or
-//                     an allow directive explaining why it needs none).
-//                     Without the annotation the Clang analysis verifies
-//                     nothing about that member, silently.
 //
 // The full inventory — including allowlisted and simlint:allow-suppressed
-// sites, plus a `guarded-member` count of annotated members — is emitted as
-// deterministic JSON (--state-report=PATH) and diffed against the
-// checked-in tools/state_baseline.json (--state-baseline=PATH): any
-// per-(file, rule) count increase is a `state-regression` finding. New
-// shared state therefore cannot land by accident; it lands by regenerating the baseline in the same PR
-// that argues for it (see DESIGN.md "Concurrency discipline").
+// sites — is emitted as deterministic JSON (--state-report=PATH) and diffed
+// against the checked-in tools/state_baseline.json (--state-baseline=PATH):
+// any per-file count increase is a `state-regression` finding. New shared
+// state therefore cannot land by accident; it lands by regenerating the
+// baseline in the same change that argues for it (see DESIGN.md
+// "Concurrency discipline").
 //
 // Scanning is a per-line state machine that strips comments and string /
 // character literals (so braces and keywords inside literals — e.g. the
@@ -39,8 +30,8 @@
 // skips `#if 0` regions, and honours allow directives on the offending line
 // or the line above. Known, accepted imprecision of a line scanner:
 // `static const char* p` (mutable pointer to const pointee) passes the
-// const test, and scope classification is lexical (the keyword preceding
-// the opening brace).
+// const test, and namespace scopes are recognised lexically (the
+// `namespace` keyword preceding the opening brace).
 #pragma once
 
 #include <algorithm>
@@ -89,17 +80,16 @@ class StateAnalyzer {
   std::vector<Finding> check();
 
   /// Deterministic JSON inventory: per-file and total counts of
-  /// mutable-global and unguarded-shared sites (allowlisted and
-  /// simlint:allow-suppressed ones included) plus guarded-member (members
-  /// carrying SCION_GUARDED_BY). Written by the driver's
-  /// --state-report=PATH; diffed against --state-baseline=PATH.
+  /// mutable-global sites (allowlisted and simlint:allow-suppressed ones
+  /// included). Written by the driver's --state-report=PATH; diffed against
+  /// --state-baseline=PATH.
   std::string state_report_json() const;
 
   /// Compares accumulated counts against a baseline report (the JSON text
   /// produced by state_report_json on an earlier tree). Any per-file
-  /// per-rule increase — files absent from the baseline count as zero — is
-  /// a "state-regression" finding naming the file, the rule, and both
-  /// counts. Run check() first.
+  /// increase — files absent from the baseline count as zero — is a
+  /// "state-regression" finding naming the file and both counts. Run
+  /// check() first.
   std::vector<Finding> diff_baseline(const std::string& baseline_json) const;
 
  private:
@@ -109,9 +99,9 @@ class StateAnalyzer {
   std::vector<std::pair<std::string, std::string>> files_;
   std::vector<std::pair<std::string, std::string>> allowlist_ =
       default_state_allowlist();
-  // file -> rule -> count (allowed/allowlisted sites included: the report
-  // is the budget, the lint findings are the gate).
-  std::map<std::string, std::map<std::string, int>> counts_;
+  // file -> mutable-global count (allowed/allowlisted sites included: the
+  // report is the budget, the lint findings are the gate).
+  std::map<std::string, int> counts_;
 };
 
 namespace state_detail {
@@ -214,19 +204,11 @@ inline std::string strip_noncode(const std::string& line, LineScanState& st) {
   return out;
 }
 
-/// Lexical scope kinds for brace tracking. The file's top level counts as
-/// namespace scope.
-enum class ScopeKind { kNamespace, kClass, kBlock };
-
-/// Classifies the scope a `{` opens from the code text between the previous
-/// `;`/brace boundary and the brace itself.
-inline ScopeKind classify_open(std::string_view before) {
+/// Whether a `{` opens a namespace, judged from the code text between the
+/// previous `;`/brace boundary and the brace itself.
+inline bool opens_namespace(std::string_view before) {
   static const std::regex kNamespace{R"(\bnamespace\b)"};
-  static const std::regex kClass{R"(\b(?:class|struct|union|enum)\b)"};
-  const std::string s{before};
-  if (std::regex_search(s, kNamespace)) return ScopeKind::kNamespace;
-  if (std::regex_search(s, kClass)) return ScopeKind::kClass;
-  return ScopeKind::kBlock;
+  return std::regex_search(std::string{before}, kNamespace);
 }
 
 /// First identifier-ish token of the line ("" when none).
@@ -245,7 +227,7 @@ inline std::string first_word(std::string_view code) {
 }
 
 /// Keywords that open lines which are never the variable declarations the
-/// mutable-global / unguarded-shared rules consider.
+/// mutable-global rule considers.
 inline bool keyword_line(const std::string& word) {
   static const std::set<std::string> kKeywords{
       "break",    "case",     "catch",    "class",     "concept",
@@ -271,7 +253,7 @@ inline std::string last_identifier(std::string_view decl) {
   return last;
 }
 
-/// const / constexpr exempt a declaration from both rules. constinit does
+/// const / constexpr exempt a declaration from the rule. constinit does
 /// NOT: it promises constant *initialization*; the object stays mutable.
 inline bool has_const_token(std::string_view decl) {
   static const std::regex kConst{R"(\b(?:const|constexpr)\b)"};
@@ -280,17 +262,12 @@ inline bool has_const_token(std::string_view decl) {
 
 /// The declaration text from `from` to its terminator (`;`, `=`, `{`), or
 /// "" when a `(` intervenes first (a function, not a variable) or no
-/// terminator exists. SCION_* annotation macros are stripped before the
-/// paren test so annotated members still classify as variables; template
-/// argument lists are skipped so their punctuation cannot misfire.
+/// terminator exists. Template argument lists are skipped so their
+/// punctuation cannot misfire.
 inline std::string decl_before_terminator(std::string_view text,
                                           std::size_t from) {
-  static const std::regex kAnnotation{R"(SCION_[A-Z_]+\s*\([^()]*\))"};
-  static const std::regex kBareAnnotation{R"(\bSCION_[A-Z_]+\b)"};
   static const std::regex kOperator{R"(\boperator\b)"};
-  std::string s =
-      std::regex_replace(std::string{text.substr(from)}, kAnnotation, " ");
-  s = std::regex_replace(s, kBareAnnotation, " ");
+  const std::string s{text.substr(from)};
   if (std::regex_search(s, kOperator)) return "";  // operator=: a function
   int angle = 0;
   for (std::size_t i = 0; i < s.size(); ++i) {
@@ -305,26 +282,6 @@ inline std::string decl_before_terminator(std::string_view text,
     }
   }
   return "";
-}
-
-/// Owned-mutex member test for the unguarded-shared rule: a non-pointer,
-/// non-reference mutex member is what declares the class's lock protocol.
-inline bool is_mutex_member(std::string_view decl) {
-  static const std::regex kMutex{
-      R"(\b(?:std::)?(?:mutex|timed_mutex|recursive_mutex|shared_mutex)\b)"
-      R"(|\b(?:util::)?Mutex\b)"};
-  if (!std::regex_search(std::string{decl}, kMutex)) return false;
-  return decl.find('&') == std::string_view::npos &&
-         decl.find('*') == std::string_view::npos;
-}
-
-/// Synchronization-primitive members are themselves exempt from
-/// unguarded-shared (they ARE the guard).
-inline bool is_sync_member(std::string_view decl) {
-  static const std::regex kSync{
-      R"(\b(?:std::)?(?:mutex|timed_mutex|recursive_mutex|shared_mutex)"
-      R"(|condition_variable(?:_any)?)\b|\b(?:util::)?(?:Mutex|CondVar)\b)"};
-  return std::regex_search(std::string{decl}, kSync);
 }
 
 }  // namespace state_detail
@@ -370,44 +327,13 @@ inline void StateAnalyzer::scan_file(const std::string& name,
 
   const std::vector<std::string> lines = split_lines(content);
 
-  // Scope stack; the top level is namespace scope. Class scopes collect the
-  // member declarations at their immediate depth and are evaluated for
-  // unguarded-shared when the scope closes (the mutex member may be
-  // declared after the members it guards).
-  struct ClassScope {
-    int body_depth{0};
-    struct Member {
-      int line{0};
-      std::string decl;       // joined declaration text, annotations stripped
-      bool annotated{false};  // carried SCION_GUARDED_BY / SCION_PT_GUARDED_BY
-      bool allowed{false};    // simlint:allow(unguarded-shared)
-    };
-    std::vector<Member> members;
-    bool owns_mutex{false};
-  };
-  std::vector<ScopeKind> scopes{ScopeKind::kNamespace};
-  std::vector<ClassScope> class_scopes;
-  int depth = 0;
+  // Per open brace: does it open a namespace? The top level counts as one.
+  std::vector<bool> namespace_scopes{true};
 
   LineScanState lex;
   std::vector<std::string> carried_allow;
   int disabled_depth = 0;  // inside `#if 0` / `#if false`
   int paren_depth = 0;     // unclosed `(` from earlier lines
-
-  // Member declaration joined across continuation lines (wrapped before
-  // its `;`, e.g. a long type with SCION_GUARDED_BY on the next line).
-  std::string pending_member;
-  int pending_line = 0;
-  bool pending_annotated = false;
-  bool pending_allowed = false;
-  int pending_joined = 0;
-  const auto reset_pending = [&] {
-    pending_member.clear();
-    pending_line = 0;
-    pending_annotated = false;
-    pending_allowed = false;
-    pending_joined = 0;
-  };
 
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string& raw = lines[i];
@@ -441,9 +367,6 @@ inline void StateAnalyzer::scan_file(const std::string& name,
     const bool allowed_mutable_global =
         std::find(effective_allow.begin(), effective_allow.end(),
                   "mutable-global") != effective_allow.end();
-    const bool allowed_unguarded =
-        std::find(effective_allow.begin(), effective_allow.end(),
-                  "unguarded-shared") != effective_allow.end();
 
     const std::string word = first_word(code_str);
     const bool keyword = keyword_line(word);
@@ -467,7 +390,7 @@ inline void StateAnalyzer::scan_file(const std::string& name,
 
     const auto report_mutable_global = [&](const std::string& var,
                                            const char* what) {
-      ++counts_[name]["mutable-global"];
+      ++counts_[name];
       if (allowed_mutable_global || allowlisted(var)) return;
       findings.push_back(Finding{
           name, static_cast<int>(i + 1), "mutable-global",
@@ -493,7 +416,7 @@ inline void StateAnalyzer::scan_file(const std::string& name,
         }
       }
     } else if (!in_parens && !pp_line && !keyword && !word.empty() &&
-               scopes.back() == ScopeKind::kNamespace &&
+               namespace_scopes.back() &&
                std::regex_search(code_str, sm, kNsDecl)) {
       // --- mutable-global, form 2: plain namespace-scope declaration -----
       const std::string specifiers = sm[1].str();
@@ -507,45 +430,7 @@ inline void StateAnalyzer::scan_file(const std::string& name,
       }
     }
 
-    // --- unguarded-shared: collect member declarations of class scopes ---
-    const bool at_member_depth =
-        !in_parens && !pp_line && scopes.back() == ScopeKind::kClass &&
-        !class_scopes.empty() && depth == class_scopes.back().body_depth;
-    if (at_member_depth && !keyword) {
-      const std::string text = pending_member.empty()
-                                   ? code_str
-                                   : pending_member + " " + code_str;
-      const bool annotated =
-          pending_annotated ||
-          code_str.find("SCION_GUARDED_BY(") != std::string::npos ||
-          code_str.find("SCION_PT_GUARDED_BY(") != std::string::npos;
-      const bool line_allowed = pending_allowed || allowed_unguarded;
-      const int decl_line =
-          pending_member.empty() ? static_cast<int>(i + 1) : pending_line;
-      const bool terminated = text.find(';') != std::string::npos ||
-                              text.find('{') != std::string::npos ||
-                              text.find('(') != std::string::npos;
-      if (!terminated && !first_word(text).empty() && pending_joined < 4) {
-        pending_member = text;
-        pending_line = decl_line;
-        pending_annotated = annotated;
-        pending_allowed = line_allowed;
-        ++pending_joined;
-      } else {
-        reset_pending();
-        const std::string decl = decl_before_terminator(text, 0);
-        if (!decl.empty() && !last_identifier(decl).empty()) {
-          ClassScope& cls = class_scopes.back();
-          if (is_mutex_member(decl)) cls.owns_mutex = true;
-          cls.members.push_back(
-              ClassScope::Member{decl_line, decl, annotated, line_allowed});
-        }
-      }
-    } else if (!at_member_depth) {
-      reset_pending();
-    }
-
-    // --- brace tracking with lexical scope classification -----------------
+    // --- brace tracking: which scopes are namespaces ---------------------
     if (pp_line) continue;  // #define bodies don't open real scopes
     std::size_t seg_start = 0;
     for (std::size_t k = 0; k < code_str.size(); ++k) {
@@ -554,44 +439,10 @@ inline void StateAnalyzer::scan_file(const std::string& name,
       if (c == '{') {
         const std::string_view before{code_str.data() + seg_start,
                                       k - seg_start};
-        const ScopeKind kind = classify_open(before);
-        scopes.push_back(kind);
-        ++depth;
-        if (kind == ScopeKind::kClass) {
-          class_scopes.push_back(ClassScope{depth, {}, false});
-        }
+        namespace_scopes.push_back(opens_namespace(before));
         seg_start = k + 1;
       } else if (c == '}') {
-        if (scopes.size() > 1) {
-          const ScopeKind kind = scopes.back();
-          if (kind == ScopeKind::kClass && !class_scopes.empty() &&
-              class_scopes.back().body_depth == depth) {
-            // Closing class: every mutable member of a mutex-owning class
-            // must be annotated or allowed.
-            const ClassScope& cls = class_scopes.back();
-            if (cls.owns_mutex) {
-              for (const auto& m : cls.members) {
-                if (is_sync_member(m.decl)) continue;
-                if (has_const_token(m.decl)) continue;
-                if (m.annotated) {
-                  ++counts_[name]["guarded-member"];
-                  continue;
-                }
-                ++counts_[name]["unguarded-shared"];
-                if (m.allowed) continue;
-                findings.push_back(Finding{
-                    name, m.line, "unguarded-shared",
-                    "mutable member `" + last_identifier(m.decl) +
-                        "` of a mutex-owning class has no SCION_GUARDED_BY "
-                        "annotation; declare its lock or justify with a "
-                        "simlint:allow(unguarded-shared) comment"});
-              }
-            }
-            class_scopes.pop_back();
-          }
-          scopes.pop_back();
-          --depth;
-        }
+        if (namespace_scopes.size() > 1) namespace_scopes.pop_back();
         seg_start = k + 1;
       }
     }
@@ -599,42 +450,19 @@ inline void StateAnalyzer::scan_file(const std::string& name,
 }
 
 inline std::string StateAnalyzer::state_report_json() const {
-  static const std::vector<std::string> kRules{
-      "guarded-member", "mutable-global", "unguarded-shared"};
-  std::map<std::string, int> totals;
-  for (const auto& [file, rules] : counts_) {
-    for (const auto& [rule, n] : rules) totals[rule] += n;
-  }
-
+  int total = 0;
   std::string out;
   out += "{\n  \"version\": 1,\n  \"files\": [\n";
-  bool first_file = true;
-  for (const auto& [file, rules] : counts_) {
-    if (!first_file) out += ",\n";
-    first_file = false;
+  for (const auto& [file, n] : counts_) {
+    if (total > 0) out += ",\n";  // every listed file counts at least one
+    total += n;
     out += "    {\"file\": \"";
     state_detail::json_escape_into(out, file);
-    out += "\", \"counts\": {";
-    bool first_rule = true;
-    for (const std::string& rule : kRules) {
-      const auto it = rules.find(rule);
-      if (!first_rule) out += ", ";
-      first_rule = false;
-      out += "\"" + rule +
-             "\": " + std::to_string(it == rules.end() ? 0 : it->second);
-    }
-    out += "}}";
+    out += "\", \"counts\": {\"mutable-global\": " + std::to_string(n) +
+           "}}";
   }
-  out += "\n  ],\n  \"totals\": {";
-  bool first_rule = true;
-  for (const std::string& rule : kRules) {
-    if (!first_rule) out += ", ";
-    first_rule = false;
-    const auto it = totals.find(rule);
-    out += "\"" + rule +
-           "\": " + std::to_string(it == totals.end() ? 0 : it->second);
-  }
-  out += "}\n}\n";
+  out += "\n  ],\n  \"totals\": {\"mutable-global\": " +
+         std::to_string(total) + "}\n}\n";
   return out;
 }
 
@@ -643,10 +471,9 @@ inline std::vector<Finding> StateAnalyzer::diff_baseline(
   // The baseline is a prior state_report_json(): a fixed shape we emitted
   // ourselves, so a targeted scan (not a general JSON parser) is reliable.
   static const std::regex kFileEntry{
-      R"re("file":\s*"((?:[^"\\]|\\.)*)"[^{}]*"counts":\s*\{([^}]*)\})re"};
-  static const std::regex kRuleCount{R"re("([a-z-]+)":\s*(\d+))re"};
+      R"re("file":\s*"((?:[^"\\]|\\.)*)"[^{}]*"counts":\s*\{[^}]*"mutable-global":\s*(\d+)[^}]*\})re"};
 
-  std::map<std::string, std::map<std::string, int>> base;
+  std::map<std::string, int> base;
   for (std::sregex_iterator it{baseline_json.begin(), baseline_json.end(),
                                kFileEntry},
        end;
@@ -658,34 +485,22 @@ inline std::vector<Finding> StateAnalyzer::diff_baseline(
       if (file[i] == '\\' && i + 1 < file.size()) ++i;
       unescaped.push_back(file[i]);
     }
-    const std::string counts = (*it)[2].str();
-    for (std::sregex_iterator rt{counts.begin(), counts.end(), kRuleCount},
-         rend;
-         rt != rend; ++rt) {
-      base[unescaped][(*rt)[1].str()] = std::stoi((*rt)[2].str());
-    }
+    base[unescaped] = std::stoi((*it)[2].str());
   }
 
   std::vector<Finding> findings;
-  for (const auto& [file, rules] : counts_) {
+  for (const auto& [file, n] : counts_) {
     const auto bit = base.find(file);
-    for (const auto& [rule, n] : rules) {
-      if (rule == "guarded-member") continue;  // more annotations is progress
-      int baseline = 0;
-      if (bit != base.end()) {
-        const auto rit = bit->second.find(rule);
-        if (rit != bit->second.end()) baseline = rit->second;
-      }
-      if (n > baseline) {
-        findings.push_back(Finding{
-            file, 0, "state-regression",
-            "shared-state regression in " + file + ": " + rule + " count " +
-                std::to_string(n) + " exceeds baseline " +
-                std::to_string(baseline) +
-                " (tools/state_baseline.json); remove the new shared state "
-                "or annotate it and regenerate the baseline deliberately "
-                "(see DESIGN.md, Concurrency discipline)"});
-      }
+    const int baseline = bit == base.end() ? 0 : bit->second;
+    if (n > baseline) {
+      findings.push_back(Finding{
+          file, 0, "state-regression",
+          "shared-state regression in " + file + ": mutable-global count " +
+              std::to_string(n) + " exceeds baseline " +
+              std::to_string(baseline) +
+              " (tools/state_baseline.json); remove the new shared state "
+              "or justify it and regenerate the baseline deliberately "
+              "(see DESIGN.md, Concurrency discipline)"});
     }
   }
   return findings;
