@@ -13,8 +13,9 @@
 # diffs its BENCH report against the checked-in baseline with
 # tools/bench_diff (deterministic fields gate exactly; see
 # tools/bench_baseline/README.md), and does the same for the diversity
-# scoring ablation, the latency extension, and the Table 1 and
-# dynamic-resilience reports of the obs and fault smoke fixtures. It
+# scoring ablation, the latency extension, and the Table 1,
+# dynamic-resilience and churn-response reports of the obs, fault and churn
+# smoke fixtures. It
 # builds the performance benchmark (perfbench/, Release) and checks its
 # outputs against perfbench/references.json. Last, with any preset but
 # tsan (whose suite already runs under ThreadSanitizer), it builds the
@@ -49,28 +50,10 @@ case "$preset" in
   checked) build_dir="build-checked" ;;
   *) build_dir="build" ;;
 esac
-# Determinism + architecture lint: simulator sources, benches, and tools.
-# The observed module include graph lands in $build_dir/include_graph.dot
-# (deterministic DOT) for review against DESIGN.md's dependency table. The
-# shared-state inventory (per-file mutable-global counts) is diffed against
-# tools/state_baseline.json: any per-file count increase fails here until
-# the baseline is updated deliberately, and a failure names the file. See
-# DESIGN.md "Concurrency discipline" for the regeneration recipe. Per-event
-# cost is not linted: the allocation-budget tests in the ctest run above
-# gate it.
-"$build_dir/tools/simlint" --dot="$build_dir/include_graph.dot" \
-  --state-report="$build_dir/state_report.json" \
-  --state-baseline=tools/state_baseline.json \
-  src bench tools
-
-# Both lint artifacts are published for review: the include graph for
-# DESIGN.md's dependency table and the shared-state inventory for
-# concurrency review.
-artifact_dir="$build_dir/artifacts"
-mkdir -p "$artifact_dir"
-cp "$build_dir/include_graph.dot" "$build_dir/state_report.json" \
-   "$artifact_dir/"
-echo "ci: artifacts: $artifact_dir/include_graph.dot $artifact_dir/state_report.json"
+# Determinism, layering and shared-state lint over the simulator sources,
+# benches, and tools (the same command as the simlint ctest above). Per-event
+# cost is not linted: the allocation-budget tests in the ctest run gate it.
+"$build_dir/tools/simlint" src bench tools
 
 # clang-tidy gate (check set pinned by .clang-tidy at the repo root, run
 # against the compile database the configure step exports). The binary is
@@ -118,8 +101,9 @@ mkdir -p "$obs_dir"
 
 # Bench regression gate: diff the smoke report against the checked-in
 # baseline (tools/bench_baseline/). Deterministic fields (figure scalars,
-# counters, phase calls, per-label event counts) gate exactly; allocs gate
-# with a +25% band; wall time only warns; any unattributed event fails. The baseline is preset-independent
+# series and tables, counters, gauges, histograms, phase calls, per-label
+# event counts) gate exactly; allocs gate with a +25% band; wall time only
+# warns; any unattributed event fails. The baseline is preset-independent
 # — the deterministic fields are byte-identical across release/checked/
 # asan-ubsan/tsan — so this runs under whichever preset was selected.
 "$build_dir/tools/bench_diff" \
@@ -143,48 +127,23 @@ for bench in ablation_scoring ext_latency; do
     --report-out="$div_dir/${bench}_bench_diff.txt"
 done
 
-# The two smoke reports the ctest fixtures above wrote: Table 1 from the
-# telemetry smoke (obs_smoke_bench, the full control-plane simulation) and
-# the dynamic-resilience run from the fault smoke (fault_smoke_bench).
-# Their baselines were recorded with the fixtures' own command lines, trace
-# flags included, so allocation counts compare like for like.
-"$build_dir/tools/bench_diff" \
-  --baseline=tools/bench_baseline/BENCH_table1_overhead_scope.json \
-  --current="$build_dir/obs_smoke/bench.json" \
-  --report-out="$build_dir/obs_smoke/bench_diff.txt"
-"$build_dir/tools/bench_diff" \
-  --baseline=tools/bench_baseline/BENCH_dyn_resilience.json \
-  --current="$build_dir/fault_smoke/bench.json" \
-  --report-out="$build_dir/fault_smoke/bench_diff.txt"
-
-# Churn-survival smoke: the five-series churn-response bench (plain BGP,
-# damping, graceful restart, SCION baseline, SCION robust) under the
-# example sustained-churn scenario, validated and then diffed against the
-# checked-in baseline so availability/amplification and the survival
-# counters (suppressed, stale-retained, quarantined, re-originated) cannot
-# drift silently. The 60-minute window is load-bearing: the example's burst
-# storm and session restarts start at 15m+. --jobs=4 runs the five series
-# in parallel, and the exact bench_diff below doubles as the proof that the
-# parallel run's deterministic fields match the serial baseline (the tsan
-# leg at the end repeats it under ThreadSanitizer).
-churn_dir="$build_dir/churn_ci"
-mkdir -p "$churn_dir"
-"$build_dir/bench/bench_churn_response" \
-  --core-isds=3 --core-ases=12 --internet-ases=200 \
-  --churn-minutes=60 --probe-interval-s=30 --jobs=4 \
-  --faults=examples/churn.faults \
-  --metrics-out="$churn_dir/metrics.json" \
-  --trace-out="$churn_dir/trace.jsonl" \
-  --trace-filter=fault \
-  --bench-out="$churn_dir/BENCH_churn_response.json" > "$churn_dir/stdout.txt"
-"$build_dir/tools/obs_check" \
-  --metrics="$churn_dir/metrics.json" \
-  --trace="$churn_dir/trace.jsonl" --expect-cat=fault \
-  --bench="$churn_dir/BENCH_churn_response.json"
-"$build_dir/tools/bench_diff" \
-  --baseline=tools/bench_baseline/BENCH_churn_response.json \
-  --current="$churn_dir/BENCH_churn_response.json" \
-  --report-out="$churn_dir/bench_diff.txt"
+# The three smoke reports the ctest fixtures above wrote: Table 1 from the
+# telemetry smoke (obs_smoke_bench, the full control-plane simulation), the
+# dynamic-resilience run from the fault smoke (fault_smoke_bench), and the
+# five-series churn-response run from the churn smoke (churn_smoke_bench;
+# churn_smoke_check validated its artifacts). Their baselines were recorded
+# with the fixtures' own command lines, trace flags included, so allocation
+# counts compare like for like. The churn fixture runs its five series at
+# --jobs=4, so its exact diff against the serial baseline doubles as the
+# proof that the parallel run's deterministic fields match (the tsan leg at
+# the end repeats it under ThreadSanitizer).
+for smoke in obs_smoke:table1_overhead_scope fault_smoke:dyn_resilience \
+             churn_smoke:churn_response; do
+  dir="$build_dir/${smoke%%:*}"
+  "$build_dir/tools/bench_diff" \
+    --baseline="tools/bench_baseline/BENCH_${smoke#*:}.json" \
+    --current="$dir/bench.json" --report-out="$dir/bench_diff.txt"
+done
 
 # Parallel-execution smoke: a quality bench with --jobs=4 (per-pair
 # max-flow optima as one exec::parallel_map batch). It proves the parallel
@@ -216,21 +175,25 @@ ctest --test-dir "$perf_dir" --output-on-failure
 "$perf_dir/bench_perf" --seed=1 --reps=1 --trace=0 \
   --summary-out="$perf_dir/BENCH_perf_summary.json"
 
-# Publish the profiling artifacts next to the lint ones: every smoke BENCH
-# report, the Chrome trace (load it at chrome://tracing or ui.perfetto.dev),
-# and the bench_diff verdict table.
+# Publish the profiling artifacts: every smoke BENCH report, the Chrome
+# trace (load it at chrome://tracing or ui.perfetto.dev), and the bench_diff
+# verdict tables.
+artifact_dir="$build_dir/artifacts"
+mkdir -p "$artifact_dir"
 cp "$obs_dir/BENCH_fig5_overhead.json" \
    "$obs_dir/chrome_trace.json" \
    "$obs_dir/bench_diff.txt" "$artifact_dir/"
-# The fault-injection smoke ran as the fault_smoke_bench ctest fixture.
+# The fault-injection and churn smokes ran as ctest fixtures.
 cp "$build_dir/fault_smoke/bench.json" \
    "$artifact_dir/BENCH_dyn_resilience_smoke.json"
 cp "$build_dir/fault_smoke/bench_diff.txt" \
    "$artifact_dir/dyn_resilience_bench_diff.txt"
+cp "$build_dir/churn_smoke/bench.json" \
+   "$artifact_dir/BENCH_churn_response.json"
+cp "$build_dir/churn_smoke/bench_diff.txt" \
+   "$artifact_dir/churn_bench_diff.txt"
 cp "$build_dir/obs_smoke/bench_diff.txt" \
    "$artifact_dir/table1_overhead_scope_bench_diff.txt"
-cp "$churn_dir/BENCH_churn_response.json" "$artifact_dir/"
-cp "$churn_dir/bench_diff.txt" "$artifact_dir/churn_bench_diff.txt"
 cp "$par_dir/bench.json" "$artifact_dir/BENCH_fig6b_capacity_smoke.json"
 cp "$div_dir/BENCH_ablation_scoring.json" "$div_dir/BENCH_ext_latency.json" \
    "$div_dir/ablation_scoring_bench_diff.txt" \
@@ -269,4 +232,4 @@ if [ "$preset" != "tsan" ]; then
     --bench-out="$tsan_ci/BENCH_fig6b_capacity.json" > "$tsan_ci/fig6b.txt"
 fi
 
-echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault smoke, churn smoke + regression gate, parallel smoke, bench regression gates (fig5, diversity ablation, latency extension, Table 1 smoke, dynamic-resilience smoke), perfbench build + output check, ThreadSanitizer race gate, and telemetry artifacts all green"
+echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault and churn smokes, parallel smoke, bench regression gates (fig5, diversity ablation, latency extension, Table 1, dynamic-resilience and churn smokes), perfbench build + output check, ThreadSanitizer race gate, and telemetry artifacts all green"

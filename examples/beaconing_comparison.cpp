@@ -15,6 +15,8 @@ using namespace scion;
 
 namespace {
 
+constexpr const char* kProgram = "beaconing_comparison";
+
 struct RunSummary {
   util::Bytes bytes{};
   std::uint64_t pcbs{0};
@@ -59,15 +61,15 @@ RunSummary run(const topo::Topology& core, ctrl::AlgorithmKind algorithm,
   return summary;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Flags flags{argc, argv};
+int compare(const util::Flags& flags) {
   exp::Scale scale = exp::Scale::from_flags(flags);
   scale.core_ases = static_cast<std::size_t>(
       flags.get_int("core-ases", static_cast<std::int64_t>(scale.core_ases)));
   const auto duration = util::Duration::minutes(flags.get_int(
       "minutes", static_cast<std::int64_t>(scale.quality_duration.as_minutes())));
+  if (const int status = util::reject_unused(flags, kProgram); status != 0) {
+    return status;
+  }
 
   const topo::Topology internet = exp::build_internet(scale);
   const exp::CoreNetworks nets = exp::build_core_networks(scale, internet);
@@ -99,4 +101,16 @@ int main(int argc, char** argv) {
               static_cast<double>(baseline.bytes.value()) /
                   static_cast<double>(diversity.bytes.value()));
   return 0;
+}
+
+}  // namespace
+
+// A malformed value or a flag nothing reads exits 2 before anything runs.
+int main(int argc, char** argv) {
+  try {
+    return compare(util::Flags{argc, argv});
+  } catch (const util::FlagError& e) {
+    std::fprintf(stderr, "%s: %s\n", kProgram, e.what());
+    return 2;
+  }
 }

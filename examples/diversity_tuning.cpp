@@ -11,25 +11,30 @@
 
 using namespace scion;
 
-int main(int argc, char** argv) {
-  util::Flags flags{argc, argv};
+namespace {
+
+constexpr const char* kProgram = "diversity_tuning";
+
+int tune(const util::Flags& flags) {
   exp::Scale scale = exp::Scale::from_flags(flags);
   // Grid search evaluates dozens of points; keep each run small.
   scale.core_ases =
       static_cast<std::size_t>(flags.get_int("core-ases", 24));
   scale.internet_ases = std::max<std::size_t>(scale.internet_ases, 300);
-
-  const topo::Topology internet = exp::build_internet(scale);
-  const exp::CoreNetworks nets = exp::build_core_networks(scale, internet);
-  std::printf("tuning on a %zu-AS core network (%zu links)\n",
-              nets.scion_view.as_count(), nets.scion_view.link_count());
-
   ctrl::GridSearchConfig config;
   config.sim_duration = util::Duration::minutes(
       flags.get_int("minutes", 90));
   config.sampled_pairs =
       static_cast<std::size_t>(flags.get_int("pairs", 40));
   config.seed = scale.seed;
+  if (const int status = util::reject_unused(flags, kProgram); status != 0) {
+    return status;
+  }
+
+  const topo::Topology internet = exp::build_internet(scale);
+  const exp::CoreNetworks nets = exp::build_core_networks(scale, internet);
+  std::printf("tuning on a %zu-AS core network (%zu links)\n",
+              nets.scion_view.as_count(), nets.scion_view.link_count());
 
   const ctrl::GridSearchResult result =
       ctrl::grid_search_diversity_params(nets.scion_view, config);
@@ -51,4 +56,16 @@ int main(int argc, char** argv) {
               result.best.params.gamma, result.best.quality,
               100.0 * result.best.overhead);
   return 0;
+}
+
+}  // namespace
+
+// A malformed value or a flag nothing reads exits 2 before anything runs.
+int main(int argc, char** argv) {
+  try {
+    return tune(util::Flags{argc, argv});
+  } catch (const util::FlagError& e) {
+    std::fprintf(stderr, "%s: %s\n", kProgram, e.what());
+    return 2;
+  }
 }

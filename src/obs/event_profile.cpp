@@ -14,6 +14,8 @@ std::atomic<bool> g_event_profiling_enabled{true};
 }  // namespace detail
 
 EventProfiler& EventProfiler::global() {
+  // The process-wide label table and totals: internally locked, and each
+  // Simulator records into its own EventShard. simlint:allow(mutable-global)
   static EventProfiler profiler;
   return profiler;
 }

@@ -52,6 +52,8 @@ void Histogram::reset() {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
+  // The process-wide registry: internally locked, and tasks record into
+  // thread-local shards. simlint:allow(mutable-global)
   static MetricsRegistry registry;
   return registry;
 }

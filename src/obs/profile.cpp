@@ -9,6 +9,8 @@
 namespace scion::obs {
 
 PhaseProfiler& PhaseProfiler::global() {
+  // The process-wide phase totals: internally locked, so phases may close
+  // on worker threads. simlint:allow(mutable-global)
   static PhaseProfiler profiler;
   return profiler;
 }

@@ -23,18 +23,16 @@ ObsSession::ObsSession(std::string_view binary, const util::Flags& flags,
 
   const std::string trace_path = flags.get("trace-out", "");
   const std::string filter = flags.get("trace-filter", "all");
+  auto sink = std::make_unique<TraceSink>(trace_file_);
+  if (!sink->set_filter(filter)) {
+    throw util::FlagError{"invalid value for --trace-filter: " + filter};
+  }
   if (!trace_path.empty()) {
     trace_file_.open(trace_path);
     if (!trace_file_) {
       std::cerr << "obs: cannot open --trace-out file " << trace_path << '\n';
     } else {
-      sink_ = std::make_unique<TraceSink>(trace_file_);
-      if (!sink_->set_filter(filter)) {
-        std::cerr << "obs: unknown category in --trace-filter=" << filter
-                  << " (known: simnet,beacon,bgp,scion,sig,experiment,"
-                     "fault,event); tracing everything\n";
-        sink_->enable_all();
-      }
+      sink_ = std::move(sink);
       set_trace_sink(sink_.get());
     }
   }

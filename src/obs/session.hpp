@@ -11,7 +11,8 @@
 //                        phase profile) as JSON on finish()
 //   --trace-out=FILE     stream structured events as JSONL during the run
 //   --trace-filter=CSV   category filter for the trace ("beacon,bgp";
-//                        default "all")
+//                        default "all"); an unknown category throws
+//                        util::FlagError, with or without --trace-out
 //   --chrome-trace-out=FILE  write a Chrome-trace/Perfetto JSON (phases +
 //                        top-K event labels + queue-depth counters) on
 //                        finish()

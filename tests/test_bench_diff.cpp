@@ -2,8 +2,9 @@
 //
 // The comparator is the brain of tools/bench_diff, the gate ci.sh runs
 // against the checked-in smoke baseline. Its verdict semantics are a
-// contract: deterministic fields (figure scalars, counters, phase calls,
-// per-label event counts) fail on ANY drift; allocation counters fail only
+// contract: deterministic fields (figure scalars, series and tables,
+// counters, gauges, histograms, phase calls, per-label event counts) fail
+// on ANY drift; allocation counters fail only
 // beyond the tolerance band; wall time warns unless a wall tolerance is
 // explicitly requested; unattributed events in the current run always
 // fail. These tests pin each verdict on small handwritten
@@ -26,6 +27,9 @@ constexpr const char* kBaseDoc = R"({
   "name": "fig5_overhead",
   "manifest": {"obs_enabled": true, "jobs": 1},
   "scalars": {"beacons": 120, "lookups": 7235},
+  "series": {"lag:BGP": {"summary": "n=2", "curve": [[30, 0.5], [32, 1]]}},
+  "tables": [{"title": "Overhead", "columns": ["Series", "Bytes"],
+              "rows": [{"Series": "BGP", "Bytes": "1024"}]}],
   "metrics": {"counters": {"pcbs_received": 500, "updates_sent": 80}},
   "phases": [
     {"phase": "beaconing", "calls": 10, "wall_ns": 5000,
@@ -115,6 +119,55 @@ TEST(BenchDiff, MissingScalarFailsAndNewScalarWarns) {
   const DiffEntry* added = find_metric(r, "scalars.probes");
   ASSERT_NE(added, nullptr);
   EXPECT_EQ(added->severity, DiffSeverity::kWarn);
+}
+
+// The printed figure (CDF series, tables) and the registry's gauges and
+// histograms gate exactly, leaf by leaf, like the scalars and counters.
+TEST(BenchDiff, SeriesTableGaugeAndHistogramDriftFails) {
+  const std::string doc = replaced(
+      kBaseDoc, "\"updates_sent\": 80}",
+      "\"updates_sent\": 80},\n"
+      "    \"gauges\": {\"store_occupancy\": 66},\n"
+      "    \"histograms\": {\"wire_bytes\": {\"bounds\": [1, 2], "
+      "\"bucket_counts\": [0, 3, 1], \"count\": 4, \"sum\": 9.5}}");
+  const obs::JsonValue base = parse(doc);
+  EXPECT_FALSE(diff_bench_docs(base, base).failed());
+
+  struct Drift {
+    const char* from;
+    const char* to;
+    const char* metric;
+  };
+  for (const Drift& d : std::vector<Drift>{
+           {"\"Bytes\": \"1024\"", "\"Bytes\": \"1025\"",
+            "tables[0].rows[0].Bytes"},
+           {"[32, 1]", "[33, 1]", "series.lag:BGP.curve[1][0]"},
+           {"\"store_occupancy\": 66", "\"store_occupancy\": 67",
+            "gauges.store_occupancy"},
+           {"\"sum\": 9.5", "\"sum\": 9.25", "histograms.wire_bytes.sum"}}) {
+    const DiffReport r =
+        diff_bench_docs(base, parse(replaced(doc, d.from, d.to)));
+    EXPECT_EQ(r.failures, 1u) << d.metric;
+    const DiffEntry* e = find_metric(r, d.metric);
+    ASSERT_NE(e, nullptr) << d.metric;
+    EXPECT_EQ(e->severity, DiffSeverity::kFail);
+    EXPECT_EQ(e->note, "deterministic field changed");
+  }
+
+  // A table row only the current run has warns; one it lacks fails.
+  const std::string row = "{\"Series\": \"BGP\", \"Bytes\": \"1024\"}";
+  const obs::JsonValue two_rows = parse(replaced(
+      doc, row, row + ", {\"Series\": \"SCION\", \"Bytes\": \"64\"}"));
+  const DiffReport grown = diff_bench_docs(base, two_rows);
+  EXPECT_FALSE(grown.failed());
+  const DiffEntry* added = find_metric(grown, "tables[0].rows[1]");
+  ASSERT_NE(added, nullptr);
+  EXPECT_EQ(added->severity, DiffSeverity::kWarn);
+  const DiffReport shrunk = diff_bench_docs(two_rows, base);
+  const DiffEntry* missing = find_metric(shrunk, "tables[0].rows[1]");
+  ASSERT_NE(missing, nullptr);
+  EXPECT_EQ(missing->severity, DiffSeverity::kFail);
+  EXPECT_EQ(missing->note, "missing from current run");
 }
 
 TEST(BenchDiff, PhaseCallDriftFails) {

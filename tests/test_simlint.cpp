@@ -1,8 +1,11 @@
-// Unit tests for the simlint rule engine (tools/simlint_core.hpp): each
-// rule's positive case, the idiomatic patterns that must stay clean, and
-// the simlint:allow escape hatch.
+// Unit tests for simlint: the line scanner and the determinism rules
+// (tools/simlint_core.hpp), the layering rule (simlint_includes.hpp) and the
+// mutable-global rule (simlint_state.hpp). Each rule's positive case, the
+// idiomatic patterns that must stay clean, and the simlint:allow escape
+// hatch.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,9 +18,7 @@ namespace {
 
 std::vector<Finding> lint_one(const std::string& content,
                               const std::string& name = "src/x.cpp") {
-  Linter linter;
-  linter.add_file(name, content);
-  return linter.run();
+  return check_determinism({scan(name, content)});
 }
 
 std::vector<std::string> rules_of(const std::vector<Finding>& findings) {
@@ -122,25 +123,22 @@ TEST(SimlintUnorderedIter, OrderedContainersAreClean) {
 }
 
 TEST(SimlintUnorderedIter, ResolvesDeclarationsAcrossStemGroup) {
-  // Member declared in the header, iterated in the companion .cpp.
-  Linter linter;
-  linter.add_file("src/foo.hpp",
-                  "struct S { std::unordered_map<int, int> table; };\n");
-  linter.add_file("src/foo.cpp", "for (const auto& [k, v] : table) use(k);\n");
-  // Same local name in an unrelated file must NOT inherit the type.
-  linter.add_file("src/bar.cpp", "for (const auto& e : table) use(e);\n");
-  const auto f = linter.run();
+  // Member declared in the header, iterated in the companion .cpp. The same
+  // local name in an unrelated file must NOT inherit the type.
+  const auto f = check_determinism(
+      {scan("src/foo.hpp",
+            "struct S { std::unordered_map<int, int> table; };\n"),
+       scan("src/foo.cpp", "for (const auto& [k, v] : table) use(k);\n"),
+       scan("src/bar.cpp", "for (const auto& e : table) use(e);\n")});
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].file, "src/foo.cpp");
 }
 
 TEST(SimlintUnorderedIter, TrailingUnderscoreMembersAreGlobal) {
-  Linter linter;
-  linter.add_file("src/foo.hpp",
-                  "class C { std::unordered_map<int, int> cache_; };\n");
-  linter.add_file("src/other.cpp",
-                  "for (const auto& [k, v] : cache_) use(k);\n");
-  const auto f = linter.run();
+  const auto f = check_determinism(
+      {scan("src/foo.hpp",
+            "class C { std::unordered_map<int, int> cache_; };\n"),
+       scan("src/other.cpp", "for (const auto& [k, v] : cache_) use(k);\n")});
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].file, "src/other.cpp");
 }
@@ -373,13 +371,63 @@ TEST(SimlintComments, HazardsInCommentsAreIgnored) {
           .empty());
 }
 
+TEST(SimlintComments, HazardsInStringLiteralsAreIgnored) {
+  EXPECT_TRUE(
+      lint_one("const char* kMsg = \"std::rand() is banned\";\n").empty());
+  EXPECT_TRUE(
+      lint_one("log(R\"(std::chrono::system_clock\n"
+               "std::mt19937 gen;)\");\n")
+          .empty());
+  EXPECT_TRUE(lint_one("char q = '\"'; auto s = \"std::cout\";\n").empty());
+  // The code around a literal is still linted.
+  EXPECT_EQ(rules_of(lint_one("int x = std::rand() + f(\"y\");\n")),
+            std::vector<std::string>{"std-rng"});
+}
+
+TEST(SimlintComments, HazardsInDisabledRegionsAreIgnored) {
+  EXPECT_TRUE(lint_one("#if 0\n"
+                       "std::mt19937 gen;\n"
+                       "#endif\n")
+                  .empty());
+  const auto f = lint_one("#if 0\n"
+                          "std::mt19937 gen;\n"
+                          "#else\n"
+                          "std::mt19937 live;\n"
+                          "#endif\n");
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].line, 4);
+}
+
+TEST(SimlintScan, YieldsCodeIncludeAndAllowPerLine) {
+  const SourceFile file =
+      scan("src/x.cpp",
+           "#include \"util/rng.hpp\"  // simlint:allow(std-rng)\n"
+           "int x = 1;  /* simlint:allow(wall-clock) */\n"
+           "#if 0\n"
+           "int dead;\n"
+           "#endif\n"
+           "#include <vector>\n");
+  ASSERT_EQ(file.lines.size(), 4u);  // the #if 0 region is dropped
+  EXPECT_EQ(file.lines[0].include, "util/rng.hpp");
+  EXPECT_EQ(file.lines[0].allow, std::vector<std::string>{"std-rng"});
+  EXPECT_EQ(file.lines[1].number, 2);
+  EXPECT_EQ(file.lines[1].code, "int x = 1;   ");
+  // The directive reaches the next line, and the block comment's does too.
+  EXPECT_EQ(file.lines[1].allow,
+            (std::vector<std::string>{"std-rng", "wall-clock"}));
+  EXPECT_EQ(file.lines[2].number, 6);
+  EXPECT_EQ(file.lines[2].include, "");
+  // A directive spelled inside a string literal is no directive.
+  EXPECT_TRUE(scan("src/x.cpp", "f(\"simlint:allow(std-rng)\");\n")
+                  .lines[0]
+                  .allow.empty());
+}
+
 // --- include graph (architecture lint) ---------------------------------------
 
 std::vector<Finding> graph_one(const std::string& content,
                                const std::string& name = "src/util/x.hpp") {
-  IncludeGraph graph;
-  graph.add_file(name, content);
-  return graph.check();
+  return check_layering({scan(name, content)});
 }
 
 TEST(SimlintLayering, UpwardIncludeIsFlagged) {
@@ -464,62 +512,47 @@ TEST(SimlintLayering, ElseOfDisabledRegionIsActive) {
   EXPECT_EQ(f[0].line, 4);
 }
 
-TEST(SimlintLayering, AllowDirectiveSuppresses) {
-  EXPECT_TRUE(
-      graph_one("#include \"simnet/simulator.hpp\"  "
-                "// simlint:allow(layering)\n")
-          .empty());
-  EXPECT_TRUE(
-      graph_one("// transitional shim, tracked in DESIGN.md. "
-                "simlint:allow(layering)\n"
-                "#include \"simnet/simulator.hpp\"\n")
-          .empty());
+TEST(SimlintLayering, AllowDirectiveDoesNotSuppress) {
+  // An upward include needs the shared code moved down; no directive
+  // excuses it.
+  EXPECT_EQ(rules_of(graph_one("#include \"simnet/simulator.hpp\"  "
+                               "// simlint:allow(layering)\n")),
+            std::vector<std::string>{"layering"});
+  EXPECT_EQ(rules_of(graph_one("// transitional shim. "
+                               "simlint:allow(layering)\n"
+                               "#include \"simnet/simulator.hpp\"\n")),
+            std::vector<std::string>{"layering"});
 }
 
-TEST(SimlintCycle, ObservedCycleIsReported) {
-  IncludeGraph graph;
-  // A synthetic two-module DAG where both directions are declared legal —
-  // the per-edge check stays quiet, so only cycle detection can catch it.
-  graph.set_rules({{"a", {"b"}}, {"b", {"a"}}});
-  graph.add_file("src/a/a.hpp", "#include \"b/b.hpp\"\n");
-  graph.add_file("src/b/b.hpp", "#include \"a/a.hpp\"\n");
-  const auto f = graph.check();
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "module-cycle");
-  EXPECT_NE(f[0].message.find("a -> b -> a"), std::string::npos);
+TEST(SimlintLayering, DeclaredListIsBottomUp) {
+  // Each module names only modules listed before it, so every include the
+  // rule accepts points to an earlier module and the include graph cannot
+  // cycle.
+  std::set<std::string> below;
+  for (const auto& [module, deps] : default_layering()) {
+    for (const std::string& dep : deps) {
+      EXPECT_TRUE(below.contains(dep))
+          << "'" << module << "' names '" << dep << "', which is not listed "
+          << "before it";
+    }
+    EXPECT_TRUE(below.insert(module).second) << module << " listed twice";
+  }
 }
 
 TEST(SimlintCycle, RealTreeShapedGraphHasNoCycle) {
-  IncludeGraph graph;
-  graph.add_file("src/scion/sig.hpp", "#include \"core/pcb.hpp\"\n");
-  graph.add_file("src/core/pcb.hpp", "#include \"crypto/mac.hpp\"\n");
-  EXPECT_TRUE(graph.check().empty());
+  // A chain through the declared list: every edge is accepted.
+  EXPECT_TRUE(check_layering({scan("src/scion/sig.hpp",
+                                   "#include \"core/pcb.hpp\"\n"),
+                              scan("src/core/pcb.hpp",
+                                   "#include \"crypto/mac.hpp\"\n")})
+                  .empty());
 }
 
-TEST(SimlintDot, OutputIsDeterministicAndSorted) {
-  const auto build = [] {
-    IncludeGraph graph;
-    graph.set_rules({{"a", {"b"}}, {"b", {}}});
-    graph.add_file("src/a/x.hpp", "#include \"b/y.hpp\"\n"
-                                  "#include \"b/z.hpp\"\n");
-    return graph.to_dot();
-  };
-  const std::string dot = build();
-  EXPECT_EQ(dot, build());
-  EXPECT_NE(dot.find("\"a\" -> \"b\" [label=\"2\"]"), std::string::npos);
-  // Declared-but-unobserved modules still appear as nodes.
-  EXPECT_NE(dot.find("\"b\";"), std::string::npos);
-}
-
-
-// --- shared-state analyzer (simlint_state.hpp) -------------------------------
+// --- shared-state rule (simlint_state.hpp) -----------------------------------
 
 std::vector<Finding> state_lint_one(const std::string& content,
                                     const std::string& name = "src/x.cpp") {
-  StateAnalyzer a;
-  a.set_allowlist({});  // exercise the rules, not the built-in registry list
-  a.add_file(name, content);
-  return a.check();
+  return check_state({scan(name, content)});
 }
 
 TEST(SimlintState, NamespaceScopeGlobalIsFlagged) {
@@ -623,79 +656,6 @@ TEST(SimlintState, MacroGeneratedStaticIsFlagged) {
   EXPECT_EQ(rules_of(state_lint_one(
                 "#define DEFINE_COUNTER(name) static int name = 0;\n")),
             std::vector<std::string>{"mutable-global"});
-}
-
-TEST(SimlintState, AllowlistSuppressesByFileAndName) {
-  StateAnalyzer a;
-  a.set_allowlist({{"src/obs/metrics.cpp", "registry"}});
-  a.add_file("src/obs/metrics.cpp",
-             "static MetricsRegistry registry;\n"
-             "static int g_other = 0;\n");
-  const auto f = a.check();
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_NE(f[0].message.find("g_other"), std::string::npos);
-}
-
-TEST(SimlintState, ReportCountsAllowedSitesAndIsDeterministic) {
-  const auto build = [] {
-    StateAnalyzer a;
-    a.set_allowlist({});
-    a.add_file("src/x.cpp",
-               "int g_a = 0;  // simlint:allow(mutable-global)\n"
-               "int g_b = 0;\n");
-    a.add_file("src/y.hpp", "const int kLimit = 4;\n");
-    a.check();
-    return a.state_report_json();
-  };
-  const std::string report = build();
-  EXPECT_EQ(report, build());
-  // Allowed sites still count: the report is the budget, lint is the gate.
-  EXPECT_NE(report.find("\"src/x.cpp\", \"counts\": {\"mutable-global\": 2}"),
-            std::string::npos);
-  // A file with no site is not listed.
-  EXPECT_EQ(report.find("src/y.hpp"), std::string::npos);
-  EXPECT_NE(report.find("\"totals\": {\"mutable-global\": 2}"),
-            std::string::npos);
-}
-
-TEST(SimlintState, BaselineDiffFlagsIncreasesOnly) {
-  StateAnalyzer a;
-  a.set_allowlist({});
-  a.add_file("src/x.cpp", "int g_a = 0;  // simlint:allow(mutable-global)\n");
-  a.check();
-  const std::string baseline = a.state_report_json();
-
-  // Same counts: clean.
-  EXPECT_TRUE(a.diff_baseline(baseline).empty());
-
-  // One more global in the same file: exactly one regression finding that
-  // names the file and the rule.
-  StateAnalyzer b;
-  b.set_allowlist({});
-  b.add_file("src/x.cpp",
-             "int g_a = 0;  // simlint:allow(mutable-global)\n"
-             "int g_b = 0;  // simlint:allow(mutable-global)\n");
-  b.check();
-  const auto regressions = b.diff_baseline(baseline);
-  ASSERT_EQ(regressions.size(), 1u);
-  EXPECT_EQ(regressions[0].rule, "state-regression");
-  EXPECT_EQ(regressions[0].file, "src/x.cpp");
-  EXPECT_NE(regressions[0].message.find("mutable-global"), std::string::npos);
-
-  // A file absent from the baseline counts as zero everywhere.
-  StateAnalyzer c;
-  c.set_allowlist({});
-  c.add_file("src/fresh.cpp",
-             "int g_new = 0;  // simlint:allow(mutable-global)\n");
-  c.check();
-  EXPECT_EQ(c.diff_baseline(baseline).size(), 1u);
-
-  // Fewer findings than baseline is fine (progress, not regression).
-  StateAnalyzer d;
-  d.set_allowlist({});
-  d.add_file("src/x.cpp", "void f();\n");
-  d.check();
-  EXPECT_TRUE(d.diff_baseline(baseline).empty());
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // deterministic fields gate exactly, allocation counters gate with a
 // tolerance band, wall time warns unless --wall-tolerance is set. CI runs
 // this after the smoke bench against the checked-in baseline so a metric
-// that silently changes — event counts, figure scalars, allocation cost —
-// fails the build with the offending metric named.
+// that silently changes — event counts, figure scalars, a table cell or CDF
+// point, allocation cost — fails the build with the offending metric named.
 //
 // Usage:
 //   bench_diff --baseline=<file-or-dir> --current=<file-or-dir>

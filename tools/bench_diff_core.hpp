@@ -3,8 +3,11 @@
 //
 // Compares two scion-mpr-bench-v1 documents (a baseline and a current run)
 // and classifies every difference:
-//   - deterministic fields (figure scalars, metrics counters, per-phase call
-//     counts, per-label event counts) gate EXACTLY: any drift fails,
+//   - deterministic fields gate EXACTLY: any drift fails. They are the
+//     figure's scalars, CDF series and tables, the metrics registry's
+//     counters, gauges and histograms (compared leaf by leaf; a missing
+//     entry fails, a new one warns), per-phase call counts and per-label
+//     event counts,
 //   - allocation counters gate with a tolerance band: increases beyond
 //     --alloc-tolerance fail, decreases always pass,
 //   - wall-time fields only warn unless --wall-tolerance is given, because
@@ -14,6 +17,7 @@
 //     fails, even when the baseline has the same gap.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -114,36 +118,74 @@ inline void diff_band(DiffReport& r, const std::string& metric, double base,
         tolerance < 0.0 ? note + " (wall time: warn only)" : note);
 }
 
-/// Diffs two JSON objects of numbers with the given per-key gate.
-template <typename Gate>
-void diff_number_map(DiffReport& r, const std::string& prefix,
-                     const obs::JsonValue* base, const obs::JsonValue* cur,
-                     Gate&& gate) {
-  const bool have_base = base != nullptr && base->is_object();
-  const bool have_cur = cur != nullptr && cur->is_object();
-  if (have_base) {
-    for (const auto& [key, bv] : base->as_object()) {
-      if (!bv.is_number()) continue;
-      const std::string metric = prefix + "." + key;
-      const obs::JsonValue* cv = have_cur ? cur->find(key) : nullptr;
-      if (cv == nullptr || !cv->is_number()) {
-        ++r.compared;
-        r.add(DiffSeverity::kFail, metric, fmt_num(bv.as_number()), "-",
-              "missing from current run");
-        continue;
+/// A JSON value as a report cell: numbers as fmt_num, strings quoted,
+/// containers elided.
+inline std::string render(const obs::JsonValue& v) {
+  if (v.is_number()) return fmt_num(v.as_number());
+  if (v.is_string()) return "\"" + v.as_string() + "\"";
+  if (v.is_bool()) return v.as_bool() ? "true" : "false";
+  if (v.is_null()) return "null";
+  return v.is_array() ? "[...]" : "{...}";
+}
+
+/// Exact gate over a JSON subtree: every leaf must match. A member or
+/// element the current run lacks fails; one only the current run has warns.
+inline void diff_tree(DiffReport& r, const std::string& path,
+                      const obs::JsonValue& base, const obs::JsonValue& cur) {
+  const auto missing = [&r](const std::string& p, const obs::JsonValue& b) {
+    ++r.compared;
+    r.add(DiffSeverity::kFail, p, render(b), "-", "missing from current run");
+  };
+  const auto added = [&r](const std::string& p, const obs::JsonValue& c) {
+    ++r.compared;
+    r.add(DiffSeverity::kWarn, p, "-", render(c),
+          "new metric (absent from baseline)");
+  };
+  if (base.is_object() && cur.is_object()) {
+    for (const auto& [key, bv] : base.as_object()) {
+      const obs::JsonValue* cv = cur.find(key);
+      if (cv == nullptr) {
+        missing(path + "." + key, bv);
+      } else {
+        diff_tree(r, path + "." + key, bv, *cv);
       }
-      gate(r, metric, bv.as_number(), cv->as_number());
+    }
+    for (const auto& [key, cv] : cur.as_object()) {
+      if (base.find(key) == nullptr) added(path + "." + key, cv);
+    }
+  } else if (base.is_array() && cur.is_array()) {
+    const obs::JsonValue::Array& b = base.as_array();
+    const obs::JsonValue::Array& c = cur.as_array();
+    for (std::size_t i = 0; i < std::max(b.size(), c.size()); ++i) {
+      const std::string p = path + "[" + std::to_string(i) + "]";
+      if (i >= c.size()) {
+        missing(p, b[i]);
+      } else if (i >= b.size()) {
+        added(p, c[i]);
+      } else {
+        diff_tree(r, p, b[i], c[i]);
+      }
+    }
+  } else if (base.is_number() && cur.is_number()) {
+    diff_exact(r, path, base.as_number(), cur.as_number());
+  } else {
+    ++r.compared;
+    if (render(base) != render(cur)) {
+      r.add(DiffSeverity::kFail, path, render(base), render(cur),
+            "deterministic field changed");
     }
   }
-  if (have_cur) {
-    for (const auto& [key, cv] : cur->as_object()) {
-      if (!cv.is_number()) continue;
-      if (have_base && base->find(key) != nullptr) continue;
-      ++r.compared;
-      r.add(DiffSeverity::kWarn, prefix + "." + key, "-",
-            fmt_num(cv.as_number()), "new metric (absent from baseline)");
-    }
-  }
+}
+
+/// diff_tree over a report section either document may lack: an absent
+/// section compares as an empty object, so each member of the other side is
+/// reported.
+inline void diff_section(DiffReport& r, const std::string& path,
+                         const obs::JsonValue* base,
+                         const obs::JsonValue* cur) {
+  static const obs::JsonValue kAbsent{obs::JsonValue::Object{}};
+  diff_tree(r, path, base != nullptr ? *base : kAbsent,
+            cur != nullptr ? *cur : kAbsent);
 }
 
 /// Indexes an array of objects by a string member, e.g. phases by "phase".
@@ -195,11 +237,11 @@ inline DiffReport diff_bench_docs(const obs::JsonValue& baseline,
     return r;
   }
 
-  // Figure scalars: the headline deterministic results. Exact.
-  diff_number_map(r, "scalars", baseline.find("scalars"),
-                  current.find("scalars"),
-                  [](DiffReport& rep, const std::string& m, double b,
-                     double c) { diff_exact(rep, m, b, c); });
+  // The figure as the bench printed it: headline scalars, CDF series and
+  // rendered tables. Exact.
+  for (const char* section : {"scalars", "series", "tables"}) {
+    diff_section(r, section, baseline.find(section), current.find(section));
+  }
 
   // Invariant on the current run alone, whatever the baseline says: with
   // the event profiler on, every event must carry a named label.
@@ -216,16 +258,15 @@ inline DiffReport diff_bench_docs(const obs::JsonValue& baseline,
     }
   }
 
-  // Metrics counters are deterministic event tallies. Exact.
+  // The metrics registry: counters are event tallies, gauges high-water
+  // marks and histograms value distributions, all deterministic. Exact.
   const obs::JsonValue* base_metrics = baseline.find("metrics");
   const obs::JsonValue* cur_metrics = current.find("metrics");
-  diff_number_map(
-      r, "counters",
-      base_metrics != nullptr ? base_metrics->find("counters") : nullptr,
-      cur_metrics != nullptr ? cur_metrics->find("counters") : nullptr,
-      [](DiffReport& rep, const std::string& m, double b, double c) {
-        diff_exact(rep, m, b, c);
-      });
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    diff_section(r, kind,
+                 base_metrics != nullptr ? base_metrics->find(kind) : nullptr,
+                 cur_metrics != nullptr ? cur_metrics->find(kind) : nullptr);
+  }
 
   // Phases: call counts are deterministic; wall time is banded.
   std::vector<std::pair<std::string, const obs::JsonValue*>> base_phases;

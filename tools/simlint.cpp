@@ -1,19 +1,10 @@
 // simlint driver: lints the given files / directories (recursively, *.hpp
-// *.cpp *.h) and reports determinism hazards, architecture (layering)
-// violations, and shared-state hazards. See simlint_core.hpp for the
-// determinism rule set, simlint_includes.hpp for the include-graph rules,
-// simlint_state.hpp for the shared-state rules, and the
-// `// simlint:allow(<rule>)` escape hatch shared by all three.
+// *.cpp *.h *.cc) and reports determinism hazards (simlint_core.hpp),
+// layering violations (simlint_includes.hpp) and shared mutable state
+// (simlint_state.hpp). Each file is scanned once (scan() in
+// simlint_core.hpp) and every rule reads the scanned lines.
 //
-// --dot=PATH writes the observed module include graph as deterministic DOT
-// (sorted nodes/edges) so DESIGN.md's dependency table can be reviewed
-// against reality.
-//
-// --state-report=PATH writes the deterministic shared-state inventory JSON
-// (simlint_state.hpp: per-file mutable-global counts, simlint:allow-
-// suppressed sites included).
-// --state-baseline=PATH diffs those counts against a checked-in report
-// (tools/state_baseline.json) and fails on any increase.
+//   simlint <file-or-dir>...
 //
 // Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 //
@@ -22,8 +13,8 @@
 // hold deliberately-broken test vectors and are skipped during directory
 // walks (they can still be linted by passing the files explicitly, which is
 // how the WILL_FAIL fixture tests invoke them).
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -50,15 +41,15 @@ bool fixture_dir(const fs::path& p) {
   return false;
 }
 
-bool add_path(scion::lint::Linter& linter, scion::lint::IncludeGraph& graph,
-              scion::lint::StateAnalyzer& state, const fs::path& path) {
+bool add_path(std::vector<scion::lint::SourceFile>& files,
+              const fs::path& path) {
   std::error_code ec;
   if (fs::is_directory(path, ec)) {
-    std::vector<fs::path> files;
+    std::vector<fs::path> found;
     for (const auto& entry : fs::recursive_directory_iterator(path, ec)) {
       if (entry.is_regular_file() && lintable(entry.path()) &&
           !fixture_dir(entry.path())) {
-        files.push_back(entry.path());
+        found.push_back(entry.path());
       }
     }
     if (ec) {
@@ -67,9 +58,9 @@ bool add_path(scion::lint::Linter& linter, scion::lint::IncludeGraph& graph,
       return false;
     }
     // Deterministic report order regardless of directory enumeration.
-    std::sort(files.begin(), files.end());
-    for (const fs::path& f : files) {
-      if (!add_path(linter, graph, state, f)) return false;
+    std::sort(found.begin(), found.end());
+    for (const fs::path& f : found) {
+      if (!add_path(files, f)) return false;
     }
     return true;
   }
@@ -81,97 +72,40 @@ bool add_path(scion::lint::Linter& linter, scion::lint::IncludeGraph& graph,
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  std::string content = std::move(buf).str();
-  linter.add_file(path.generic_string(), content);
-  graph.add_file(path.generic_string(), content);
-  state.add_file(path.generic_string(), content);
+  files.push_back(scion::lint::scan(path.generic_string(), buf.str()));
   return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string dot_path;
-  std::string state_report_path;
-  std::string state_baseline_path;
-  std::vector<const char*> inputs;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--dot=", 6) == 0) {
-      dot_path = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--state-report=", 15) == 0) {
-      state_report_path = argv[i] + 15;
-    } else if (std::strncmp(argv[i], "--state-baseline=", 17) == 0) {
-      state_baseline_path = argv[i] + 17;
-    } else {
-      inputs.push_back(argv[i]);
-    }
-  }
-  if (inputs.empty()) {
+  if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: simlint [--dot=PATH] [--state-report=PATH] "
-                 "[--state-baseline=PATH] <file-or-dir>...\n"
+                 "usage: simlint <file-or-dir>...\n"
                  "rules: wall-clock std-rng unordered-iter float-accum "
-                 "raw-output raw-thread layering module-cycle\n"
-                 "       mutable-global\n"
-                 "suppress with // simlint:allow(<rule>) on or above the "
-                 "offending line\n"
-                 "--dot=PATH writes the observed module include graph as "
-                 "deterministic DOT\n"
-                 "--state-report=PATH writes the shared-state inventory "
-                 "JSON; --state-baseline=PATH fails on regressions\n");
+                 "raw-output raw-thread layering mutable-global\n"
+                 "suppress a rule with // simlint:allow(<rule>) on or above "
+                 "the offending line; layering has no suppression\n");
     return 2;
   }
 
-  scion::lint::Linter linter;
-  scion::lint::IncludeGraph graph;
-  scion::lint::StateAnalyzer state;
-  for (const char* input : inputs) {
-    if (!add_path(linter, graph, state, input)) return 2;
+  std::vector<scion::lint::SourceFile> files;
+  for (int i = 1; i < argc; ++i) {
+    if (!add_path(files, argv[i])) return 2;
   }
 
-  std::vector<scion::lint::Finding> findings = linter.run();
-  for (scion::lint::Finding& f : graph.check()) {
+  std::vector<scion::lint::Finding> findings =
+      scion::lint::check_determinism(files);
+  for (scion::lint::Finding& f : scion::lint::check_layering(files)) {
     findings.push_back(std::move(f));
   }
-  for (scion::lint::Finding& f : state.check()) {
+  for (scion::lint::Finding& f : scion::lint::check_state(files)) {
     findings.push_back(std::move(f));
-  }
-  if (!state_baseline_path.empty()) {
-    std::ifstream in{state_baseline_path, std::ios::binary};
-    if (!in) {
-      std::fprintf(stderr, "simlint: cannot read state baseline %s\n",
-                   state_baseline_path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    for (scion::lint::Finding& f : state.diff_baseline(buf.str())) {
-      findings.push_back(std::move(f));
-    }
   }
   for (const scion::lint::Finding& f : findings) {
     std::fprintf(stderr, "%s:%d: [%s] %s\n", f.file.c_str(), f.line,
                  f.rule.c_str(), f.message.c_str());
   }
-
-  if (!dot_path.empty()) {
-    std::ofstream out{dot_path, std::ios::binary};
-    if (!out) {
-      std::fprintf(stderr, "simlint: cannot write %s\n", dot_path.c_str());
-      return 2;
-    }
-    out << graph.to_dot();
-  }
-  if (!state_report_path.empty()) {
-    std::ofstream out{state_report_path, std::ios::binary};
-    if (!out) {
-      std::fprintf(stderr, "simlint: cannot write %s\n",
-                   state_report_path.c_str());
-      return 2;
-    }
-    out << state.state_report_json();
-  }
-
   if (!findings.empty()) {
     std::fprintf(stderr, "simlint: %zu finding(s)\n", findings.size());
     return 1;

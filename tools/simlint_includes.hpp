@@ -1,36 +1,29 @@
-// simlint include-graph analyzer — architecture lint for the simulator.
+// simlint layering rule — architecture lint for the simulator.
 //
 // The simulator is layered (util at the bottom, experiments at the top) and
 // the layering is what keeps the hot path lean: a low layer that reaches up
 // pulls protocol machinery into code that benchmarks assume is dependency-
-// free, and an include cycle makes header self-containment unprovable. The
-// compiler enforces neither, so this analyzer does:
+// free. The compiler does not enforce it, so this rule does:
 //
-//   layering       a file in module A includes a header of module B that is
-//                  not in A's declared dependency set (see default_layering()
-//                  and DESIGN.md). Also fired when A itself is not declared,
-//                  so new top-level directories must be registered.
-//   module-cycle   the observed module graph contains a cycle. A cycle means
-//                  the declared DAG and reality have diverged in a way the
-//                  per-edge check alone cannot localize, so the whole cycle
-//                  is reported once, on the edge that closes it.
+//   layering       a file in module A includes a header of module B that
+//                  A's entry in default_layering() does not name (see
+//                  DESIGN.md). Also fired when A itself is not declared, so
+//                  new top-level directories must be registered.
 //
-// Edges are read from `#include "..."` lines only (<system> includes carry no
-// layering information). Includes inside block comments and inside disabled
-// `#if 0` / `#if false` regions do not create edges. A deliberate exception
-// is silenced with `// simlint:allow(layering)` on the include line or the
-// line above, same escape hatch as the determinism rules.
+// default_layering() lists the modules bottom-up, and a module names only
+// modules listed before it (tests/test_simlint.cpp checks this). Every
+// include the rule accepts therefore points to an earlier module, so the
+// include graph of src/ is acyclic by construction. The rule has no escape
+// hatch: `simlint:allow(layering)` suppresses nothing, and an upward include
+// needs the shared code moved down.
 //
-// The observed graph can be dumped as deterministic DOT (sorted nodes and
-// edges, include-site counts as labels) for review in DESIGN.md updates:
-// `simlint --dot=build/include_graph.dot src`.
+// Edges are the scanner's `#include "..."` targets (<system> includes carry
+// no layering information), so includes in comments and in disabled
+// `#if 0` / `#if false` regions create none.
 #pragma once
 
 #include <algorithm>
-#include <cctype>
-#include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -40,12 +33,13 @@
 
 namespace scion::lint {
 
-/// The declared module DAG: module -> modules it may include (not counting
-/// itself; intra-module includes are always fine). Mirrors the table in
-/// DESIGN.md — update both together, and keep this map a DAG: the analyzer
-/// trusts it when explaining findings.
-inline const std::map<std::string, std::set<std::string>>& default_layering() {
-  static const std::map<std::string, std::set<std::string>> kRules{
+/// The declared module layering, bottom-up: each module with the modules it
+/// may include (besides itself), all of them listed before it. Mirrors the
+/// table in DESIGN.md — update both together.
+using Layering = std::vector<std::pair<std::string, std::set<std::string>>>;
+
+inline const Layering& default_layering() {
+  static const Layering kLayers{
       {"util", {}},
       {"crypto", {}},
       {"obs", {"util"}},
@@ -65,7 +59,7 @@ inline const std::map<std::string, std::set<std::string>>& default_layering() {
        {"analysis", "bgp", "core", "crypto", "exec", "faults", "obs", "scion",
         "simnet", "topology", "util"}},
   };
-  return kRules;
+  return kLayers;
 }
 
 namespace detail {
@@ -95,268 +89,44 @@ inline std::string module_of(std::string_view path) {
   return {};
 }
 
-/// The target of a project-local include directive in `code` (the quoted
-/// path of `#include "..."`), or "" if the line is not one.
-inline std::string quoted_include(std::string_view code) {
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < code.size() && (code[i] == ' ' || code[i] == '\t')) ++i;
-  };
-  skip_ws();
-  if (i >= code.size() || code[i] != '#') return {};
-  ++i;
-  skip_ws();
-  if (code.substr(i, 7) != "include") return {};
-  i += 7;
-  skip_ws();
-  if (i >= code.size() || code[i] != '"') return {};
-  const std::size_t close = code.find('"', i + 1);
-  if (close == std::string_view::npos) return {};
-  return std::string{code.substr(i + 1, close - i - 1)};
-}
-
-/// True if `code` is a conditional-compilation directive of the given kind
-/// ("if", "ifdef", "ifndef", "elif", "else", "endif").
-inline bool is_pp(std::string_view code, std::string_view kind,
-                  std::string* rest = nullptr) {
-  std::size_t i = 0;
-  while (i < code.size() && (code[i] == ' ' || code[i] == '\t')) ++i;
-  if (i >= code.size() || code[i] != '#') return false;
-  ++i;
-  while (i < code.size() && (code[i] == ' ' || code[i] == '\t')) ++i;
-  if (code.substr(i, kind.size()) != kind) return false;
-  const std::size_t end = i + kind.size();
-  if (end < code.size() && (std::isalnum(static_cast<unsigned char>(code[end])) ||
-                            code[end] == '_')) {
-    return false;  // e.g. "#ifdef" is not "#if"
-  }
-  if (rest != nullptr) *rest = std::string{code.substr(end)};
-  return true;
-}
-
-/// True if the #if condition text disables the region outright (`0`/`false`).
-inline bool disabled_condition(std::string_view rest) {
-  std::size_t b = 0, e = rest.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(rest[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(rest[e - 1]))) --e;
-  const std::string_view cond = rest.substr(b, e - b);
-  return cond == "0" || cond == "false";
-}
-
 }  // namespace detail
 
-class IncludeGraph {
- public:
-  IncludeGraph() : rules_{default_layering()} {}
-
-  /// Replaces the declared layering (tests use small synthetic DAGs).
-  void set_rules(std::map<std::string, std::set<std::string>> rules) {
-    rules_ = std::move(rules);
-  }
-
-  /// Parses `content` for include edges. Call for every file before check();
-  /// feed files in sorted order for a deterministic report.
-  void add_file(const std::string& path, const std::string& content);
-
-  /// Layering and cycle findings over all registered files.
-  std::vector<Finding> check() const;
-
-  /// The observed module graph as deterministic DOT (sorted nodes/edges,
-  /// include-site counts as edge labels; declared-but-unobserved modules
-  /// appear as isolated nodes).
-  std::string to_dot() const;
-
- private:
-  struct Edge {
-    std::string file;
-    int line{0};
-    std::string from;
-    std::string to;
-    bool suppressed{false};  // simlint:allow(layering)
-  };
-
-  std::map<std::string, std::set<std::string>> rules_;
-  std::vector<Edge> edges_;  // registration order (= file order, line order)
-};
-
-inline void IncludeGraph::add_file(const std::string& path,
-                                   const std::string& content) {
-  using namespace detail;
-  const std::string module = module_of(path);
-  if (module.empty()) return;  // outside the layered src/ tree
-
-  const std::vector<std::string> lines = split_lines(content);
-  bool in_block_comment = false;
-  int disabled_depth = 0;  // nesting depth inside an `#if 0` region
-  std::vector<std::string> carried_allow;
-
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::string& raw = lines[i];
-    std::vector<std::string> allow = allowed_rules(raw);
-    const std::vector<std::string> effective_allow = [&] {
-      std::vector<std::string> v = carried_allow;
-      v.insert(v.end(), allow.begin(), allow.end());
-      return v;
-    }();
-    carried_allow = std::move(allow);
-
-    // Comment stripping: same state machine as Linter::run(). An include
-    // spelled inside /* ... */ is documentation, not an edge.
-    std::string_view code = code_part(raw);
-    if (in_block_comment) {
-      const std::size_t close = code.find("*/");
-      if (close == std::string_view::npos) continue;
-      code = code.substr(close + 2);
-      in_block_comment = false;
-    }
-    std::string code_buf;
-    while (true) {
-      const std::size_t open = code.find("/*");
-      if (open == std::string_view::npos) {
-        code_buf.append(code);
-        break;
-      }
-      code_buf.append(code.substr(0, open));
-      const std::size_t close = code.find("*/", open + 2);
-      if (close == std::string_view::npos) {
-        in_block_comment = true;
-        break;
-      }
-      code = code.substr(close + 2);
-    }
-
-    // `#if 0` tracking: a disabled region contributes no edges. Inner #if
-    // blocks nest; `#else`/`#elif` of the disabling #if re-enables.
-    std::string cond;
-    if (disabled_depth > 0) {
-      if (is_pp(code_buf, "if") || is_pp(code_buf, "ifdef") ||
-          is_pp(code_buf, "ifndef")) {
-        ++disabled_depth;
-      } else if (is_pp(code_buf, "endif")) {
-        --disabled_depth;
-      } else if (disabled_depth == 1 &&
-                 (is_pp(code_buf, "else") || is_pp(code_buf, "elif"))) {
-        disabled_depth = 0;
-      }
-      continue;
-    }
-    if (is_pp(code_buf, "if", &cond) && disabled_condition(cond)) {
-      disabled_depth = 1;
-      continue;
-    }
-
-    const std::string target = quoted_include(code_buf);
-    if (target.empty()) continue;
-    const std::size_t slash = target.find('/');
-    if (slash == std::string::npos) continue;  // same-directory include
-    const std::string to = target.substr(0, slash);
-    if (to == module) continue;  // intra-module
-
-    const bool suppressed =
-        std::find(effective_allow.begin(), effective_allow.end(),
-                  "layering") != effective_allow.end();
-    edges_.push_back(
-        Edge{path, static_cast<int>(i + 1), module, to, suppressed});
-  }
-}
-
-inline std::vector<Finding> IncludeGraph::check() const {
+/// The layering rule over every file, findings in file and line order.
+inline std::vector<Finding> check_layering(
+    const std::vector<SourceFile>& files) {
+  const Layering& layers = default_layering();
   std::vector<Finding> findings;
-
-  // Per-edge layering check, in registration order.
-  for (const Edge& e : edges_) {
-    if (e.suppressed) continue;
-    const auto it = rules_.find(e.from);
-    if (it == rules_.end()) {
-      findings.push_back(Finding{
-          e.file, e.line, "layering",
-          "module '" + e.from +
-              "' is not declared in the layering map; register it in "
-              "default_layering() and DESIGN.md"});
-      continue;
-    }
-    if (!it->second.contains(e.to)) {
-      std::string deps;
-      for (const std::string& d : it->second) {
-        if (!deps.empty()) deps += ", ";
-        deps += d;
-      }
-      findings.push_back(Finding{
-          e.file, e.line, "layering",
-          "module '" + e.from + "' may not include module '" + e.to +
-              "' (declared deps: " + (deps.empty() ? "none" : deps) + ")"});
-    }
-  }
-
-  // Cycle detection over the observed graph (suppressed edges included:
-  // an allow-directive silences the layering report, not the structure).
-  std::map<std::string, std::set<std::string>> adj;
-  std::map<std::pair<std::string, std::string>, const Edge*> first_edge;
-  for (const Edge& e : edges_) {
-    adj[e.from].insert(e.to);
-    first_edge.try_emplace({e.from, e.to}, &e);
-  }
-  std::map<std::string, int> color;  // 0 white, 1 grey, 2 black
-  std::vector<std::string> stack;
-  const auto dfs = [&](const auto& self, const std::string& m) -> void {
-    color[m] = 1;
-    stack.push_back(m);
-    const auto it = adj.find(m);
-    if (it != adj.end()) {
-      for (const std::string& next : it->second) {
-        if (color[next] == 2) continue;
-        if (color[next] == 1) {
-          // Back edge: the cycle is the stack suffix from `next`, closed
-          // by m -> next. Report on that closing include site.
-          std::string path;
-          for (std::size_t i = 0; i < stack.size(); ++i) {
-            if (path.empty() && stack[i] != next) continue;
-            path += stack[i] + " -> ";
-          }
-          path += next;
-          const Edge* closing = first_edge.at({m, next});
-          findings.push_back(Finding{closing->file, closing->line,
-                                     "module-cycle",
-                                     "include cycle: " + path});
-          continue;
+  for (const SourceFile& file : files) {
+    const std::string module = detail::module_of(file.name);
+    if (module.empty()) continue;  // outside the layered src/ tree
+    const auto layer =
+        std::find_if(layers.begin(), layers.end(),
+                     [&](const auto& entry) { return entry.first == module; });
+    for (const Line& line : file.lines) {
+      const std::size_t slash = line.include.find('/');
+      if (slash == std::string::npos) continue;  // none, or same directory
+      const std::string to = line.include.substr(0, slash);
+      if (to == module) continue;
+      if (layer == layers.end()) {
+        findings.push_back(Finding{
+            file.name, line.number, "layering",
+            "module '" + module +
+                "' is not declared in the layering map; register it in "
+                "default_layering() and DESIGN.md"});
+      } else if (!layer->second.contains(to)) {
+        std::string deps;
+        for (const std::string& d : layer->second) {
+          if (!deps.empty()) deps += ", ";
+          deps += d;
         }
-        self(self, next);
+        findings.push_back(Finding{
+            file.name, line.number, "layering",
+            "module '" + module + "' may not include module '" + to +
+                "' (declared deps: " + (deps.empty() ? "none" : deps) + ")"});
       }
     }
-    stack.pop_back();
-    color[m] = 2;
-  };
-  for (const auto& [m, _] : adj) {
-    if (color[m] == 0) dfs(dfs, m);
   }
   return findings;
-}
-
-inline std::string IncludeGraph::to_dot() const {
-  std::map<std::string, std::map<std::string, int>> counted;
-  std::set<std::string> nodes;
-  for (const auto& [m, _] : rules_) nodes.insert(m);
-  for (const Edge& e : edges_) {
-    nodes.insert(e.from);
-    nodes.insert(e.to);
-    ++counted[e.from][e.to];
-  }
-  std::ostringstream out;
-  out << "// Observed module include graph (simlint --dot). Deterministic:\n"
-         "// nodes and edges sorted, labels are include-site counts.\n"
-         "digraph include_graph {\n"
-         "  rankdir=BT;\n";
-  for (const std::string& n : nodes) {
-    out << "  \"" << n << "\";\n";
-  }
-  for (const auto& [from, tos] : counted) {
-    for (const auto& [to, count] : tos) {
-      out << "  \"" << from << "\" -> \"" << to << "\" [label=\"" << count
-          << "\"];\n";
-    }
-  }
-  out << "}\n";
-  return out.str();
 }
 
 }  // namespace scion::lint
