@@ -14,76 +14,48 @@
 //   --probe-interval-s=N      connectivity probe cadence (default 10)
 //   --churn-minutes=N         measurement window (default 60)
 //   --link-fraction=F         fraction of links that churn (default 0.5)
-#include <cstdlib>
-#include <iostream>
-
 #include "bench/bench_common.hpp"
-#include "experiments/churn_experiment.hpp"
+#include "experiments/fault_response.hpp"
 
 namespace scion::exp {
 namespace {
 
-ChurnConfig bench_config(const util::Flags& flags, const Scale& scale) {
-  ChurnConfig config;
-  config.sampled_pairs = scale.sampled_pairs / 3;
-  config.sim_duration =
-      util::Duration::minutes(flags.get_int("churn-minutes", 60));
-  config.probe_interval =
-      util::Duration::seconds(flags.get_int("probe-interval-s", 10));
-  config.churn_link_fraction = flags.get_double("link-fraction", 0.5);
-  config.seed = scale.seed;
-  const std::string faults_file = flags.get("faults", "");
-  if (!faults_file.empty()) {
-    std::string error;
-    if (!faults::FaultPlan::parse_file(faults_file, &config.faults, &error)) {
-      std::cerr << "bench_churn_response: " << error << '\n';
-      std::exit(1);
-    }
-  }
-  return config;
-}
-
 void run(const util::Flags& flags, const Scale& scale, BenchReport& report) {
+  const FaultResponseConfig config =
+      fault_response_config(flags, scale, scale.sampled_pairs / 3);
+  const double link_fraction = flags.get_double("link-fraction", 0.5);
   const topo::Topology internet = build_internet(scale);
   const CoreNetworks nets = build_core_networks(scale, internet);
-  const ChurnResult result = run_churn_experiment(
-      nets.bgp_view, nets.scion_view, bench_config(flags, scale));
+  const FaultResponseResult result = run_churn_experiment(
+      nets.bgp_view, nets.scion_view, config, link_fraction);
 
+  const obs::Table table = churn_table(result);
   obs::print_line(
-      "\nChurn response — survival mechanisms under sustained churn");
-  print_churn(result);
-  report.table(churn_table(result));
-  for (const ChurnSeries& s : result.series) {
-    if (!s.convergence_seconds.empty()) {
-      report.cdf("convergence_seconds:" + s.name, s.convergence_seconds, 32);
+      "\nChurn response — survival mechanisms under sustained churn\n");
+  obs::print(table.to_text());
+  report.table(table);
+  for (const FaultResponseSeries& s : result.series) {
+    if (!s.lag_seconds.empty()) {
+      report.cdf("convergence_seconds:" + s.name, s.lag_seconds, 32);
     }
-    report.scalar("availability:" + s.name, s.availability);
-    report.scalar("amplification:" + s.name, s.amplification);
-    report.scalar("outages:" + s.name, static_cast<double>(s.outages));
-    report.scalar("recovered:" + s.name, static_cast<double>(s.recovered));
-    report.scalar("unrecovered:" + s.name, static_cast<double>(s.unrecovered));
-    report.scalar("control_messages:" + s.name,
-                  static_cast<double>(s.control_messages));
-    report.scalar("control_messages_clean:" + s.name,
-                  static_cast<double>(s.control_messages_clean));
-    report.scalar("routes_suppressed:" + s.name,
-                  static_cast<double>(s.routes_suppressed));
-    report.scalar("routes_reused:" + s.name,
-                  static_cast<double>(s.routes_reused));
-    report.scalar("stale_retained:" + s.name,
-                  static_cast<double>(s.stale_retained));
-    report.scalar("stale_expired:" + s.name,
-                  static_cast<double>(s.stale_expired));
-    report.scalar("pcbs_quarantined:" + s.name,
-                  static_cast<double>(s.pcbs_quarantined));
-    report.scalar("pcbs_revalidated:" + s.name,
-                  static_cast<double>(s.pcbs_revalidated));
-    report.scalar("reoriginations:" + s.name,
-                  static_cast<double>(s.reoriginations));
-    report.scalar("churn_events:" + s.name,
-                  static_cast<double>(s.fault_stats.churn_events));
-    report.scalar("session_restarts:" + s.name,
-                  static_cast<double>(s.fault_stats.session_restarts));
+    report.scalars(
+        s.name,
+        {{"availability", s.availability},
+         {"amplification", s.amplification},
+         {"outages", s.outages},
+         {"recovered", s.recovered},
+         {"unrecovered", s.unrecovered},
+         {"control_messages", s.control_messages},
+         {"control_messages_clean", s.control_messages_clean},
+         {"routes_suppressed", s.routes_suppressed},
+         {"routes_reused", s.routes_reused},
+         {"stale_retained", s.stale_retained},
+         {"stale_expired", s.stale_expired},
+         {"pcbs_quarantined", s.pcbs_quarantined},
+         {"pcbs_revalidated", s.pcbs_revalidated},
+         {"reoriginations", s.reoriginations},
+         {"churn_events", s.fault_stats.churn_events},
+         {"session_restarts", s.fault_stats.session_restarts}});
   }
 }
 

@@ -22,14 +22,19 @@
 // value for --<key>: <value>`), or a flag the run never read
 // (`bench_<name>: unknown flag --<key>`). Google-benchmark's own
 // --benchmark_* flags (bench_micro) are read by google-benchmark, not
-// through util::Flags, and are exempt.
+// through util::Flags, and are exempt. An output file that cannot be
+// written (--trace-out before the run; --bench-out, --metrics-out and
+// --chrome-trace-out after it) or an input that cannot be read (a
+// --faults scenario) makes it return 1.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,6 +56,12 @@ class BenchReport {
  public:
   void scalar(const std::string& name, double value) {
     scalars_.emplace_back(name, value);
+  }
+
+  /// One scalar `<key>:<series>` per entry, in order.
+  void scalars(const std::string& series,
+               std::initializer_list<std::pair<const char*, double>> values) {
+    for (const auto& [key, value] : values) scalar(key + (':' + series), value);
   }
 
   void cdf(const std::string& name, const util::EmpiricalCdf& c,
@@ -108,7 +119,7 @@ using BenchRun =
 
 /// Runs `run` once, then (unless --bench-out=none) writes the JSON report.
 /// Returns 2 without a report on a stray argument, a malformed flag value or
-/// a flag nothing read.
+/// a flag nothing read, and 1 when an input or output file fails.
 inline int bench_main(const std::string& name, int argc, char** argv,
                       const BenchRun& run) {
   const std::string program = "bench_" + name;
@@ -143,11 +154,13 @@ inline int bench_main(const std::string& name, int argc, char** argv,
       }
       out << bench_report_json(name, session, report) << '\n';
     }
-    session.finish();
-    return 0;
+    return session.finish() ? 0 : 1;
   } catch (const util::FlagError& e) {
     std::cerr << program << ": " << e.what() << '\n';
     return 2;
+  } catch (const std::runtime_error& e) {
+    std::cerr << program << ": " << e.what() << '\n';
+    return 1;
   }
 }
 

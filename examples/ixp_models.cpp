@@ -10,11 +10,17 @@
 #include <cstdio>
 
 #include "scion/deployment.hpp"
+#include "util/flags.hpp"
 #include "util/stats.hpp"
 
 using namespace scion;
 
-int main() {
+int main(int argc, char** argv) {
+  // The example takes no flags: any argument is a mistake (exit 2).
+  const int usage =
+      util::reject_unused(util::Flags{argc, argv}, "ixp_models");
+  if (usage != 0) return usage;
+
   // --- IXP fabrics ----------------------------------------------------------
   svc::IxpConfig config;
   config.members = 6;

@@ -15,11 +15,17 @@
 
 #include "scion/control_plane_sim.hpp"
 #include "topology/generator.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 using namespace scion;
 
-int main() {
+int main(int argc, char** argv) {
+  // The example takes no flags: any argument is a mistake (exit 2).
+  const int usage =
+      util::reject_unused(util::Flags{argc, argv}, "leased_line_failover");
+  if (usage != 0) return usage;
+
   // One ISD per region; branches and data centers are leaf ASes.
   topo::MultiIsdConfig topology_config;
   topology_config.n_isds = 2;

@@ -12,10 +12,16 @@
 #include "scion/control_plane_sim.hpp"
 #include "topology/generator.hpp"
 #include "topology/io.hpp"
+#include "util/flags.hpp"
 
 using namespace scion;
 
-int main() {
+int main(int argc, char** argv) {
+  // The example takes no flags: any argument is a mistake (exit 2).
+  const int usage =
+      util::reject_unused(util::Flags{argc, argv}, "quickstart");
+  if (usage != 0) return usage;
+
   // A small world shaped like the paper's Figure 1: three ISDs, each with
   // 2-3 core ASes and a customer hierarchy below them.
   topo::MultiIsdConfig topology_config;

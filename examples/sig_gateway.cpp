@@ -12,6 +12,7 @@
 
 #include "scion/sig.hpp"
 #include "topology/generator.hpp"
+#include "util/flags.hpp"
 
 using namespace scion;
 
@@ -35,7 +36,12 @@ void print_stats(const char* name, const svc::SigStats& stats) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // The example takes no flags: any argument is a mistake (exit 2).
+  const int usage =
+      util::reject_unused(util::Flags{argc, argv}, "sig_gateway");
+  if (usage != 0) return usage;
+
   topo::MultiIsdConfig topology_config;
   topology_config.n_isds = 2;
   topology_config.cores_per_isd = 2;

@@ -21,15 +21,6 @@ void FlowGraph::add_undirected_unit_edge(std::uint32_t u, std::uint32_t v) {
   edges_.push_back(Edge{u, 1, 1});
 }
 
-void FlowGraph::add_directed_unit_edge(std::uint32_t u, std::uint32_t v) {
-  SCION_CHECK(u < graph_.size() && v < graph_.size() && u != v,
-              "edge endpoints must be distinct existing nodes");
-  graph_[u].push_back(static_cast<std::uint32_t>(edges_.size()));
-  edges_.push_back(Edge{v, 1, 1});
-  graph_[v].push_back(static_cast<std::uint32_t>(edges_.size()));
-  edges_.push_back(Edge{u, 0, 0});
-}
-
 void FlowGraph::reset_capacities() {
   for (Edge& e : edges_) e.capacity = e.initial_capacity;
 }

@@ -30,9 +30,6 @@ class FlowGraph {
   /// link that can be part of one disjoint path).
   void add_undirected_unit_edge(std::uint32_t u, std::uint32_t v);
 
-  /// Adds a directed unit-capacity edge.
-  void add_directed_unit_edge(std::uint32_t u, std::uint32_t v);
-
   /// Max s-t flow; the graph is reset before computing, so the call is
   /// repeatable with different terminals.
   int max_flow(std::uint32_t s, std::uint32_t t);

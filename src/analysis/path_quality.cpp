@@ -1,8 +1,5 @@
 #include "analysis/path_quality.hpp"
 
-#include <algorithm>
-#include <unordered_set>
-
 namespace scion::analysis {
 
 int QualityEvaluator::of_paths(
@@ -11,30 +8,6 @@ int QualityEvaluator::of_paths(
   if (paths.empty()) return 0;
   FlowGraph g = FlowGraph::from_link_paths(topo_, paths);
   return g.max_flow(s, t);
-}
-
-int QualityEvaluator::disjoint_paths_greedy(
-    std::span<const std::vector<topo::LinkIndex>> paths) {
-  // Order shortest-first, then greedily accept paths that share no link
-  // with anything accepted so far.
-  std::vector<const std::vector<topo::LinkIndex>*> order;
-  order.reserve(paths.size());
-  for (const auto& p : paths) order.push_back(&p);
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto* x, const auto* y) {
-                     return x->size() < y->size();
-                   });
-  std::unordered_set<topo::LinkIndex> used;
-  int count = 0;
-  for (const auto* p : order) {
-    const bool clash = std::any_of(p->begin(), p->end(), [&](topo::LinkIndex l) {
-      return used.contains(l);
-    });
-    if (clash) continue;
-    used.insert(p->begin(), p->end());
-    ++count;
-  }
-  return count;
 }
 
 }  // namespace scion::analysis

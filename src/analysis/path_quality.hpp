@@ -38,13 +38,6 @@ class QualityEvaluator {
   /// plain value type; a copy carries no shared state).
   const FlowGraph& full_graph() const { return full_; }
 
-  /// Greedy count of mutually link-disjoint paths within `paths` — a lower
-  /// bound on of_paths() that only uses whole disseminated paths (no
-  /// crossover between path prefixes); exposed for the ablation comparing
-  /// the two notions of resilience.
-  static int disjoint_paths_greedy(
-      std::span<const std::vector<topo::LinkIndex>> paths);
-
   const topo::Topology& topology() const { return topo_; }
 
  private:

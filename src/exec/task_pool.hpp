@@ -13,8 +13,8 @@
 //  - Telemetry recorded inside a task goes to a private obs::TaskCapture
 //    (thread-local metric shard + trace buffer) and is merged in task-index
 //    order after the batch — never in completion order (see obs/parallel.hpp).
-//  - Tasks needing randomness take a util::Rng::substream(seed, task_index)
-//    (parallel_map_seeded), a pure function of the task index.
+//  - Tasks needing randomness take a util::Rng::substream(seed, task_index),
+//    a pure function of the task index.
 //
 // Contract: run(jobs=J) is byte-identical to run(jobs=1) for every J. The
 // simlint `raw-thread` rule bans std::thread/std::async outside this file so
@@ -25,14 +25,11 @@
 // lowest-index exception is rethrown — again independent of scheduling.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace scion::exec {
 
@@ -73,21 +70,6 @@ template <typename T, typename Fn>
 auto parallel_map(const std::vector<T>& items, Fn&& fn, std::size_t jobs = 0) {
   return parallel_map_n(
       items.size(), [&](std::size_t i) { return fn(items[i]); }, jobs);
-}
-
-/// parallel_map where each task additionally receives its own private
-/// util::Rng substream derived from (seed, task index) — independent of the
-/// worker that runs it and of the job count.
-template <typename T, typename Fn>
-auto parallel_map_seeded(const std::vector<T>& items, std::uint64_t seed,
-                         Fn&& fn, std::size_t jobs = 0) {
-  return parallel_map_n(
-      items.size(),
-      [&](std::size_t i) {
-        util::Rng rng = util::Rng::substream(seed, i);
-        return fn(items[i], rng);
-      },
-      jobs);
 }
 
 }  // namespace scion::exec

@@ -1,6 +1,7 @@
 #include "obs/session.hpp"
 
 #include <iostream>
+#include <stdexcept>
 
 #include "obs/chrome_trace.hpp"
 #include "obs/event_profile.hpp"
@@ -30,11 +31,10 @@ ObsSession::ObsSession(std::string_view binary, const util::Flags& flags,
   if (!trace_path.empty()) {
     trace_file_.open(trace_path);
     if (!trace_file_) {
-      std::cerr << "obs: cannot open --trace-out file " << trace_path << '\n';
-    } else {
-      sink_ = std::move(sink);
-      set_trace_sink(sink_.get());
+      throw std::runtime_error("cannot open --trace-out file " + trace_path);
     }
+    sink_ = std::move(sink);
+    set_trace_sink(sink_.get());
   }
 }
 
@@ -58,12 +58,12 @@ void ObsSession::append_run_json(JsonWriter& w) const {
   w.key("event_profile").value_raw(EventProfiler::global().to_json());
 }
 
-void ObsSession::finish() {
-  if (finished_) return;
+bool ObsSession::finish() {
+  if (finished_) return written_;
   finished_ = true;
 
-  if (!chrome_trace_path_.empty()) {
-    write_chrome_trace(chrome_trace_path_);
+  if (!chrome_trace_path_.empty() && !write_chrome_trace(chrome_trace_path_)) {
+    written_ = false;
   }
 
   if (!metrics_path_.empty()) {
@@ -71,6 +71,7 @@ void ObsSession::finish() {
     if (!out) {
       std::cerr << "obs: cannot open --metrics-out file " << metrics_path_
                 << '\n';
+      written_ = false;
     } else {
       out << metrics_json() << '\n';
     }
@@ -81,6 +82,7 @@ void ObsSession::finish() {
     sink_.reset();
     trace_file_.close();
   }
+  return written_;
 }
 
 }  // namespace scion::obs

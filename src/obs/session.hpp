@@ -9,7 +9,9 @@
 // Flags understood (all optional; telemetry stays silent without them):
 //   --metrics-out=FILE   write the metrics document (manifest + registry +
 //                        phase profile) as JSON on finish()
-//   --trace-out=FILE     stream structured events as JSONL during the run
+//   --trace-out=FILE     stream structured events as JSONL during the run;
+//                        a FILE that cannot be opened throws
+//                        std::runtime_error from the constructor
 //   --trace-filter=CSV   category filter for the trace ("beacon,bgp";
 //                        default "all"); an unknown category throws
 //                        util::FlagError, with or without --trace-out
@@ -60,10 +62,11 @@ class ObsSession {
   /// document and every bench report share this writer.
   void append_run_json(JsonWriter& w) const;
 
-  /// Writes --metrics-out (if given), flushes and closes --trace-out, and
-  /// uninstalls the global trace sink. Idempotent; also invoked by the
-  /// destructor.
-  void finish();
+  /// Writes --chrome-trace-out and --metrics-out (if given), flushes and
+  /// closes --trace-out, and uninstalls the global trace sink. Returns false
+  /// if an output file could not be opened (after one `obs: cannot open`
+  /// line on stderr per file). Idempotent; also invoked by the destructor.
+  bool finish();
 
  private:
   RunManifest manifest_;
@@ -72,6 +75,7 @@ class ObsSession {
   std::ofstream trace_file_;
   std::unique_ptr<TraceSink> sink_;
   bool finished_{false};
+  bool written_{true};
 };
 
 }  // namespace scion::obs

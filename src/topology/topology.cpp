@@ -88,11 +88,6 @@ IfId Topology::interface_of(LinkIndex l, AsIndex self) const {
   return self == link.a ? link.if_a : link.if_b;
 }
 
-bool Topology::is_provider_side(LinkIndex l, AsIndex self) const {
-  const Link& link = links_[l];
-  return link.type == LinkType::kProviderCustomer && link.a == self;
-}
-
 std::vector<AsIndex> Topology::core_ases() const {
   std::vector<AsIndex> out;
   for (AsIndex i = 0; i < ases_.size(); ++i) {
@@ -121,16 +116,6 @@ std::vector<LinkIndex> Topology::provider_links(AsIndex idx) const {
   for (LinkIndex l : ases_[idx].links) {
     const Link& link = links_[l];
     if (link.type == LinkType::kProviderCustomer && link.b == idx) out.push_back(l);
-  }
-  return out;
-}
-
-std::vector<AsIndex> Topology::neighbors_of_type(AsIndex idx, LinkType type) const {
-  std::vector<AsIndex> out;
-  std::unordered_set<AsIndex> seen;
-  for (LinkIndex l : links_of_type(idx, type)) {
-    const AsIndex n = neighbor(l, idx);
-    if (seen.insert(n).second) out.push_back(n);
   }
   return out;
 }
@@ -177,24 +162,6 @@ bool Topology::connected() const {
     }
   }
   return count == ases_.size();
-}
-
-Topology Topology::induced_subgraph(std::span<const AsIndex> keep) const {
-  Topology out;
-  std::unordered_map<AsIndex, AsIndex> remap;
-  remap.reserve(keep.size());
-  for (AsIndex old : keep) {
-    SCION_CHECK(old < ases_.size(), "subgraph keeps an unknown AS");
-    remap.emplace(old, out.add_as(ases_[old].id, ases_[old].is_core));
-  }
-  for (const Link& link : links_) {
-    const auto ia = remap.find(link.a);
-    const auto ib = remap.find(link.b);
-    if (ia != remap.end() && ib != remap.end()) {
-      out.add_link(ia->second, ib->second, link.type);
-    }
-  }
-  return out;
 }
 
 std::vector<AsIndex> Topology::highest_degree(std::size_t n) const {

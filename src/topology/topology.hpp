@@ -67,9 +67,6 @@ class Topology {
   /// The interface id `self` uses on link `l`.
   IfId interface_of(LinkIndex l, AsIndex self) const;
 
-  /// Whether `self` is the provider side of a provider-customer link `l`.
-  bool is_provider_side(LinkIndex l, AsIndex self) const;
-
   /// All core AS indices.
   std::vector<AsIndex> core_ases() const;
 
@@ -82,10 +79,6 @@ class Topology {
 
   /// Provider links of `idx` (provider-customer links where idx is customer).
   std::vector<LinkIndex> provider_links(AsIndex idx) const;
-
-  /// Distinct neighbor AS indices reachable over links of `type` from `idx`
-  /// (for provider-customer: neighbors where `idx` is the provider).
-  std::vector<AsIndex> neighbors_of_type(AsIndex idx, LinkType type) const;
 
   /// Number of distinct neighbors (any type).
   std::size_t degree(AsIndex idx) const;
@@ -102,10 +95,6 @@ class Topology {
 
   /// True if every AS can reach every other AS ignoring link direction.
   bool connected() const;
-
-  /// Induced subgraph on `keep` (relationships preserved); the i-th element
-  /// of `keep` becomes AsIndex i of the result.
-  Topology induced_subgraph(std::span<const AsIndex> keep) const;
 
   /// The `n` ASes with the highest link_degree, in decreasing order. This is
   /// the paper's pruning rule for building the 2000-AS core network.

@@ -59,13 +59,6 @@ TEST(FlowGraph, RepeatableAcrossTerminalPairs) {
   EXPECT_EQ(g.max_flow(0, 2), 2) << "capacities reset between queries";
 }
 
-TEST(FlowGraph, DirectedEdgeOnlyForward) {
-  FlowGraph g{2};
-  g.add_directed_unit_edge(0, 1);
-  EXPECT_EQ(g.max_flow(0, 1), 1);
-  EXPECT_EQ(g.max_flow(1, 0), 0);
-}
-
 TEST(FlowGraph, SelfFlowIsZero) {
   FlowGraph g{2};
   g.add_undirected_unit_edge(0, 1);
@@ -168,22 +161,6 @@ TEST(QualityEvaluator, PathSetNeverBeatsOptimum) {
     EXPECT_EQ(value, 1);
     EXPECT_LE(value, evaluator.optimal(link.a, link.b));
   }
-}
-
-TEST(QualityEvaluator, GreedyDisjointLowerBoundsFlow) {
-  topo::Topology t;
-  const auto a = t.add_as(topo::IsdAsId::make(1, 1), true);
-  const auto b = t.add_as(topo::IsdAsId::make(1, 2), true);
-  const auto c = t.add_as(topo::IsdAsId::make(1, 3), true);
-  t.add_link(a, b, topo::LinkType::kCore);  // 0
-  t.add_link(b, c, topo::LinkType::kCore);  // 1
-  t.add_link(a, c, topo::LinkType::kCore);  // 2
-  t.add_link(a, c, topo::LinkType::kCore);  // 3
-  const std::vector<std::vector<topo::LinkIndex>> paths{{0, 1}, {2}, {3}};
-  QualityEvaluator evaluator{t};
-  const int greedy = QualityEvaluator::disjoint_paths_greedy(paths);
-  EXPECT_EQ(greedy, 3);
-  EXPECT_LE(greedy, evaluator.of_paths(paths, a, c));
 }
 
 // --- Overhead ledger -------------------------------------------------------------

@@ -12,7 +12,7 @@
 
 #include "bgp/bgp_sim.hpp"
 #include "core/grid_search.hpp"
-#include "experiments/churn_experiment.hpp"
+#include "experiments/fault_response.hpp"
 #include "experiments/quality_experiment.hpp"
 #include "experiments/scale.hpp"
 #include "faults/fault_plan.hpp"
@@ -428,22 +428,22 @@ std::string churn_transcript(const exp::CoreNetworks& nets, std::size_t jobs) {
   sink.enable_all();
   obs::set_trace_sink(&sink);
 
-  exp::ChurnConfig config;
+  exp::FaultResponseConfig config;
   config.sampled_pairs = 12;
   config.sim_duration = Duration::minutes(20);
   config.warmup = Duration::minutes(10);
   config.probe_interval = Duration::seconds(30);
   config.seed = 13;
   config.jobs = jobs;
-  const exp::ChurnResult result =
-      exp::run_churn_experiment(nets.bgp_view, nets.scion_view, config);
+  const exp::FaultResponseResult result = exp::run_churn_experiment(
+      nets.bgp_view, nets.scion_view, config, /*link_fraction=*/0.5);
   obs::set_trace_sink(nullptr);
 
   std::ostringstream out;
   for (const auto& [s, t] : result.pairs) out << s << '-' << t << ' ';
   out << '\n' << std::hexfloat;
-  for (const exp::ChurnSeries& s : result.series) {
-    out << s.name << " conv=" << s.convergence_seconds.summary()
+  for (const exp::FaultResponseSeries& s : result.series) {
+    out << s.name << " conv=" << s.lag_seconds.summary()
         << " outages=" << s.outages << " rec=" << s.recovered << '/'
         << s.unrecovered << " avail=" << s.availability
         << " amp=" << s.amplification << " msgs=" << s.control_messages << '/'

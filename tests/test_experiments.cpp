@@ -5,9 +5,9 @@
 #include <string>
 #include <utility>
 
+#include "experiments/fault_response.hpp"
 #include "experiments/overhead_experiment.hpp"
 #include "experiments/quality_experiment.hpp"
-#include "experiments/resilience_experiment.hpp"
 #include "experiments/scale.hpp"
 #include "experiments/scionlab_experiment.hpp"
 #include "experiments/table1_experiment.hpp"
@@ -234,13 +234,13 @@ TEST(QualityExperiment, DiversityBeatsBaselineOnAggregate) {
 }
 
 /// Every field of a dynamic-resilience result, floats in hex.
-std::string transcript(const DynResilienceResult& r) {
+std::string transcript(const FaultResponseResult& r) {
   std::ostringstream out;
   out << std::hexfloat;
   for (const auto& [a, b] : r.pairs) out << a << '-' << b << ' ';
-  for (const DynResilienceSeries& s : r.series) {
+  for (const FaultResponseSeries& s : r.series) {
     out << '\n' << s.name << " lag=";
-    for (const double x : s.recovery_seconds.sorted()) out << x << ',';
+    for (const double x : s.lag_seconds.sorted()) out << x << ',';
     out << " outages=" << s.outages << " rec=" << s.recovered << '/'
         << s.unrecovered << " avail=" << s.availability
         << " probes=" << s.probes_up << '/' << s.probes
@@ -258,19 +258,19 @@ TEST(DynResilienceExperiment, DefaultFlapScenarioProbesEverySeries) {
   const Scale s = tiny_scale();
   const topo::Topology internet = build_internet(s);
   const CoreNetworks nets = build_core_networks(s, internet);
-  DynResilienceConfig config;
+  FaultResponseConfig config;
   config.sampled_pairs = 15;
   config.sim_duration = util::Duration::minutes(20);
   config.probe_interval = util::Duration::seconds(30);
-  config.default_flap_rate_per_hour = 1200.0;
   config.seed = 3;
   config.jobs = 1;
-  const DynResilienceResult serial =
-      run_dyn_resilience_experiment(nets.bgp_view, nets.scion_view, config);
+  constexpr double kFlapRatePerHour = 1200.0;
+  const FaultResponseResult serial = run_dyn_resilience_experiment(
+      nets.bgp_view, nets.scion_view, config, kFlapRatePerHour);
 
   ASSERT_EQ(serial.series.size(), 3u);  // baseline, diversity, BGP
   ASSERT_FALSE(serial.pairs.empty());
-  for (const DynResilienceSeries& series : serial.series) {
+  for (const FaultResponseSeries& series : serial.series) {
     EXPECT_GT(series.probes, 0u) << series.name;
     EXPECT_EQ(series.probes % serial.pairs.size(), 0u) << series.name;
     EXPECT_GT(series.outages, 0u) << series.name;
@@ -281,8 +281,8 @@ TEST(DynResilienceExperiment, DefaultFlapScenarioProbesEverySeries) {
   }
 
   config.jobs = 3;
-  const DynResilienceResult parallel =
-      run_dyn_resilience_experiment(nets.bgp_view, nets.scion_view, config);
+  const FaultResponseResult parallel = run_dyn_resilience_experiment(
+      nets.bgp_view, nets.scion_view, config, kFlapRatePerHour);
   EXPECT_EQ(transcript(serial), transcript(parallel));
 }
 

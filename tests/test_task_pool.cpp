@@ -1,6 +1,6 @@
 // Tests for the deterministic parallel execution layer (src/exec):
 // order preservation, caller-participates scheduling, exception
-// propagation, per-task rng substreams, nesting, and the telemetry-merge
+// propagation, nesting, and the telemetry-merge
 // determinism contract (jobs=1, 2 and 8 produce byte-identical metric and
 // trace output, with and without nested batches).
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "exec/task_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace scion::exec {
@@ -96,24 +95,6 @@ TEST(TaskPool, EveryTaskRunsDespiteFailures) {
   for (std::size_t i = 0; i < ran.size(); ++i) {
     EXPECT_EQ(ran[i], 1) << "task " << i << " never ran";
   }
-}
-
-TEST(TaskPool, SeededMapGivesEachTaskItsOwnSubstream) {
-  std::vector<int> items{0, 1, 2, 3, 4, 5, 6, 7};
-  constexpr std::uint64_t kSeed = 0xABCDEF;
-  const auto draw = [](int, util::Rng& rng) { return rng(); };
-  const std::vector<std::uint64_t> serial =
-      parallel_map_seeded(items, kSeed, draw, 1);
-  // Per-task streams depend only on (seed, index), never on scheduling.
-  EXPECT_EQ(parallel_map_seeded(items, kSeed, draw, 8), serial);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    util::Rng expected = util::Rng::substream(kSeed, i);
-    EXPECT_EQ(serial[i], expected());
-  }
-  // A different seed shifts every stream.
-  const std::vector<std::uint64_t> other =
-      parallel_map_seeded(items, kSeed + 1, draw, 8);
-  EXPECT_NE(other, serial);
 }
 
 TEST(TaskPool, NestedParallelMapWorks) {

@@ -96,12 +96,8 @@ TEST(Topology, DegreeCountsDistinctNeighbors) {
 
 TEST(Topology, ProviderCustomerOrientation) {
   const Topology t = make_triangle();
-  EXPECT_TRUE(t.is_provider_side(2, 0));
-  EXPECT_FALSE(t.is_provider_side(2, 2));
   EXPECT_EQ(t.customer_links(0).size(), 1u);
   EXPECT_EQ(t.provider_links(2).size(), 2u);
-  EXPECT_EQ(t.neighbors_of_type(0, LinkType::kProviderCustomer),
-            std::vector<AsIndex>{2});
 }
 
 TEST(Topology, CoreAses) {
@@ -114,16 +110,6 @@ TEST(Topology, Connectivity) {
   EXPECT_TRUE(t.connected());
   t.add_as(IsdAsId::make(1, 99), false);
   EXPECT_FALSE(t.connected());
-}
-
-TEST(Topology, InducedSubgraph) {
-  const Topology t = make_triangle();
-  const std::vector<AsIndex> keep{0, 2};
-  const Topology sub = t.induced_subgraph(keep);
-  EXPECT_EQ(sub.as_count(), 2u);
-  EXPECT_EQ(sub.link_count(), 1u);
-  EXPECT_EQ(sub.as_id(0), t.as_id(0));
-  EXPECT_EQ(sub.link(0).type, LinkType::kProviderCustomer);
 }
 
 TEST(Topology, HighestDegreeOrdering) {

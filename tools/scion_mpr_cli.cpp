@@ -113,15 +113,17 @@ int cmd_gen(const util::Flags& flags) {
 }
 
 int cmd_beacon(const util::Flags& flags) {
-  const topo::Topology topology = load_topology(flags);
   ctrl::BeaconingSimConfig config;
   const std::string algorithm = flags.get("algorithm", "diversity");
-  config.server.algorithm = algorithm == "baseline"
-                                ? ctrl::AlgorithmKind::kBaseline
-                                : ctrl::AlgorithmKind::kDiversity;
-  if (config.server.algorithm == ctrl::AlgorithmKind::kDiversity) {
+  if (algorithm == "baseline") {
+    config.server.algorithm = ctrl::AlgorithmKind::kBaseline;
+  } else if (algorithm == "diversity") {
+    config.server.algorithm = ctrl::AlgorithmKind::kDiversity;
     config.server.store_policy = ctrl::StorePolicy::kDiversityAware;
+  } else {
+    throw util::FlagError{"invalid value for --algorithm: " + algorithm};
   }
+  const topo::Topology topology = load_topology(flags);
   config.server.storage_limit =
       static_cast<std::size_t>(flags.get_int("storage", 60));
   config.server.dissemination_limit =
@@ -241,7 +243,8 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(flags.get_int("seed", 1))};
     const int status = run_command(command, flags);
     if (status != 0) return status;
-    return util::reject_unused(flags, "scion-mpr");
+    if (util::reject_unused(flags, "scion-mpr") != 0) return 2;
+    return session.finish() ? 0 : 1;
   } catch (const util::FlagError& e) {
     std::cerr << "scion-mpr: " << e.what() << "\n";
     return 2;
