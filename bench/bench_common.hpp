@@ -23,9 +23,9 @@
 // (`bench_<name>: unknown flag --<key>`). Google-benchmark's own
 // --benchmark_* flags (bench_micro) are read by google-benchmark, not
 // through util::Flags, and are exempt. An output file that cannot be
-// written (--trace-out before the run; --bench-out, --metrics-out and
-// --chrome-trace-out after it) or an input that cannot be read (a
-// --faults scenario) makes it return 1.
+// opened (--bench-out, --metrics-out, --trace-out or --chrome-trace-out,
+// all checked before the run) or written, or an input that cannot be read
+// (a --faults scenario) makes it return 1.
 #pragma once
 
 #include <algorithm>
@@ -118,8 +118,9 @@ using BenchRun =
     std::function<void(const util::Flags&, const Scale&, BenchReport&)>;
 
 /// Runs `run` once, then (unless --bench-out=none) writes the JSON report.
-/// Returns 2 without a report on a stray argument, a malformed flag value or
-/// a flag nothing read, and 1 when an input or output file fails.
+/// Returns 2 without writing the report on a stray argument, a malformed
+/// flag value or a flag nothing read, and 1 when an input or output file
+/// fails.
 inline int bench_main(const std::string& name, int argc, char** argv,
                       const BenchRun& run) {
   const std::string program = "bench_" + name;
@@ -134,6 +135,16 @@ inline int bench_main(const std::string& name, int argc, char** argv,
     exec::set_default_jobs(static_cast<std::size_t>(
         std::max<std::int64_t>(1, flags.get_int("jobs", 1))));
     obs::ObsSession session{program, flags, scale.seed};
+    const std::string path = flags.get("bench-out", "BENCH_" + name + ".json");
+    std::ofstream out;
+    if (path != "none") {
+      // Opened for appending, so a run that fails leaves an earlier report
+      // at `path` as it was; the report replaces it once the run succeeded.
+      out.open(path, std::ios::app);
+      if (!out) {
+        throw std::runtime_error("cannot open --bench-out file " + path);
+      }
+    }
 
     BenchReport report;
     const std::int64_t start_ns = obs::profiler_wall_now_ns();
@@ -142,17 +153,17 @@ inline int bench_main(const std::string& name, int argc, char** argv,
         static_cast<double>(obs::profiler_wall_now_ns() - start_ns) / 1e9;
     std::cerr << program << ": wall " << obs::fmt_f(wall_s, 3) << " s\n";
 
-    const std::string path = flags.get("bench-out", "BENCH_" + name + ".json");
     if (const int status = util::reject_unused(flags, program); status != 0) {
       return status;
     }
-    if (path != "none") {
-      std::ofstream out{path};
-      if (!out) {
-        std::cerr << "bench: cannot open --bench-out file " << path << '\n';
-        return 1;
-      }
+    if (out.is_open()) {
+      out.close();
+      out.open(path);
       out << bench_report_json(name, session, report) << '\n';
+      out.close();
+      if (out.fail()) {
+        throw std::runtime_error("cannot write --bench-out file " + path);
+      }
     }
     return session.finish() ? 0 : 1;
   } catch (const util::FlagError& e) {

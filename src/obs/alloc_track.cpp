@@ -11,8 +11,8 @@ namespace {
 // Trivially-initialized TLS: safe to bump from the earliest allocation,
 // including ones made while other thread_locals construct. File scope so
 // both the scion::obs accessors and the global operator new can see them.
-// Per-thread counters read back only by the owning thread
-// (thread_allocs / thread_alloc_bytes).
+// Per-thread counters read back (thread_allocs / thread_alloc_bytes) and
+// rewound (UncountedAllocs) only by the owning thread.
 thread_local std::uint64_t t_allocs = 0;       // simlint:allow(mutable-global)
 thread_local std::uint64_t t_alloc_bytes = 0;  // simlint:allow(mutable-global)
 
@@ -50,6 +50,14 @@ namespace scion::obs {
 std::uint64_t thread_allocs() { return t_allocs; }
 
 std::uint64_t thread_alloc_bytes() { return t_alloc_bytes; }
+
+UncountedAllocs::UncountedAllocs()
+    : allocs_{t_allocs}, alloc_bytes_{t_alloc_bytes} {}
+
+UncountedAllocs::~UncountedAllocs() {
+  t_allocs = allocs_;
+  t_alloc_bytes = alloc_bytes_;
+}
 
 AllocBudgetResult check_alloc_budget(std::string_view phase,
                                      std::uint64_t allocs,

@@ -15,6 +15,14 @@
 // exact for the single-threaded simulation loops the budgets gate
 // (parallel-region workers profile their own task phases).
 //
+// Not counted: the obs layer's own bookkeeping, which runs inside an
+// UncountedAllocs scope — metric interning and shard growth, phase and span
+// records (and a ProfilePhase's copy of its name), event-label interning and
+// event-profile merges, and task-capture set-up and merges. That storage is
+// shared and grows in whichever task gets there first, so counting it would
+// make a phase's or label's count depend on the schedule, i.e. on --jobs.
+// Trace formatting is the run's own work and stays counted.
+//
 // Sanitizer note: -fsanitize=address intercepts the malloc this forwards
 // to, so the two compose, but ASan's own new/delete hooks are shadowed: an
 // ASan build does not report new/delete mismatches. Every build installs
@@ -35,6 +43,21 @@ std::uint64_t thread_allocs();
 
 /// Bytes requested by those calls (requested, not malloc-rounded).
 std::uint64_t thread_alloc_bytes();
+
+/// Leaves the calling thread's allocations while it lives uncounted: on exit
+/// it puts both counters back where they stood on entry, so the allocation
+/// path itself does no extra work.
+class UncountedAllocs {
+ public:
+  UncountedAllocs();
+  ~UncountedAllocs();
+  UncountedAllocs(const UncountedAllocs&) = delete;
+  UncountedAllocs& operator=(const UncountedAllocs&) = delete;
+
+ private:
+  std::uint64_t allocs_;
+  std::uint64_t alloc_bytes_;
+};
 
 struct AllocBudgetResult {
   bool ok{true};

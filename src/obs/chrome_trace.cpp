@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
-#include <iostream>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -116,17 +114,6 @@ std::string chrome_trace_json(const PhaseProfiler& phases,
   w.kv("displayTimeUnit", "ms");
   w.end_object();
   return std::move(w).take();
-}
-
-bool write_chrome_trace(const std::string& path) {
-  std::ofstream out{path};
-  if (!out) {
-    std::cerr << "obs: cannot open --chrome-trace-out file " << path << '\n';
-    return false;
-  }
-  out << chrome_trace_json(PhaseProfiler::global(), EventProfiler::global())
-      << '\n';
-  return true;
 }
 
 }  // namespace scion::obs

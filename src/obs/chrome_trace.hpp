@@ -27,8 +27,4 @@ class EventProfiler;
 std::string chrome_trace_json(const PhaseProfiler& phases,
                               const EventProfiler& events);
 
-/// Writes chrome_trace_json() to `path`; returns false (after printing to
-/// stderr) if the file cannot be opened.
-bool write_chrome_trace(const std::string& path);
-
 }  // namespace scion::obs

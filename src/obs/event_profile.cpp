@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/alloc_track.hpp"
 #include "obs/json.hpp"
 #include "util/check.hpp"
 
@@ -22,6 +23,7 @@ EventProfiler& EventProfiler::global() {
 
 EventLabel EventProfiler::intern(std::string_view name) {
   SCION_CHECK(!name.empty(), "event label name must not be empty");
+  const UncountedAllocs uncounted;
   const std::lock_guard lock{mu_};
   if (names_.empty()) {
     names_.emplace_back("(unlabeled)");
@@ -54,6 +56,7 @@ std::string EventProfiler::label_name(std::uint32_t id) const {
 
 void EventProfiler::merge(const std::vector<LabelStats>& stats,
                           const std::vector<QueueSample>& samples) {
+  const UncountedAllocs uncounted;
   const std::lock_guard lock{mu_};
   if (stats_.size() < stats.size()) stats_.resize(stats.size());
   for (std::size_t i = 0; i < stats.size(); ++i) {

@@ -1,8 +1,11 @@
 #include "obs/parallel.hpp"
 
+#include "obs/alloc_track.hpp"
+
 namespace scion::obs {
 
 void TaskCapture::begin() {
+  const UncountedAllocs uncounted;
   prev_shard_ = set_current_shard(&shard_);
   // trace_sink() here resolves the worker thread's context: the enclosing
   // task's buffer sink for nested parallelism (same thread), else the
@@ -25,13 +28,8 @@ void TaskCapture::end() {
 }
 
 void TaskCapture::merge() {
-  if (!shard_.empty()) {
-    if (MetricShard* parent = current_shard(); parent != nullptr) {
-      shard_.merge_into_shard(*parent);
-    } else {
-      shard_.merge_into_registry();
-    }
-  }
+  const UncountedAllocs uncounted;
+  MetricsRegistry::global().fold(shard_);
   if (trace_sink_ != nullptr && trace_sink_->events_written() > 0) {
     if (TraceSink* parent = trace_sink(); parent != nullptr) {
       parent->write_raw(trace_buf_.str(), trace_sink_->events_written());

@@ -8,14 +8,16 @@
 // line order) dependent on scheduling.
 //
 // The solution: one TaskCapture per task, not per worker. While a task
-// executes, its capture installs a thread-local MetricShard (obs/metrics)
-// and a thread-local TraceSink override (obs/trace) writing to a private
+// executes, its capture is the thread's current MetricShard (obs/metrics)
+// and its thread-local TraceSink override (obs/trace) writes to a private
 // buffer, so the task's recordings never touch shared state. After the
-// whole batch completes, exec::parallel_for_n merges captures strictly in task-index
-// order into the enclosing context — the outer task's capture for nested
-// parallelism, or the registry roots / process-wide sink at top level.
-// Since the task decomposition itself is independent of the job count, the
-// merged result equals what a --jobs=1 run produces, byte for byte.
+// whole batch completes, exec::parallel_for_n merges captures strictly in
+// task-index order into the caller's context — the outer task's capture for
+// nested parallelism, or the registry totals / process-wide sink at top
+// level. Since the task decomposition itself is independent of the job
+// count, the merged result equals what a --jobs=1 run produces, byte for
+// byte. The capture's own set-up and merge allocate outside the run's
+// counts (obs::UncountedAllocs).
 #pragma once
 
 #include <memory>
@@ -42,9 +44,7 @@ class TaskCapture {
   void end();
 
   /// Folds this capture into the context active on the *calling* thread
-  /// (the batch's caller, after the batch): an enclosing task's shard/sink if
-  /// one is installed, otherwise the registry roots and process-wide sink.
-  /// Call in task-index order.
+  /// (the batch's caller, after the batch). Call in task-index order.
   void merge();
 
  private:

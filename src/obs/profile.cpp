@@ -17,6 +17,7 @@ PhaseProfiler& PhaseProfiler::global() {
 
 void PhaseProfiler::record(std::string_view name, std::int64_t wall_ns,
                            std::uint64_t allocs, std::uint64_t alloc_bytes) {
+  const UncountedAllocs uncounted;
   const std::lock_guard lock{mu_};
   auto it = phases_.find(name);
   if (it == phases_.end()) {
@@ -31,6 +32,7 @@ void PhaseProfiler::record(std::string_view name, std::int64_t wall_ns,
 void PhaseProfiler::record_span(std::string_view name, std::int64_t start_ns,
                                 std::int64_t end_ns,
                                 std::uint32_t thread_ordinal) {
+  const UncountedAllocs uncounted;
   const std::lock_guard lock{mu_};
   if (spans_.size() >= kMaxSpans) return;
   spans_.push_back(Span{std::string{name}, start_ns, end_ns, thread_ordinal});
@@ -91,10 +93,15 @@ std::uint32_t thread_ordinal() {
   return ordinal;
 }
 
+std::string uncounted_copy(std::string_view name) {
+  const UncountedAllocs uncounted;
+  return std::string{name};
+}
+
 }  // namespace
 
 ProfilePhase::ProfilePhase(std::string_view name)
-    : name_{name},
+    : name_{uncounted_copy(name)},
       start_ns_{profiler_wall_now_ns()},
       start_allocs_{thread_allocs()},
       start_alloc_bytes_{thread_alloc_bytes()},

@@ -33,7 +33,8 @@ class PhaseProfiler {
     /// same counts), which is what lets test_alloc_budget gate
     /// allocations-per-event budgets.
     /// Nested phases attribute to the innermost active phase: a parent's
-    /// counters exclude what its children already claimed.
+    /// counters exclude what its children already claimed. The profiler's
+    /// own bookkeeping (names, the phase map, the span log) is not counted.
     std::uint64_t allocs{0};
     std::uint64_t alloc_bytes{0};
   };

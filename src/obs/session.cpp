@@ -12,6 +12,31 @@
 
 namespace scion::obs {
 
+namespace {
+
+/// Opens the file `--<flag>` names, if the flag is set.
+void open_output(std::ofstream& file, const util::Flags& flags,
+                 const std::string& flag) {
+  const std::string path = flags.get(flag, "");
+  if (path.empty()) return;
+  file.open(path);
+  if (!file) {
+    throw std::runtime_error("cannot open --" + flag + " file " + path);
+  }
+}
+
+/// Closes `file` if open; false, after one line on stderr, when a write
+/// into it failed.
+bool close_output(std::ofstream& file, std::string_view flag) {
+  if (!file.is_open()) return true;
+  file.close();
+  if (!file.fail()) return true;
+  std::cerr << "obs: cannot write --" << flag << " file\n";
+  return false;
+}
+
+}  // namespace
+
 ObsSession::ObsSession(std::string_view binary, const util::Flags& flags,
                        std::uint64_t seed)
     : manifest_{RunManifest::capture(binary, flags, seed)} {
@@ -19,20 +44,15 @@ ObsSession::ObsSession(std::string_view binary, const util::Flags& flags,
   PhaseProfiler::global().reset();
   EventProfiler::global().reset_counters();
 
-  metrics_path_ = flags.get("metrics-out", "");
-  chrome_trace_path_ = flags.get("chrome-trace-out", "");
-
-  const std::string trace_path = flags.get("trace-out", "");
   const std::string filter = flags.get("trace-filter", "all");
   auto sink = std::make_unique<TraceSink>(trace_file_);
   if (!sink->set_filter(filter)) {
     throw util::FlagError{"invalid value for --trace-filter: " + filter};
   }
-  if (!trace_path.empty()) {
-    trace_file_.open(trace_path);
-    if (!trace_file_) {
-      throw std::runtime_error("cannot open --trace-out file " + trace_path);
-    }
+  open_output(metrics_file_, flags, "metrics-out");
+  open_output(chrome_trace_file_, flags, "chrome-trace-out");
+  open_output(trace_file_, flags, "trace-out");
+  if (trace_file_.is_open()) {
     sink_ = std::move(sink);
     set_trace_sink(sink_.get());
   }
@@ -62,26 +82,20 @@ bool ObsSession::finish() {
   if (finished_) return written_;
   finished_ = true;
 
-  if (!chrome_trace_path_.empty() && !write_chrome_trace(chrome_trace_path_)) {
-    written_ = false;
+  if (chrome_trace_file_.is_open()) {
+    chrome_trace_file_ << chrome_trace_json(PhaseProfiler::global(),
+                                            EventProfiler::global())
+                       << '\n';
   }
-
-  if (!metrics_path_.empty()) {
-    std::ofstream out{metrics_path_};
-    if (!out) {
-      std::cerr << "obs: cannot open --metrics-out file " << metrics_path_
-                << '\n';
-      written_ = false;
-    } else {
-      out << metrics_json() << '\n';
-    }
-  }
+  if (metrics_file_.is_open()) metrics_file_ << metrics_json() << '\n';
 
   if (sink_) {
     if (trace_sink() == sink_.get()) set_trace_sink(nullptr);
     sink_.reset();
-    trace_file_.close();
   }
+  written_ = close_output(chrome_trace_file_, "chrome-trace-out");
+  written_ = close_output(metrics_file_, "metrics-out") && written_;
+  written_ = close_output(trace_file_, "trace-out") && written_;
   return written_;
 }
 

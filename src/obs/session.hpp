@@ -9,9 +9,7 @@
 // Flags understood (all optional; telemetry stays silent without them):
 //   --metrics-out=FILE   write the metrics document (manifest + registry +
 //                        phase profile) as JSON on finish()
-//   --trace-out=FILE     stream structured events as JSONL during the run;
-//                        a FILE that cannot be opened throws
-//                        std::runtime_error from the constructor
+//   --trace-out=FILE     stream structured events as JSONL during the run
 //   --trace-filter=CSV   category filter for the trace ("beacon,bgp";
 //                        default "all"); an unknown category throws
 //                        util::FlagError, with or without --trace-out
@@ -19,8 +17,10 @@
 //                        top-K event labels + queue-depth counters) on
 //                        finish()
 //
-// The session resets the global metrics registry and phase profiler on
-// construction so each harness run starts from zero.
+// The constructor opens all three files, so one that cannot be opened
+// throws std::runtime_error naming it before anything runs. It also resets
+// the global metrics registry and phase profiler so each harness run starts
+// from zero.
 #pragma once
 
 #include <cstdint>
@@ -62,16 +62,16 @@ class ObsSession {
   /// document and every bench report share this writer.
   void append_run_json(JsonWriter& w) const;
 
-  /// Writes --chrome-trace-out and --metrics-out (if given), flushes and
-  /// closes --trace-out, and uninstalls the global trace sink. Returns false
-  /// if an output file could not be opened (after one `obs: cannot open`
-  /// line on stderr per file). Idempotent; also invoked by the destructor.
+  /// Writes --chrome-trace-out and --metrics-out (if given), closes all
+  /// three files, and uninstalls the global trace sink. Returns false if a
+  /// write failed (after one `obs: cannot write` line on stderr per file).
+  /// Idempotent; also invoked by the destructor.
   bool finish();
 
  private:
   RunManifest manifest_;
-  std::string metrics_path_;
-  std::string chrome_trace_path_;
+  std::ofstream metrics_file_;
+  std::ofstream chrome_trace_file_;
   std::ofstream trace_file_;
   std::unique_ptr<TraceSink> sink_;
   bool finished_{false};

@@ -67,63 +67,86 @@ TEST(ObsJson, ParserRejectsMalformedInput) {
 
 // --- metrics registry --------------------------------------------------------
 
+/// `registry`'s export of metric `name` in `section` ("counters", "gauges"
+/// or "histograms"); null when the name is not interned.
+JsonValue exported(const MetricsRegistry& registry, std::string_view section,
+                   std::string_view name) {
+  const auto doc = parse_json(registry.to_json());
+  const JsonValue* value = doc->find(section)->find(name);
+  return value != nullptr ? *value : JsonValue{};
+}
+
 TEST(ObsMetrics, CounterGaugeHistogramSemantics) {
-  Counter c;
-  c.add(3);
-  c.add(4);
-  EXPECT_EQ(c.value(), 7u);
+  MetricsRegistry registry;
+  MetricShard& totals = registry.totals();
+  const std::size_t c = registry.intern(MetricKind::kCounter, "test.c");
+  totals.count(c, 3);
+  totals.count(c, 4);
+  EXPECT_EQ(exported(registry, "counters", "test.c").as_number(), 7.0);
 
-  Gauge g;
-  g.set_max(10);
-  g.set_max(5);
-  EXPECT_EQ(g.value(), 10);
-  g.set_max(12);
-  EXPECT_EQ(g.value(), 12);
+  const std::size_t g = registry.intern(MetricKind::kGauge, "test.g");
+  totals.gauge_max(g, 10);
+  totals.gauge_max(g, 5);
+  EXPECT_EQ(exported(registry, "gauges", "test.g").as_number(), 10.0);
+  totals.gauge_max(g, 12);
+  EXPECT_EQ(exported(registry, "gauges", "test.g").as_number(), 12.0);
 
-  Histogram h{{1.0, 10.0}};
-  h.observe(0.5);   // bucket 0
-  h.observe(10.0);  // <= 10: bucket 1
-  h.observe(99.0);  // overflow
-  EXPECT_EQ(h.bucket_counts(), (std::vector<std::uint64_t>{1, 1, 1}));
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 109.5);
+  const std::size_t h = registry.intern(MetricKind::kHistogram, "test.h");
+  totals.observe(h, 0.5);      // bucket 0
+  totals.observe(h, 2.0);      // <= 2: bucket 1
+  totals.observe(h, 99999.0);  // above 65536: overflow
+  const JsonValue hist = exported(registry, "histograms", "test.h");
+  const auto& buckets = hist.find("bucket_counts")->as_array();
+  ASSERT_EQ(buckets.size(), kHistogramBounds.size() + 1);
+  EXPECT_EQ(buckets[0].as_number(), 1.0);
+  EXPECT_EQ(buckets[1].as_number(), 1.0);
+  EXPECT_EQ(buckets[2].as_number(), 0.0);
+  EXPECT_EQ(buckets.back().as_number(), 1.0);
+  EXPECT_EQ(hist.find("count")->as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(hist.find("sum")->as_number(), 100001.5);
 }
 
 TEST(ObsMetrics, RegistryFindsOrCreatesStableHandles) {
   MetricsRegistry registry;
-  Counter& a = registry.counter("test.a");
-  a.add(1);
-  // Same name -> same handle; creating others must not invalidate it.
-  for (int i = 0; i < 100; ++i) {
-    registry.counter("test.fill" + std::to_string(i));
+  const std::size_t a = registry.intern(MetricKind::kCounter, "test.a");
+  // Ids are dense per kind; interning others must not move "test.a".
+  for (std::size_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(registry.intern(MetricKind::kCounter,
+                              "test.fill" + std::to_string(i)),
+              a + 1 + i);
   }
-  EXPECT_EQ(&registry.counter("test.a"), &a);
-  EXPECT_EQ(a.value(), 1u);
+  EXPECT_EQ(registry.intern(MetricKind::kCounter, "test.a"), a);
+  // Each kind has its own table.
+  EXPECT_EQ(registry.intern(MetricKind::kGauge, "test.a"), 0u);
 }
 
 TEST(ObsMetrics, ResetZeroesButKeepsRegistrations) {
   MetricsRegistry registry;
-  Counter& c = registry.counter("test.c");
-  Gauge& g = registry.gauge("test.g");
-  Histogram& h = registry.histogram("test.h");
-  c.add(5);
-  g.set_max(5);
-  h.observe(5);
+  const std::size_t c = registry.intern(MetricKind::kCounter, "test.c");
+  const std::size_t g = registry.intern(MetricKind::kGauge, "test.g");
+  const std::size_t h = registry.intern(MetricKind::kHistogram, "test.h");
+  registry.totals().count(c, 5);
+  registry.totals().gauge_max(g, 5);
+  registry.totals().observe(h, 5);
   registry.reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(h.count(), 0u);
-  // The handles are still the registered objects.
-  EXPECT_EQ(&registry.counter("test.c"), &c);
-  c.add(2);
-  EXPECT_EQ(registry.counter("test.c").value(), 2u);
+  // Still exported, at zero.
+  EXPECT_EQ(exported(registry, "counters", "test.c").as_number(), 0.0);
+  EXPECT_EQ(exported(registry, "gauges", "test.g").as_number(), 0.0);
+  EXPECT_EQ(
+      exported(registry, "histograms", "test.h").find("count")->as_number(),
+      0.0);
+  // The ids are still the registered ones.
+  EXPECT_EQ(registry.intern(MetricKind::kCounter, "test.c"), c);
+  registry.totals().count(c, 2);
+  EXPECT_EQ(exported(registry, "counters", "test.c").as_number(), 2.0);
 }
 
 TEST(ObsMetrics, ToJsonRoundTrips) {
   MetricsRegistry registry;
-  registry.counter("n.events").add(3);
-  registry.gauge("n.depth").set_max(9);
-  registry.histogram("n.sizes", {8.0, 64.0}).observe(100.0);
+  MetricShard& totals = registry.totals();
+  totals.count(registry.intern(MetricKind::kCounter, "n.events"), 3);
+  totals.gauge_max(registry.intern(MetricKind::kGauge, "n.depth"), 9);
+  totals.observe(registry.intern(MetricKind::kHistogram, "n.sizes"), 1e5);
 
   std::string error;
   const auto doc = parse_json(registry.to_json(), &error);
@@ -132,6 +155,9 @@ TEST(ObsMetrics, ToJsonRoundTrips) {
   EXPECT_EQ(doc->find("gauges")->find("n.depth")->as_number(), 9.0);
   const JsonValue* h = doc->find("histograms")->find("n.sizes");
   ASSERT_NE(h, nullptr);
+  const auto& bounds = h->find("bounds")->as_array();
+  ASSERT_EQ(bounds.size(), kHistogramBounds.size());
+  EXPECT_EQ(bounds.back().as_number(), kHistogramBounds.back());
   EXPECT_EQ(h->find("count")->as_number(), 1.0);
   EXPECT_EQ(h->find("bucket_counts")->as_array().back().as_number(), 1.0);
 }
@@ -149,16 +175,26 @@ TEST(ObsMetrics, MacrosRecordIntoTheGlobalRegistry) {
   SCION_METRIC_GAUGE_MAX("test.macro_gauge", 11);
   SCION_METRIC_OBSERVE("test.macro_hist", 3.0);
   EXPECT_EQ(evaluations, 1);
-  EXPECT_EQ(MetricsRegistry::global().counter("test.macro_counter").value(),
-            2u);
-  EXPECT_EQ(MetricsRegistry::global().gauge("test.macro_gauge").value(), 11);
-  EXPECT_EQ(MetricsRegistry::global().histogram("test.macro_hist").count(),
-            1u);
+  const MetricsRegistry& registry = MetricsRegistry::global();
+  EXPECT_EQ(exported(registry, "counters", "test.macro_counter").as_number(),
+            2.0);
+  EXPECT_EQ(exported(registry, "gauges", "test.macro_gauge").as_number(),
+            11.0);
+  EXPECT_EQ(exported(registry, "histograms", "test.macro_hist")
+                .find("count")
+                ->as_number(),
+            1.0);
   MetricsRegistry::global().reset();
 }
 
 void record_shard_gauge(std::int64_t v) {
   SCION_METRIC_GAUGE_MAX("test.shard_gauge", v);
+}
+
+std::int64_t shard_gauge() {
+  return static_cast<std::int64_t>(
+      exported(MetricsRegistry::global(), "gauges", "test.shard_gauge")
+          .as_number());
 }
 
 TEST(ObsMetrics, TaskShardKeepsOneHighWaterMarkPerGauge) {
@@ -172,10 +208,27 @@ TEST(ObsMetrics, TaskShardKeepsOneHighWaterMarkPerGauge) {
   const std::uint64_t allocs = thread_allocs() - allocs_before;
   capture.end();
   EXPECT_LE(allocs, 1u);
-  EXPECT_EQ(MetricsRegistry::global().gauge("test.shard_gauge").value(), 0);
+  EXPECT_EQ(shard_gauge(), 0);
   capture.merge();
-  EXPECT_EQ(MetricsRegistry::global().gauge("test.shard_gauge").value(), 9999);
+  EXPECT_EQ(shard_gauge(), 9999);
   MetricsRegistry::global().reset();
+}
+
+TEST(ObsAllocTrack, UncountedScopeRestoresTheThreadsCounters) {
+  const std::uint64_t allocs = thread_allocs();
+  const std::uint64_t bytes = thread_alloc_bytes();
+  {
+    const UncountedAllocs uncounted;
+    auto block = std::make_unique<char[]>(64);
+    block[0] = 1;
+    ASSERT_EQ(block[0], 1);
+  }
+  EXPECT_EQ(thread_allocs(), allocs);
+  EXPECT_EQ(thread_alloc_bytes(), bytes);
+  auto block = std::make_unique<char[]>(64);
+  block[0] = 1;
+  ASSERT_EQ(block[0], 1);
+  EXPECT_EQ(thread_allocs(), allocs + 1);
 }
 
 // --- tracing -----------------------------------------------------------------
@@ -390,13 +443,6 @@ TEST(ObsSessionTest, MetricsDocumentHasTheFullSchema) {
 
 TEST(ObsProfile, NestedPhasesAttributeAllocsToInnermost) {
   PhaseProfiler::global().reset();
-  // Warm pass: both phase slots exist afterwards, so the measured pass does
-  // not see the profiler's own map-insertion allocations.
-  {
-    ProfilePhase outer{"test.nested_outer"};
-    ProfilePhase inner{"test.nested_inner"};
-  }
-  const auto snapshot = PhaseProfiler::global().phases();  // copy
   {
     ProfilePhase outer{"test.nested_outer"};
     {
@@ -409,17 +455,11 @@ TEST(ObsProfile, NestedPhasesAttributeAllocsToInnermost) {
     }
   }
   const auto& phases = PhaseProfiler::global().phases();
-  const std::uint64_t inner_delta =
-      phases.at("test.nested_inner").allocs -
-      snapshot.at("test.nested_inner").allocs;
-  const std::uint64_t outer_delta =
-      phases.at("test.nested_outer").allocs -
-      snapshot.at("test.nested_outer").allocs;
-  // The 32 block allocations belong to the innermost phase; the parent may
-  // only see the profiler's own bookkeeping (span log growth), never the
-  // child's workload.
-  EXPECT_GE(inner_delta, 32u);
-  EXPECT_LE(outer_delta, 8u);
+  // The 32 block allocations belong to the innermost phase. The profiler's
+  // own bookkeeping — the inner phase's name, its phase-map node and its
+  // span, all allocated inside the outer phase — belongs to neither.
+  EXPECT_EQ(phases.at("test.nested_inner").allocs, 32u);
+  EXPECT_EQ(phases.at("test.nested_outer").allocs, 0u);
   PhaseProfiler::global().reset();
 }
 

@@ -118,8 +118,8 @@ TEST(TaskPool, NestedParallelMapWorks) {
 /// Runs a telemetry-heavy workload at the given job count and returns the
 /// metrics JSON and the raw trace stream it produced. With `nested`, every
 /// task also runs an inner batch whose captures merge into the task's own
-/// shard and trace buffer (MetricShard::merge_into_shard) before the task's
-/// capture merges into the registry.
+/// shard and trace buffer before the task's capture merges into the
+/// registry totals.
 std::pair<std::string, std::string> telemetry_run(std::size_t jobs,
                                                   bool nested) {
   obs::MetricsRegistry::global().reset();
