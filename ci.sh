@@ -145,13 +145,14 @@ for smoke in obs_smoke:table1_overhead_scope fault_smoke:dyn_resilience \
     --current="$dir/bench.json" --report-out="$dir/bench_diff.txt"
 done
 
-# Parallel-execution smoke: a quality bench with --jobs=4 (per-pair
-# max-flow optima as one exec::parallel_map batch). It proves the parallel
-# path produces schema-valid artifacts; the tsan leg at the end runs it
-# under ThreadSanitizer.
+# Parallel-execution smoke: the Fig. 6 quality bench with --jobs=4 (its six
+# series as one exec::parallel_map batch). It proves the parallel path
+# produces schema-valid artifacts; the fig6_same_across_jobs ctest compares
+# it with --jobs=1, and the tsan leg at the end runs it under
+# ThreadSanitizer.
 par_dir="$build_dir/par_ci"
 mkdir -p "$par_dir"
-"$build_dir/bench/bench_fig6b_capacity" --scale=0.2 --pairs=40 \
+"$build_dir/bench/bench_fig6_quality" --scale=0.2 --pairs=40 \
   --jobs=4 \
   --metrics-out="$par_dir/metrics.json" \
   --trace-out="$par_dir/trace.jsonl" \
@@ -194,7 +195,7 @@ cp "$build_dir/churn_smoke/bench_diff.txt" \
    "$artifact_dir/churn_bench_diff.txt"
 cp "$build_dir/obs_smoke/bench_diff.txt" \
    "$artifact_dir/table1_overhead_scope_bench_diff.txt"
-cp "$par_dir/bench.json" "$artifact_dir/BENCH_fig6b_capacity_smoke.json"
+cp "$par_dir/bench.json" "$artifact_dir/BENCH_fig6_quality_smoke.json"
 cp "$div_dir/BENCH_ablation_scoring.json" "$div_dir/BENCH_ext_latency.json" \
    "$div_dir/ablation_scoring_bench_diff.txt" \
    "$div_dir/ext_latency_bench_diff.txt" "$artifact_dir/"
@@ -209,7 +210,7 @@ if [ "$preset" != "tsan" ]; then
   tsan_dir="build-tsan"
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)" --target test_task_pool \
-    test_determinism test_obs bench_churn_response bench_fig6b_capacity \
+    test_determinism test_obs bench_churn_response bench_fig6_quality \
     bench_diff
   for test in test_task_pool test_determinism test_obs; do
     "$tsan_dir/tests/$test" --gtest_brief=1
@@ -228,8 +229,8 @@ if [ "$preset" != "tsan" ]; then
     --baseline=tools/bench_baseline/BENCH_churn_response.json \
     --current="$tsan_ci/BENCH_churn_response.json" \
     --report-out="$tsan_ci/churn_bench_diff.txt"
-  "$tsan_dir/bench/bench_fig6b_capacity" --scale=0.2 --pairs=40 --jobs=4 \
-    --bench-out="$tsan_ci/BENCH_fig6b_capacity.json" > "$tsan_ci/fig6b.txt"
+  "$tsan_dir/bench/bench_fig6_quality" --scale=0.2 --pairs=40 --jobs=4 \
+    --bench-out="$tsan_ci/BENCH_fig6_quality.json" > "$tsan_ci/fig6.txt"
 fi
 
 echo "ci: $preset build, tests, simlint (determinism + layering + shared state), fault and churn smokes, parallel smoke, bench regression gates (fig5, diversity ablation, latency extension, Table 1, dynamic-resilience and churn smokes), perfbench build + output check, ThreadSanitizer race gate, and telemetry artifacts all green"

@@ -6,9 +6,7 @@
 //   ./examples/beaconing_comparison [--core-ases=N] [--minutes=M]
 #include <cstdio>
 
-#include "analysis/path_quality.hpp"
-#include "core/beaconing_sim.hpp"
-#include "experiments/scale.hpp"
+#include "experiments/quality_experiment.hpp"
 #include "util/flags.hpp"
 
 using namespace scion;
@@ -16,50 +14,6 @@ using namespace scion;
 namespace {
 
 constexpr const char* kProgram = "beaconing_comparison";
-
-struct RunSummary {
-  util::Bytes bytes{};
-  std::uint64_t pcbs{0};
-  double avg_paths_per_pair{0.0};
-  double capacity_fraction{0.0};
-};
-
-RunSummary run(const topo::Topology& core, ctrl::AlgorithmKind algorithm,
-               util::Duration duration, std::uint64_t seed) {
-  ctrl::BeaconingSimConfig config;
-  config.server.algorithm = algorithm;
-  config.server.compute_crypto = false;
-  if (algorithm == ctrl::AlgorithmKind::kDiversity) {
-    config.server.store_policy = ctrl::StorePolicy::kDiversityAware;
-  }
-  config.sim_duration = duration;
-  config.seed = seed;
-  ctrl::BeaconingSim sim{core, config};
-  sim.run();
-
-  RunSummary summary;
-  summary.bytes = sim.total_bytes();
-  summary.pcbs = sim.total_pcbs_sent();
-
-  analysis::QualityEvaluator evaluator{core};
-  util::Rng rng{seed ^ 0xC0FFEE};
-  double achieved = 0, optimal = 0, paths = 0;
-  const std::size_t pairs = 60;
-  for (std::size_t i = 0; i < pairs; ++i) {
-    const auto a = static_cast<topo::AsIndex>(rng.index(core.as_count()));
-    const auto b = static_cast<topo::AsIndex>(rng.index(core.as_count()));
-    if (a == b) continue;
-    auto fwd = sim.paths_at(a, core.as_id(b));
-    auto rev = sim.paths_at(b, core.as_id(a));
-    paths += static_cast<double>(fwd.size() + rev.size());
-    fwd.insert(fwd.end(), rev.begin(), rev.end());
-    achieved += evaluator.of_paths(fwd, a, b);
-    optimal += evaluator.optimal(a, b);
-  }
-  summary.avg_paths_per_pair = paths / static_cast<double>(pairs);
-  summary.capacity_fraction = optimal > 0 ? achieved / optimal : 0;
-  return summary;
-}
 
 int compare(const util::Flags& flags) {
   exp::Scale scale = exp::Scale::from_flags(flags);
@@ -78,11 +32,20 @@ int compare(const util::Flags& flags) {
               nets.scion_view.as_count(), nets.scion_view.link_count(),
               duration.to_string().c_str());
 
-  const RunSummary baseline =
-      run(nets.scion_view, ctrl::AlgorithmKind::kBaseline, duration, scale.seed);
-  const RunSummary diversity = run(nets.scion_view,
-                                   ctrl::AlgorithmKind::kDiversity, duration,
-                                   scale.seed);
+  util::Rng rng{scale.seed ^ 0xC0FFEE};
+  const exp::QualityResult r = exp::run_path_quality(
+      nets.scion_view, nets.scion_view,
+      exp::draw_pairs(rng, nets.scion_view.as_count(), 60),
+      {{"baseline", exp::quality_beaconing_config(
+                        ctrl::AlgorithmKind::kBaseline, duration, scale.seed)},
+       {"diversity", exp::quality_beaconing_config(
+                         ctrl::AlgorithmKind::kDiversity, duration,
+                         scale.seed)}});
+  const exp::QualitySeries& baseline = r.series[0];
+  const exp::QualitySeries& diversity = r.series[1];
+  const auto per_pair = [&r](std::uint64_t paths) {
+    return static_cast<double>(paths) / static_cast<double>(r.pairs.size());
+  };
 
   std::printf("%-26s %16s %16s\n", "", "baseline", "diversity-based");
   std::printf("%-26s %16llu %16llu\n", "PCBs sent",
@@ -92,10 +55,10 @@ int compare(const util::Flags& flags) {
               static_cast<unsigned long long>(baseline.bytes.value()),
               static_cast<unsigned long long>(diversity.bytes.value()));
   std::printf("%-26s %16.1f %16.1f\n", "paths stored per pair",
-              baseline.avg_paths_per_pair, diversity.avg_paths_per_pair);
+              per_pair(baseline.paths), per_pair(diversity.paths));
   std::printf("%-26s %15.1f%% %15.1f%%\n", "capacity vs optimal",
-              100 * baseline.capacity_fraction,
-              100 * diversity.capacity_fraction);
+              100 * r.fraction_of_optimal(baseline),
+              100 * r.fraction_of_optimal(diversity));
   std::printf("\noverhead reduction: %.1fx fewer bytes with the "
               "path-diversity-based algorithm\n",
               static_cast<double>(baseline.bytes.value()) /

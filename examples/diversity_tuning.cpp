@@ -5,7 +5,7 @@
 //   ./examples/diversity_tuning [--core-ases=N] [--pairs=P]
 #include <cstdio>
 
-#include "core/grid_search.hpp"
+#include "experiments/grid_search.hpp"
 #include "experiments/scale.hpp"
 #include "util/flags.hpp"
 
@@ -21,7 +21,7 @@ int tune(const util::Flags& flags) {
   scale.core_ases =
       static_cast<std::size_t>(flags.get_int("core-ases", 24));
   scale.internet_ases = std::max<std::size_t>(scale.internet_ases, 300);
-  ctrl::GridSearchConfig config;
+  exp::GridSearchConfig config;
   config.sim_duration = util::Duration::minutes(
       flags.get_int("minutes", 90));
   config.sampled_pairs =
@@ -36,8 +36,8 @@ int tune(const util::Flags& flags) {
   std::printf("tuning on a %zu-AS core network (%zu links)\n",
               nets.scion_view.as_count(), nets.scion_view.link_count());
 
-  const ctrl::GridSearchResult result =
-      ctrl::grid_search_diversity_params(nets.scion_view, config);
+  const exp::GridSearchResult result =
+      exp::grid_search_diversity_params(nets.scion_view, config);
 
   std::printf("\nevaluated %zu parameter points "
               "(baseline reference: %llu bytes)\n",
@@ -45,7 +45,7 @@ int tune(const util::Flags& flags) {
               static_cast<unsigned long long>(result.baseline_bytes.value()));
   std::printf("  %-7s %-7s %-7s %10s %12s %10s\n", "alpha", "beta", "gamma",
               "quality", "overhead", "objective");
-  for (const ctrl::EvaluatedPoint& p : result.evaluated) {
+  for (const exp::EvaluatedPoint& p : result.evaluated) {
     std::printf("  %-7.2f %-7.2f %-7.2f %10.3f %12.4f %10.3f\n",
                 p.params.alpha, p.params.beta, p.params.gamma, p.quality,
                 p.overhead, p.objective);

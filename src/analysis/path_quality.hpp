@@ -23,9 +23,8 @@ class QualityEvaluator {
 
   /// Optimal (full-topology) min-cut / max-flow between two ASes.
   ///
-  /// NOT thread-safe: Dinic's search mutates the shared full-topology graph
-  /// (levels, iterators, capacities). Parallel callers copy full_graph()
-  /// into a task-local FlowGraph and run max_flow on the copy instead.
+  /// NOT thread-safe: Dinic's search mutates the full-topology graph
+  /// (levels, iterators, capacities).
   int optimal(topo::AsIndex s, topo::AsIndex t) { return full_.max_flow(s, t); }
 
   /// Min-cut / max-flow restricted to the union of `paths`. Thread-safe:
@@ -33,12 +32,6 @@ class QualityEvaluator {
   /// concurrent tasks.
   int of_paths(std::span<const std::vector<topo::LinkIndex>> paths,
                topo::AsIndex s, topo::AsIndex t) const;
-
-  /// The full-topology flow network, for per-task copies (FlowGraph is a
-  /// plain value type; a copy carries no shared state).
-  const FlowGraph& full_graph() const { return full_; }
-
-  const topo::Topology& topology() const { return topo_; }
 
  private:
   const topo::Topology& topo_;

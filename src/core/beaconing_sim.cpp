@@ -1,5 +1,7 @@
 #include "core/beaconing_sim.hpp"
 
+#include <iterator>
+
 #include "obs/event_profile.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -182,6 +184,17 @@ std::vector<std::vector<topo::LinkIndex>> BeaconingSim::paths_at(
     if (s.stale()) continue;  // quarantined: not a usable path right now
     out.push_back(s.links);
   }
+  return out;
+}
+
+std::vector<std::vector<topo::LinkIndex>> BeaconingSim::paths_between(
+    topo::AsIndex a, topo::AsIndex b) const {
+  std::vector<std::vector<topo::LinkIndex>> out =
+      paths_at(a, topology_.as_id(b));
+  std::vector<std::vector<topo::LinkIndex>> reverse =
+      paths_at(b, topology_.as_id(a));
+  out.insert(out.end(), std::make_move_iterator(reverse.begin()),
+             std::make_move_iterator(reverse.end()));
   return out;
 }
 

@@ -75,6 +75,12 @@ class BeaconingSim {
   std::vector<std::vector<topo::LinkIndex>> paths_at(topo::AsIndex at,
                                                      topo::IsdAsId origin) const;
 
+  /// The paths both ends of a pair store from each other: paths_at(a, b)
+  /// followed by paths_at(b, a). Segments are direction-agnostic at link
+  /// level, so this is the path set a pair can use.
+  std::vector<std::vector<topo::LinkIndex>> paths_between(
+      topo::AsIndex a, topo::AsIndex b) const;
+
  private:
   /// Identity mappings between topology handles and simnet handles, pinned
   /// by construction-time asserts: nodes are added in AS-index order and

@@ -6,6 +6,8 @@
 #include <thread>
 
 #include "obs/parallel.hpp"
+#include "obs/profile.hpp"
+#include "util/check.hpp"
 
 namespace scion::exec {
 
@@ -30,6 +32,8 @@ std::size_t resolve_jobs(std::size_t jobs) {
 
 void parallel_for_n(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t jobs) {
+  SCION_CHECK(!obs::phase_open_on_this_thread(),
+              "parallel batch started inside an open ProfilePhase");
   if (n == 0) return;
   std::vector<obs::TaskCapture> captures(n);
   std::vector<std::exception_ptr> errors(n);

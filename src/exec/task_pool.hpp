@@ -48,6 +48,10 @@ std::size_t resolve_jobs(std::size_t jobs);
 /// in index order, and otherwise min(jobs, n) - 1 threads are started and
 /// joined. `fn` is invoked concurrently and must only mutate task-local or
 /// per-index state. Nests: a task may call parallel_for_n itself.
+/// The calling thread must have no obs::ProfilePhase open (SCION_CHECK): a
+/// phase counts its own thread's allocations, so around a batch it would
+/// count those of whichever tasks the schedule gave the caller. Open phases
+/// inside the tasks instead.
 void parallel_for_n(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t jobs = 0);
 

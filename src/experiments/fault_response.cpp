@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 #include <stdexcept>
 
 #include "bgp/bgp_sim.hpp"
@@ -123,14 +122,8 @@ void finalize_probes(FaultResponseSeries& series,
 /// every link of which is currently up.
 bool scion_pair_live(const ctrl::BeaconingSim& sim, topo::AsIndex s,
                      topo::AsIndex t) {
-  std::vector<std::vector<topo::LinkIndex>> paths =
-      sim.paths_at(s, sim.topology().as_id(t));
-  std::vector<std::vector<topo::LinkIndex>> reverse =
-      sim.paths_at(t, sim.topology().as_id(s));
-  paths.insert(paths.end(), std::make_move_iterator(reverse.begin()),
-               std::make_move_iterator(reverse.end()));
   const sim::Network& net = sim.network();
-  for (const auto& path : paths) {
+  for (const auto& path : sim.paths_between(s, t)) {
     if (path.empty()) continue;
     const bool live =
         std::all_of(path.begin(), path.end(), [&net](topo::LinkIndex l) {

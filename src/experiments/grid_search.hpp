@@ -10,14 +10,17 @@
 
 #include <vector>
 
-#include "core/beaconing_sim.hpp"
+#include "core/scoring.hpp"
+#include "topology/topology.hpp"
+#include "util/time.hpp"
+#include "util/types.hpp"
 
-namespace scion::ctrl {
+namespace scion::exp {
 
 struct GridSearchConfig {
   /// Simulated duration per evaluated parameter point.
   util::Duration sim_duration{util::Duration::hours(2)};
-  /// AS pairs sampled for the quality term.
+  /// With-replacement pair draws for the quality term (draw_pairs).
   std::size_t sampled_pairs{60};
   /// Weight of the overhead penalty: objective = quality - weight * relative
   /// overhead (relative to the baseline algorithm; typically << 1 for any
@@ -27,16 +30,14 @@ struct GridSearchConfig {
   std::vector<double> coarse_alpha{0.5, 2.0, 8.0};
   std::vector<double> coarse_beta{1.0, 3.0, 9.0};
   std::vector<double> coarse_gamma{1.0, 2.0, 4.0};
-  /// Linear refinement steps around the coarse winner (+/- step, per axis).
-  int refine_steps{1};
   std::uint64_t seed{1};
-  /// Worker count for the per-point evaluations (0 = exec::default_jobs()).
-  /// The winner and the evaluation log are byte-identical for any value.
+  /// Worker count for the per-point runs (0 = exec::default_jobs()). The
+  /// winner and the evaluation log are byte-identical for any value.
   std::size_t jobs{0};
 };
 
 struct EvaluatedPoint {
-  DiversityParams params;
+  ctrl::DiversityParams params;
   double quality{0.0};    // capacity fraction of optimal
   double overhead{0.0};   // bytes relative to baseline
   double objective{0.0};  // quality - weight * overhead
@@ -48,14 +49,10 @@ struct GridSearchResult {
   util::Bytes baseline_bytes{};
 };
 
-/// Evaluates one parameter point (exposed for tests and examples).
-EvaluatedPoint evaluate_diversity_params(const topo::Topology& scion_view,
-                                         const DiversityParams& params,
-                                         const GridSearchConfig& config,
-                                         util::Bytes baseline_bytes);
-
-/// Runs the coarse exponential pass followed by the linear refinement.
+/// Runs the coarse exponential pass followed by one linear refinement step
+/// per parameter and direction around the coarse winner. Each pass is one
+/// path-quality run over the same pairs.
 GridSearchResult grid_search_diversity_params(const topo::Topology& scion_view,
                                               const GridSearchConfig& config);
 
-}  // namespace scion::ctrl
+}  // namespace scion::exp

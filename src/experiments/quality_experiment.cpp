@@ -1,54 +1,14 @@
 #include "experiments/quality_experiment.hpp"
 
-#include <algorithm>
-#include <memory>
+#include <iterator>
 
 #include "analysis/path_quality.hpp"
-#include "bgp/bgp_sim.hpp"
-#include "core/beaconing_sim.hpp"
 #include "exec/task_pool.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "util/stats.hpp"
 
 namespace scion::exp {
-
-namespace {
-
-std::unique_ptr<ctrl::BeaconingSim> run_beaconing(
-    const topo::Topology& scion_view, ctrl::AlgorithmKind algorithm,
-    std::size_t storage_limit, const QualityConfig& config) {
-  ctrl::BeaconingSimConfig c;
-  c.server.algorithm = algorithm;
-  c.server.mode = ctrl::BeaconingMode::kCore;
-  c.server.storage_limit = storage_limit;
-  c.server.dissemination_limit = config.dissemination_limit;
-  c.server.compute_crypto = false;
-  if (algorithm == ctrl::AlgorithmKind::kDiversity) {
-    c.server.store_policy = ctrl::StorePolicy::kDiversityAware;
-  }
-  c.sim_duration = config.sim_duration;
-  c.seed = config.seed;
-  auto sim = std::make_unique<ctrl::BeaconingSim>(scion_view, c);
-  sim->run();
-  return sim;
-}
-
-std::string limit_name(std::size_t limit) {
-  return limit == 0 ? "inf" : std::to_string(limit);
-}
-
-/// One series to evaluate — the unit of parallelism for the per-series
-/// stage. Building the spec list up front keeps the task decomposition (and
-/// so the telemetry merge order) independent of the job count.
-struct SeriesSpec {
-  enum class Kind { kBaseline, kDiversity, kBgp };
-  Kind kind{Kind::kBaseline};
-  std::size_t storage_limit{0};
-  std::string name;
-};
-
-}  // namespace
 
 double QualityResult::fraction_of_optimal(const QualitySeries& s) const {
   double sum = 0, opt = 0;
@@ -59,101 +19,112 @@ double QualityResult::fraction_of_optimal(const QualitySeries& s) const {
   return opt > 0 ? sum / opt : 0.0;
 }
 
+QualityResult run_path_quality(const topo::Topology& bgp_view,
+                               const topo::Topology& scion_view, AsPairs pairs,
+                               const std::vector<QualitySeriesSpec>& series,
+                               std::size_t jobs) {
+  QualityResult result;
+  result.pairs = std::move(pairs);
+  analysis::QualityEvaluator evaluator{scion_view};
+  {
+    // Serial on the calling thread, so the phase counts the same
+    // allocations at every job count.
+    obs::ProfilePhase phase{"quality.optimum"};
+    result.optimum.reserve(result.pairs.size());
+    for (const auto& [s, t] : result.pairs) {
+      result.optimum.push_back(evaluator.optimal(s, t));
+    }
+  }
+
+  // Scores every pair on the paths `paths_of(s, t)` returns. of_paths is
+  // const and thread-safe, so the tasks share `evaluator`.
+  const auto score = [&](QualitySeries& out, const auto& paths_of) {
+    out.values.reserve(result.pairs.size());
+    for (const auto& [s, t] : result.pairs) {
+      const std::vector<std::vector<topo::LinkIndex>> paths = paths_of(s, t);
+      out.paths += paths.size();
+      out.values.push_back(evaluator.of_paths(paths, s, t));
+    }
+  };
+  result.series = exec::parallel_map(
+      series,
+      [&](const QualitySeriesSpec& spec) {
+        QualitySeries out;
+        out.name = spec.name;
+        if (const auto* config = std::get_if<bgp::BgpSimConfig>(&spec.sim)) {
+          obs::ProfilePhase phase{"quality.bgp"};
+          bgp::BgpSim sim{bgp_view, *config};
+          sim.run();
+          score(out, [&sim](topo::AsIndex s, topo::AsIndex t) {
+            auto paths = sim.bgp_link_paths(s, t);
+            auto reverse = sim.bgp_link_paths(t, s);
+            paths.insert(paths.end(), std::make_move_iterator(reverse.begin()),
+                         std::make_move_iterator(reverse.end()));
+            return paths;
+          });
+          return out;
+        }
+        obs::ProfilePhase phase{"quality.beaconing"};
+        ctrl::BeaconingSim sim{scion_view,
+                               std::get<ctrl::BeaconingSimConfig>(spec.sim)};
+        sim.run();
+        score(out, [&sim](topo::AsIndex s, topo::AsIndex t) {
+          return sim.paths_between(s, t);
+        });
+        out.bytes = sim.total_bytes();
+        out.pcbs = sim.total_pcbs_sent();
+        return out;
+      },
+      jobs);
+  return result;
+}
+
+ctrl::BeaconingSimConfig quality_beaconing_config(ctrl::AlgorithmKind algorithm,
+                                                  util::Duration duration,
+                                                  std::uint64_t seed) {
+  ctrl::BeaconingSimConfig c;
+  c.server.algorithm = algorithm;
+  c.server.compute_crypto = false;
+  if (algorithm == ctrl::AlgorithmKind::kDiversity) {
+    c.server.store_policy = ctrl::StorePolicy::kDiversityAware;
+  }
+  c.sim_duration = duration;
+  c.seed = seed;
+  return c;
+}
+
 QualityResult run_quality_experiment(const topo::Topology& bgp_view,
                                      const topo::Topology& scion_view,
                                      const QualityConfig& config) {
-  QualityResult result;
-  util::Rng rng{config.seed ^ 0xFACE};
-
-  // Sampled distinct AS pairs (dedicated helper: the old rejection loop here
-  // only rejected a == b and could sample the same pair repeatedly).
-  const std::size_t n = scion_view.as_count();
-  result.pairs = sample_distinct_pairs(rng, n, config.sampled_pairs);
-
-  // Per-pair optimum, each task on its own copy of the full flow network
-  // (max_flow mutates graph state; see QualityEvaluator::optimal).
-  analysis::QualityEvaluator evaluator{scion_view};
-  {
-    obs::ProfilePhase phase{"quality.optimum"};
-    result.optimum = exec::parallel_map(
-        result.pairs,
-        [&](const std::pair<topo::AsIndex, topo::AsIndex>& pr) {
-          analysis::FlowGraph g = evaluator.full_graph();
-          return g.max_flow(pr.first, pr.second);
-        },
-        config.jobs);
-  }
-
-  // SCION runs: evaluate the paths from origin t stored at s plus the
-  // reverse direction (segments are direction-agnostic at link level).
-  // of_paths is const and thread-safe, so tasks share `evaluator`.
-  auto evaluate_sim = [&](ctrl::BeaconingSim& sim, const std::string& name) {
-    QualitySeries series;
-    series.name = name;
-    series.values.reserve(result.pairs.size());
-    for (const auto& [s, t] : result.pairs) {
-      std::vector<std::vector<topo::LinkIndex>> paths =
-          sim.paths_at(s, scion_view.as_id(t));
-      std::vector<std::vector<topo::LinkIndex>> reverse =
-          sim.paths_at(t, scion_view.as_id(s));
-      paths.insert(paths.end(), std::make_move_iterator(reverse.begin()),
-                   std::make_move_iterator(reverse.end()));
-      series.values.push_back(evaluator.of_paths(paths, s, t));
-    }
-    return series;
+  std::vector<QualitySeriesSpec> series;
+  const auto add_beaconing = [&](const std::string& name,
+                                 ctrl::AlgorithmKind algorithm,
+                                 std::size_t limit) {
+    ctrl::BeaconingSimConfig c =
+        quality_beaconing_config(algorithm, config.sim_duration, config.seed);
+    c.server.storage_limit = limit;
+    series.push_back(
+        {name + " (" + (limit == 0 ? "inf" : std::to_string(limit)) + ")", c});
   };
-
-  // Every series (simulation + per-pair min-cut) is an independent task;
-  // parallel_map keeps the traditional order baseline, diversity, BGP.
-  std::vector<SeriesSpec> specs;
   for (const std::size_t limit : config.baseline_storage_limits) {
-    specs.push_back({SeriesSpec::Kind::kBaseline, limit,
-                     "SCION Baseline (" + limit_name(limit) + ")"});
+    add_beaconing("SCION Baseline", ctrl::AlgorithmKind::kBaseline, limit);
   }
   for (const std::size_t limit : config.diversity_storage_limits) {
-    specs.push_back({SeriesSpec::Kind::kDiversity, limit,
-                     "SCION Diversity (" + limit_name(limit) + ")"});
+    add_beaconing("SCION Diversity", ctrl::AlgorithmKind::kDiversity, limit);
   }
   if (config.include_bgp) {
-    specs.push_back({SeriesSpec::Kind::kBgp, 0, "BGP (multipath)"});
+    bgp::BgpSimConfig bc;
+    bc.seed = config.seed;
+    // Only convergence matters for path quality; skip churn.
+    bc.churn_window = util::Duration::minutes(5);
+    bc.flaps_per_adjacency_per_day = 0.0;
+    series.push_back({"BGP (multipath)", bc});
   }
-
-  result.series = exec::parallel_map(
-      specs,
-      [&](const SeriesSpec& spec) {
-        if (spec.kind == SeriesSpec::Kind::kBgp) {
-          obs::ProfilePhase phase{"quality.bgp"};
-          bgp::BgpSimConfig bc;
-          bc.seed = config.seed;
-          // Only convergence matters for path quality; skip churn.
-          bc.churn_window = util::Duration::minutes(5);
-          bc.flaps_per_adjacency_per_day = 0.0;
-          bgp::BgpSim bgp_sim{bgp_view, bc};
-          bgp_sim.run();
-
-          QualitySeries series;
-          series.name = spec.name;
-          series.values.reserve(result.pairs.size());
-          for (const auto& [s, t] : result.pairs) {
-            auto paths = bgp_sim.bgp_link_paths(s, t);
-            auto reverse = bgp_sim.bgp_link_paths(t, s);
-            paths.insert(paths.end(),
-                         std::make_move_iterator(reverse.begin()),
-                         std::make_move_iterator(reverse.end()));
-            series.values.push_back(evaluator.of_paths(paths, s, t));
-          }
-          return series;
-        }
-        obs::ProfilePhase phase{"quality.beaconing"};
-        const auto algorithm = spec.kind == SeriesSpec::Kind::kBaseline
-                                   ? ctrl::AlgorithmKind::kBaseline
-                                   : ctrl::AlgorithmKind::kDiversity;
-        auto sim =
-            run_beaconing(scion_view, algorithm, spec.storage_limit, config);
-        return evaluate_sim(*sim, spec.name);
-      },
-      config.jobs);
-  return result;
+  util::Rng rng{config.seed ^ 0xFACE};
+  return run_path_quality(
+      bgp_view, scion_view,
+      sample_distinct_pairs(rng, scion_view.as_count(), config.sampled_pairs),
+      series, config.jobs);
 }
 
 obs::Table resilience_table(const QualityResult& r, int max_optimum) {

@@ -113,8 +113,7 @@ topo::AsIndex find_by_as_number(const topo::Topology& topo,
   return topo::kInvalidAsIndex;
 }
 
-std::vector<std::pair<topo::AsIndex, topo::AsIndex>> sample_distinct_pairs(
-    util::Rng& rng, std::size_t n, std::size_t want) {
+AsPairs sample_distinct_pairs(util::Rng& rng, std::size_t n, std::size_t want) {
   using Pair = std::pair<topo::AsIndex, topo::AsIndex>;
   std::vector<Pair> pairs;
   if (n < 2 || want == 0) return pairs;
@@ -161,6 +160,16 @@ std::vector<std::pair<topo::AsIndex, topo::AsIndex>> sample_distinct_pairs(
     pairs.emplace_back(s, t);
   }
   SCION_CHECK(pairs.size() == want, "sampler must deliver the requested pair count");
+  return pairs;
+}
+
+AsPairs draw_pairs(util::Rng& rng, std::size_t n, std::size_t draws) {
+  AsPairs pairs;
+  for (std::size_t i = 0; i < draws; ++i) {
+    const auto a = static_cast<topo::AsIndex>(rng.index(n));
+    const auto b = static_cast<topo::AsIndex>(rng.index(n));
+    if (a != b) pairs.emplace_back(a, b);
+  }
   return pairs;
 }
 

@@ -84,6 +84,8 @@ std::vector<topo::AsIndex> pick_monitors(const topo::Topology& topo,
 topo::AsIndex find_by_as_number(const topo::Topology& topo,
                                 std::uint64_t as_number);
 
+using AsPairs = std::vector<std::pair<topo::AsIndex, topo::AsIndex>>;
+
 /// Samples `want` DISTINCT unordered AS pairs (s < t) from `n` ASes.
 ///
 /// Shared by the quality and resilience experiments, whose hand-rolled
@@ -97,7 +99,13 @@ topo::AsIndex find_by_as_number(const topo::Topology& topo,
 ///     stall;
 ///   - sparse requests: rejection sampling against an ordered set.
 /// Returned pairs are in sampling order (callers' figures index by pair).
-std::vector<std::pair<topo::AsIndex, topo::AsIndex>> sample_distinct_pairs(
-    util::Rng& rng, std::size_t n, std::size_t want);
+AsPairs sample_distinct_pairs(util::Rng& rng, std::size_t n, std::size_t want);
+
+/// `draws` draws of an ordered pair (a, b) with replacement, keeping those
+/// with a != b in draw order: a pair may come back more than once, and a
+/// skipped draw still consumes its two rng values. The with-replacement
+/// sampling of the grid search, the two ablations, `scion-mpr quality` and
+/// the beaconing_comparison example, kept so their outputs stay as recorded.
+AsPairs draw_pairs(util::Rng& rng, std::size_t n, std::size_t draws);
 
 }  // namespace scion::exp

@@ -100,6 +100,8 @@ std::string uncounted_copy(std::string_view name) {
 
 }  // namespace
 
+bool phase_open_on_this_thread() { return t_current_phase != nullptr; }
+
 ProfilePhase::ProfilePhase(std::string_view name)
     : name_{uncounted_copy(name)},
       start_ns_{profiler_wall_now_ns()},

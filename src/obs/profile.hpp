@@ -88,6 +88,9 @@ class PhaseProfiler {
 /// into write-only profiler accumulators, never back into simulation state.
 std::int64_t profiler_wall_now_ns();
 
+/// True while a ProfilePhase is open on the calling thread.
+bool phase_open_on_this_thread();
+
 class ProfilePhase {
  public:
   explicit ProfilePhase(std::string_view name);

@@ -11,8 +11,8 @@
 #include <string>
 
 #include "bgp/bgp_sim.hpp"
-#include "core/grid_search.hpp"
 #include "experiments/fault_response.hpp"
+#include "experiments/grid_search.hpp"
 #include "experiments/quality_experiment.hpp"
 #include "experiments/scale.hpp"
 #include "faults/fault_plan.hpp"
@@ -389,7 +389,7 @@ TEST(Determinism, QualityExperimentIsByteIdenticalAcrossJobCounts) {
 
 std::string grid_search_transcript(const topo::Topology& scion_view,
                                    std::size_t jobs) {
-  ctrl::GridSearchConfig config;
+  exp::GridSearchConfig config;
   config.sim_duration = Duration::minutes(20);
   config.sampled_pairs = 12;
   config.coarse_alpha = {0.5, 4.0};
@@ -397,13 +397,13 @@ std::string grid_search_transcript(const topo::Topology& scion_view,
   config.coarse_gamma = {1.0, 2.0};
   config.seed = 11;
   config.jobs = jobs;
-  const ctrl::GridSearchResult result =
-      ctrl::grid_search_diversity_params(scion_view, config);
+  const exp::GridSearchResult result =
+      exp::grid_search_diversity_params(scion_view, config);
 
   std::ostringstream out;
   out << std::hexfloat;
   out << "baseline " << result.baseline_bytes.value() << '\n';
-  for (const ctrl::EvaluatedPoint& p : result.evaluated) {
+  for (const exp::EvaluatedPoint& p : result.evaluated) {
     out << p.params.alpha << ' ' << p.params.beta << ' ' << p.params.gamma
         << " q=" << p.quality << " o=" << p.overhead << " obj=" << p.objective
         << '\n';

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "analysis/path_quality.hpp"
 #include "experiments/fault_response.hpp"
 #include "experiments/overhead_experiment.hpp"
 #include "experiments/quality_experiment.hpp"
@@ -231,6 +232,101 @@ TEST(QualityExperiment, DiversityBeatsBaselineOnAggregate) {
   }
   EXPECT_GE(diversity, baseline) << "Fig. 6: diversity at least matches baseline";
   EXPECT_GT(diversity, bgp_frac) << "Fig. 6: SCION beats BGP multipath";
+}
+
+/// What the capacity-vs-optimum loop the runner replaced computed: `draws`
+/// with-replacement draws from Rng{seed}, skipping a == b, each pair scored
+/// on `paths_of(a, b)` with QualityEvaluator::of_paths against
+/// QualityEvaluator::optimal, and the two summed in draw order.
+struct ReferenceScore {
+  AsPairs pairs;
+  std::vector<int> values;
+  std::vector<int> optimum;
+  double fraction{0.0};
+};
+
+template <typename PathsOf>
+ReferenceScore reference_score(const topo::Topology& view, std::uint64_t seed,
+                               std::size_t draws, const PathsOf& paths_of) {
+  analysis::QualityEvaluator evaluator{view};
+  util::Rng rng{seed};
+  ReferenceScore ref;
+  double achieved = 0, optimal = 0;
+  for (std::size_t i = 0; i < draws; ++i) {
+    const auto a = static_cast<topo::AsIndex>(rng.index(view.as_count()));
+    const auto b = static_cast<topo::AsIndex>(rng.index(view.as_count()));
+    if (a == b) continue;
+    const std::vector<std::vector<topo::LinkIndex>> paths = paths_of(a, b);
+    ref.pairs.emplace_back(a, b);
+    ref.values.push_back(evaluator.of_paths(paths, a, b));
+    ref.optimum.push_back(evaluator.optimal(a, b));
+    achieved += ref.values.back();
+    optimal += ref.optimum.back();
+  }
+  ref.fraction = optimal > 0 ? achieved / optimal : 0;
+  return ref;
+}
+
+TEST(QualityRunner, MatchesHandWrittenLoopBitForBit) {
+  Scale s = tiny_scale();
+  s.core_ases = 10;
+  const topo::Topology internet = build_internet(s);
+  const CoreNetworks nets = build_core_networks(s, internet);
+  const topo::Topology& view = nets.scion_view;
+  ASSERT_EQ(view.as_count(), 10u);
+  constexpr std::uint64_t kSeed = 0x5EED;
+  constexpr std::size_t kDraws = 60;
+  const util::Duration duration = util::Duration::hours(1);
+
+  const ctrl::BeaconingSimConfig baseline = quality_beaconing_config(
+      ctrl::AlgorithmKind::kBaseline, duration, s.seed);
+  ctrl::BeaconingSimConfig diversity = quality_beaconing_config(
+      ctrl::AlgorithmKind::kDiversity, duration, s.seed);
+  diversity.server.storage_limit = 15;
+  bgp::BgpSimConfig bgp;
+  bgp.seed = s.seed;
+  bgp.churn_window = util::Duration::minutes(5);
+  bgp.flaps_per_adjacency_per_day = 0.0;
+  util::Rng rng{kSeed};
+  const QualityResult r = run_path_quality(
+      nets.bgp_view, view, draw_pairs(rng, view.as_count(), kDraws),
+      {{"baseline", baseline}, {"diversity", diversity}, {"bgp", bgp}}, 2);
+
+  std::vector<ReferenceScore> refs;
+  for (const ctrl::BeaconingSimConfig& config : {baseline, diversity}) {
+    ctrl::BeaconingSim sim{view, config};
+    sim.run();
+    refs.push_back(reference_score(
+        view, kSeed, kDraws, [&](topo::AsIndex a, topo::AsIndex b) {
+          auto paths = sim.paths_at(a, view.as_id(b));
+          const auto reverse = sim.paths_at(b, view.as_id(a));
+          paths.insert(paths.end(), reverse.begin(), reverse.end());
+          EXPECT_EQ(sim.paths_between(a, b), paths);
+          return paths;
+        }));
+  }
+  bgp::BgpSim bgp_sim{nets.bgp_view, bgp};
+  bgp_sim.run();
+  refs.push_back(reference_score(
+      view, kSeed, kDraws, [&](topo::AsIndex a, topo::AsIndex b) {
+        auto paths = bgp_sim.bgp_link_paths(a, b);
+        const auto reverse = bgp_sim.bgp_link_paths(b, a);
+        paths.insert(paths.end(), reverse.begin(), reverse.end());
+        return paths;
+      }));
+
+  EXPECT_EQ(r.pairs, refs.front().pairs)
+      << "draw_pairs yields the non-skipped draws in order";
+  EXPECT_LT(r.pairs.size(), kDraws) << "some draws were skipped";
+  EXPECT_LT(std::set(r.pairs.begin(), r.pairs.end()).size(), r.pairs.size())
+      << "some pairs were drawn twice";
+  EXPECT_EQ(r.optimum, refs.front().optimum);
+  ASSERT_EQ(r.series.size(), refs.size());
+  for (std::size_t k = 0; k < refs.size(); ++k) {
+    EXPECT_EQ(r.series[k].values, refs[k].values) << r.series[k].name;
+    EXPECT_EQ(r.fraction_of_optimal(r.series[k]), refs[k].fraction)
+        << r.series[k].name;
+  }
 }
 
 /// Every field of a dynamic-resilience result, floats in hex.

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "core/grid_search.hpp"
+#include "experiments/grid_search.hpp"
+#include "experiments/quality_experiment.hpp"
 #include "topology/generator.hpp"
 
-namespace scion::ctrl {
+namespace scion::exp {
 namespace {
 
 topo::Topology tiny_core() {
@@ -21,7 +22,6 @@ GridSearchConfig quick_config() {
   config.coarse_alpha = {2.0};
   config.coarse_beta = {1.0, 3.0};
   config.coarse_gamma = {2.0};
-  config.refine_steps = 1;
   config.seed = 9;
   return config;
 }
@@ -66,16 +66,26 @@ TEST(GridSearch, DiversityOverheadBelowBaseline) {
 }
 
 TEST(GridSearch, EvaluateSinglePointMatchesSearchSetup) {
+  // The search scores a point as one diversity series of the path-quality
+  // runner over its own pair draws, against the baseline's bytes.
   const topo::Topology core = tiny_core();
   GridSearchConfig config = quick_config();
-  DiversityParams params;
-  const EvaluatedPoint a =
-      evaluate_diversity_params(core, params, config, util::Bytes{1000});
-  const EvaluatedPoint b =
-      evaluate_diversity_params(core, params, config, util::Bytes{1000});
-  EXPECT_EQ(a.quality, b.quality) << "evaluation is deterministic";
-  EXPECT_EQ(a.overhead, b.overhead);
+  config.coarse_beta = {1.0};
+  const GridSearchResult result = grid_search_diversity_params(core, config);
+  const EvaluatedPoint& point = result.evaluated.front();
+
+  ctrl::BeaconingSimConfig sim = quality_beaconing_config(
+      ctrl::AlgorithmKind::kDiversity, config.sim_duration, config.seed);
+  sim.server.diversity = point.params;
+  util::Rng rng{config.seed ^ 0x6412D};
+  const QualityResult r = run_path_quality(
+      core, core, draw_pairs(rng, core.as_count(), config.sampled_pairs),
+      {{"point", sim}});
+  EXPECT_EQ(point.quality, r.fraction_of_optimal(r.series[0]));
+  EXPECT_EQ(point.overhead,
+            static_cast<double>(r.series[0].bytes.value()) /
+                static_cast<double>(result.baseline_bytes.value()));
 }
 
 }  // namespace
-}  // namespace scion::ctrl
+}  // namespace scion::exp

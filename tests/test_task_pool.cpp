@@ -1,8 +1,9 @@
 // Tests for the deterministic parallel execution layer (src/exec):
 // order preservation, caller-participates scheduling, exception
-// propagation, nesting, and the telemetry-merge
+// propagation, nesting, the telemetry-merge
 // determinism contract (jobs=1, 2 and 8 produce byte-identical metric and
-// trace output, with and without nested batches).
+// trace output, with and without nested batches), and the check that no
+// batch starts inside an open ProfilePhase.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -12,7 +13,9 @@
 
 #include "exec/task_pool.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "util/check.hpp"
 #include "util/time.hpp"
 
 namespace scion::exec {
@@ -180,6 +183,34 @@ TEST(TaskPool, TelemetryIsByteIdenticalAcrossJobCounts) {
   }
   obs::MetricsRegistry::global().reset();
 }
+
+TEST(TaskPool, BatchStartsOnceEveryPhaseIsClosed) {
+  obs::ProfilePhase setup{"test.setup"};
+  EXPECT_TRUE(obs::phase_open_on_this_thread());
+  setup.stop();
+  EXPECT_FALSE(obs::phase_open_on_this_thread());
+  // Tasks open their own phases, and close them before the next batch.
+  for (int batch = 0; batch < 2; ++batch) {
+    parallel_for_n(
+        3, [](std::size_t) { const obs::ProfilePhase phase{"test.task"}; },
+        2);
+  }
+  EXPECT_FALSE(obs::phase_open_on_this_thread());
+}
+
+#if SCION_CHECK_ENABLED
+// A phase around a batch would count the allocations of whichever tasks the
+// schedule gave the calling thread.
+TEST(TaskPoolDeathTest, BatchInsideOpenPhaseAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const obs::ProfilePhase phase{"test.enclosing"};
+        parallel_for_n(2, [](std::size_t) {}, 1);
+      },
+      "parallel batch started inside an open ProfilePhase");
+}
+#endif
 
 }  // namespace
 }  // namespace scion::exec

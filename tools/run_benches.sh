@@ -55,7 +55,7 @@ run_bench() {
   echo >> "$out"
 }
 
-ordered="bench_table1_overhead_scope bench_fig5_overhead bench_fig6a_resilience bench_dyn_resilience bench_fig6b_capacity bench_fig7_scionlab_resilience bench_fig8_scionlab_capacity bench_fig9_scionlab_bandwidth bench_micro bench_ablation_scoring bench_ablation_sweeps bench_ext_latency"
+ordered="bench_table1_overhead_scope bench_fig5_overhead bench_fig6_quality bench_dyn_resilience bench_fig7_9_scionlab bench_micro bench_ablation_scoring bench_ablation_sweeps bench_ext_latency"
 for name in $ordered; do
   b="$build_dir/bench/$name"
   if [ -x "$b" ] && [ -f "$b" ]; then

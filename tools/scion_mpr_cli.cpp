@@ -3,7 +3,7 @@
 //   scion-mpr gen      --kind=internet|core|isd|scionlab|multi-isd [--out=FILE]
 //   scion-mpr beacon   --topology=FILE [--algorithm=baseline|diversity]
 //                      [--hours=N] [--warmup-hours=N] [--faults=FILE]
-//   scion-mpr quality  --topology=FILE [--pairs=N] [--hours=N]
+//   scion-mpr quality  --topology=FILE [--pairs=N] [--hours=N] [--seed=N]
 //   scion-mpr table1   [--isds=N] [--isd-size=N] [--minutes=N]
 //
 // Topologies are the plain-text format of topology/io.hpp, so generated
@@ -12,11 +12,10 @@
 #include <fstream>
 #include <iostream>
 
-#include "analysis/path_quality.hpp"
 #include "core/beaconing_sim.hpp"
 #include "exec/task_pool.hpp"
 #include "faults/fault_plan.hpp"
-#include "experiments/scale.hpp"
+#include "experiments/quality_experiment.hpp"
 #include "experiments/table1_experiment.hpp"
 #include "obs/session.hpp"
 #include "topology/io.hpp"
@@ -35,7 +34,7 @@ int usage() {
       "  beacon   --topology=FILE [--algorithm=baseline|diversity]\n"
       "           [--hours=N] [--warmup-hours=N] [--storage=N] [--limit=N]\n"
       "           [--faults=FILE]  fault scenario (see src/faults/fault_plan.hpp)\n"
-      "  quality  --topology=FILE [--pairs=N] [--hours=N]\n"
+      "  quality  --topology=FILE [--pairs=N] [--hours=N] [--seed=N]\n"
       "  table1   [--isds=N] [--isd-size=N] [--minutes=N]\n"
       "execution (any command):\n"
       "  --jobs=N             worker threads for parallel experiment stages\n"
@@ -170,39 +169,26 @@ int cmd_beacon(const util::Flags& flags) {
 int cmd_quality(const util::Flags& flags) {
   const topo::Topology topology = load_topology(flags);
   const auto pairs = static_cast<std::size_t>(flags.get_int("pairs", 100));
-  const auto hours = flags.get_int("hours", 2);
+  const auto hours = util::Duration::hours(flags.get_int("hours", 2));
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
-  analysis::QualityEvaluator evaluator{topology};
-  // simlint:allow(raw-output) — the report is the CLI's product
-  std::cout << "algorithm     capacity/optimal   bytes\n";
+  std::vector<exp::QualitySeriesSpec> series;
   for (const auto algorithm :
        {ctrl::AlgorithmKind::kBaseline, ctrl::AlgorithmKind::kDiversity}) {
-    ctrl::BeaconingSimConfig config;
-    config.server.algorithm = algorithm;
-    config.server.compute_crypto = false;
-    if (algorithm == ctrl::AlgorithmKind::kDiversity) {
-      config.server.store_policy = ctrl::StorePolicy::kDiversityAware;
-    }
-    config.sim_duration = util::Duration::hours(hours);
-    ctrl::BeaconingSim sim{topology, config};
-    sim.run();
-
-    util::Rng rng{9};
-    double achieved = 0, optimal = 0;
-    for (std::size_t i = 0; i < pairs; ++i) {
-      const auto a = static_cast<topo::AsIndex>(rng.index(topology.as_count()));
-      const auto b = static_cast<topo::AsIndex>(rng.index(topology.as_count()));
-      if (a == b) continue;
-      auto paths = sim.paths_at(a, topology.as_id(b));
-      auto reverse = sim.paths_at(b, topology.as_id(a));
-      paths.insert(paths.end(), reverse.begin(), reverse.end());
-      achieved += evaluator.of_paths(paths, a, b);
-      optimal += evaluator.optimal(a, b);
-    }
+    series.push_back({ctrl::to_string(algorithm),
+                      exp::quality_beaconing_config(algorithm, hours, seed)});
+  }
+  util::Rng rng{seed ^ 8};
+  const exp::QualityResult result = exp::run_path_quality(
+      topology, topology, exp::draw_pairs(rng, topology.as_count(), pairs),
+      series);
+  // simlint:allow(raw-output) — the report is the CLI's product
+  std::cout << "algorithm     capacity/optimal   bytes\n";
+  for (const exp::QualitySeries& s : result.series) {
     // simlint:allow(raw-output)
-    std::printf("%-13s %16.3f %9llu\n", to_string(algorithm),
-                optimal > 0 ? achieved / optimal : 0.0,
-                static_cast<unsigned long long>(sim.total_bytes().value()));
+    std::printf("%-13s %16.3f %9llu\n", s.name.c_str(),
+                result.fraction_of_optimal(s),
+                static_cast<unsigned long long>(s.bytes.value()));
   }
   return 0;
 }

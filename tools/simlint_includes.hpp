@@ -49,9 +49,7 @@ inline const Layering& default_layering() {
       {"analysis", {"topology", "obs", "util"}},
       {"faults", {"simnet", "topology", "obs", "util"}},
       {"bgp", {"faults", "simnet", "topology", "obs", "util"}},
-      {"core",
-       {"analysis", "crypto", "exec", "faults", "simnet", "topology", "obs",
-        "util"}},
+      {"core", {"crypto", "faults", "simnet", "topology", "obs", "util"}},
       {"scion",
        {"analysis", "core", "crypto", "faults", "simnet", "topology", "obs",
         "util"}},
