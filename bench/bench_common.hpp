@@ -20,9 +20,7 @@
 // --key[=value] flag (`bench_<name>: unexpected argument <arg>`, before
 // anything runs), a value that does not parse (`bench_<name>: invalid
 // value for --<key>: <value>`), or a flag the run never read
-// (`bench_<name>: unknown flag --<key>`). Google-benchmark's own
-// --benchmark_* flags (bench_micro) are read by google-benchmark, not
-// through util::Flags, and are exempt. An output file that cannot be
+// (`bench_<name>: unknown flag --<key>`). An output file that cannot be
 // opened (--bench-out, --metrics-out, --trace-out or --chrome-trace-out,
 // all checked before the run) or written, or an input that cannot be read
 // (a --faults scenario) makes it return 1.

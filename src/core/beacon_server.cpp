@@ -36,6 +36,12 @@ static_assert(kBackoffBase > Duration::zero() && kBackoffMax >= kBackoffBase &&
                   kBackoffJitter < 1.0,
               "reorigination backoff parameters out of range");
 
+// Staleness quarantine: an entry continuously stale for longer than this is
+// evicted at the next interval.
+constexpr Duration kStaleTimeout = Duration::minutes(30);
+static_assert(kStaleTimeout > Duration::zero(),
+              "staleness timeout must be positive");
+
 }  // namespace
 
 BeaconServer::BeaconServer(const topo::Topology& topology, topo::AsIndex self,
@@ -55,8 +61,6 @@ BeaconServer::BeaconServer(const topo::Topology& topology, topo::AsIndex self,
   SCION_CHECK(send_, "beacon server needs a send hook");
   SCION_CHECK(!config_.reorigination || config_.schedule,
               "reorigination backoff needs a schedule hook");
-  SCION_CHECK(config_.stale_timeout > Duration::zero(),
-              "staleness timeout must be positive");
   if (config_.algorithm == AlgorithmKind::kDiversity) {
     diversity_ = std::make_unique<DiversityState>(
         config_.diversity, config_.diversity_link_canonicalizer);
@@ -165,7 +169,7 @@ void BeaconServer::on_interval(TimePoint now) {
   }
   if (config_.stale_quarantine) {
     const std::size_t stale_out =
-        store_.expire_stale(now, config_.stale_timeout);
+        store_.expire_stale(now, kStaleTimeout);
     if (stale_out > 0) {
       stats_.pcbs_stale_expired += stale_out;
       SCION_METRIC_COUNT("beacon.pcbs_stale_expired", stale_out);

@@ -64,11 +64,11 @@ struct BeaconServerConfig {
   bool compute_crypto{true};
   /// Staleness-aware revalidation: on_link_down quarantines stored PCBs
   /// riding the link instead of evicting them, on_link_up releases the
-  /// quarantine, and entries continuously stale for longer than
-  /// `stale_timeout` are evicted each interval. A short flap then costs no
-  /// store rebuild. Default off: revocation evicts, as before.
+  /// quarantine, and entries continuously stale for longer than the
+  /// staleness timeout (fixed in beacon_server.cpp) are evicted each
+  /// interval. A short flap then costs no store rebuild. Default off:
+  /// revocation evicts, as before.
   bool stale_quarantine{false};
-  util::Duration stale_timeout{util::Duration::minutes(30)};
   /// Beacon re-origination retry on interface recovery (core ASes only):
   /// instead of waiting for the next interval, the origin re-beacons on the
   /// recovered link after an exponential-backoff delay, so one recovery is

@@ -2,7 +2,7 @@
 //
 // JsonWriter builds syntactically valid JSON incrementally (comma handling
 // via a state stack); JsonValue/parse_json is the matching reader used by
-// the schema checker (tools/obs_check) and the round-trip tests. Neither
+// tools/bench_diff and the round-trip and schema tests. Neither
 // aims to be a general-purpose JSON library: no unicode escapes beyond
 // pass-through UTF-8, numbers are doubles or 64-bit integers, and the
 // parser rejects anything the writer cannot produce.

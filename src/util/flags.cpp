@@ -98,7 +98,6 @@ int reject_unused(const Flags& flags, std::string_view program) {
   }
   if (rejected) return 2;
   for (const std::string& key : flags.unread()) {
-    if (key.starts_with("benchmark_")) continue;
     std::cerr << program << ": unknown flag --" << key << '\n';
     rejected = true;
   }

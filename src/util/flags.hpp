@@ -65,9 +65,7 @@ class Flags {
 /// The command-line check shared by bench_main and scion-mpr. Prints
 /// `<program>: unexpected argument <arg>` for each stray argument or, when
 /// there is none, `<program>: unknown flag --<key>` for each flag no lookup
-/// has read (google-benchmark's --benchmark_* flags are read by
-/// google-benchmark and exempt), on stderr. Returns 2 if it printed
-/// anything, 0 otherwise.
+/// has read, on stderr. Returns 2 if it printed anything, 0 otherwise.
 int reject_unused(const Flags& flags, std::string_view program);
 
 }  // namespace scion::util

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -387,6 +388,173 @@ TEST(BeaconServer, BaselineSendsTheSameSelectionOnParallelLinks) {
   }
   EXPECT_EQ(origins, 3u) << "origins C, D and E propagate towards B";
   EXPECT_GT(multi, 0u) << "some selection must hold more than one PCB";
+}
+
+// --- link failures: revocation, quarantine and re-origination -------------
+
+/// Fills A's store in the core triangle with three paths: B's origin PCBs
+/// over the parallel links 0 and 1, and C's over link 2.
+void feed_neighbor_origins(const topo::Topology& t, crypto::KeyStore& keys,
+                           BeaconServer& a, TimePoint at) {
+  for (const topo::AsIndex origin : {topo::AsIndex{1}, topo::AsIndex{2}}) {
+    SendCollector out;
+    BeaconServer server{t, origin, baseline_config(), keys, kDomain, out.fn()};
+    server.on_interval(TimePoint::origin());
+    for (const auto& [egress, pcb] : out.sent) {
+      if (t.neighbor(egress, origin) == 0) a.handle_pcb(pcb, egress, at);
+    }
+  }
+  ASSERT_EQ(a.store().total_stored(), 3u);
+}
+
+std::size_t stale_count(const BeaconStore& store) {
+  std::size_t n = 0;
+  for (const topo::IsdAsId origin : store.origins()) {
+    for (const StoredPcb& e : store.for_origin(origin)) n += e.stale();
+  }
+  return n;
+}
+
+BeaconServerConfig quarantine_config() {
+  BeaconServerConfig config = baseline_config();
+  config.stale_quarantine = true;
+  return config;
+}
+
+constexpr TimePoint kFed = TimePoint::origin() + Duration::seconds(1);
+constexpr TimePoint kDown = kFed + Duration::minutes(1);
+
+TEST(BeaconServer, LinkDownRevokesWithoutQuarantine) {
+  const topo::Topology t = core_triangle();
+  crypto::KeyStore keys{kDomain};
+  SendCollector collector;
+  BeaconServer server{t, 0, baseline_config(), keys, kDomain, collector.fn()};
+  ASSERT_NO_FATAL_FAILURE(feed_neighbor_origins(t, keys, server, kFed));
+  server.on_link_down(0, kDown);
+  EXPECT_EQ(server.store().total_stored(), 2u);
+  EXPECT_EQ(stale_count(server.store()), 0u);
+  EXPECT_EQ(server.stats().pcbs_revoked, 1u);
+  EXPECT_EQ(server.stats().pcbs_quarantined, 0u);
+}
+
+TEST(BeaconServer, LinkDownQuarantinesAndLinkUpRevalidates) {
+  const topo::Topology t = core_triangle();
+  crypto::KeyStore keys{kDomain};
+  SendCollector collector;
+  BeaconServer server{t, 0, quarantine_config(), keys, kDomain,
+                      collector.fn()};
+  ASSERT_NO_FATAL_FAILURE(feed_neighbor_origins(t, keys, server, kFed));
+  server.on_link_down(0, kDown);
+  EXPECT_EQ(server.store().total_stored(), 3u);
+  EXPECT_EQ(stale_count(server.store()), 1u);
+  EXPECT_EQ(server.stats().pcbs_quarantined, 1u);
+  EXPECT_EQ(server.stats().pcbs_revoked, 0u);
+
+  server.on_link_up(0, kDown + Duration::minutes(1));
+  EXPECT_EQ(stale_count(server.store()), 0u);
+  EXPECT_EQ(server.stats().pcbs_revalidated, 1u);
+}
+
+TEST(BeaconServer, IntervalEvictsEntriesStalePastTheTimeout) {
+  const topo::Topology t = core_triangle();
+  crypto::KeyStore keys{kDomain};
+  SendCollector collector;
+  BeaconServer server{t, 0, quarantine_config(), keys, kDomain,
+                      collector.fn()};
+  ASSERT_NO_FATAL_FAILURE(feed_neighbor_origins(t, keys, server, kFed));
+  server.on_link_down(0, kDown);
+  // The staleness timeout is 30 minutes; an entry stale for exactly that
+  // long stays.
+  server.on_interval(kDown + Duration::minutes(30));
+  EXPECT_EQ(server.store().total_stored(), 3u);
+  EXPECT_EQ(server.stats().pcbs_stale_expired, 0u);
+  server.on_interval(kDown + Duration::minutes(31));
+  EXPECT_EQ(server.store().total_stored(), 2u);
+  EXPECT_EQ(stale_count(server.store()), 0u);
+  EXPECT_EQ(server.stats().pcbs_stale_expired, 1u);
+}
+
+/// Collects the re-origination retries a server schedules.
+struct RetryCollector {
+  std::vector<std::pair<Duration, std::function<void(TimePoint)>>> pending;
+  std::function<void(Duration, std::function<void(TimePoint)>)> fn() {
+    return [this](Duration delay, std::function<void(TimePoint)> retry) {
+      pending.emplace_back(delay, std::move(retry));
+    };
+  }
+};
+
+BeaconServerConfig reorigination_config(RetryCollector& retries) {
+  BeaconServerConfig config = baseline_config();
+  config.reorigination = true;
+  config.schedule = retries.fn();
+  config.backoff_seed = 7;
+  return config;
+}
+
+TEST(BeaconServer, ReoriginationResendsOnTheRecoveredLinkWithBackoff) {
+  const topo::Topology t = core_triangle();
+  crypto::KeyStore keys{kDomain};
+  RetryCollector retries;
+  SendCollector collector;
+  BeaconServer server{t, 0, reorigination_config(retries), keys, kDomain,
+                      collector.fn()};
+
+  // First recovery: one retry 5 s (+-10 % jitter) later, which sends one
+  // origin PCB on the recovered link.
+  server.on_link_down(0, kDown);
+  TimePoint up = kDown + Duration::seconds(30);
+  server.on_link_up(0, up);
+  ASSERT_EQ(retries.pending.size(), 1u);
+  const Duration first = retries.pending[0].first;
+  EXPECT_GE(first, Duration::milliseconds(4500));
+  EXPECT_LE(first, Duration::milliseconds(5500));
+  EXPECT_TRUE(collector.sent.empty());
+  retries.pending[0].second(up + first);
+  ASSERT_EQ(collector.sent.size(), 1u);
+  EXPECT_EQ(collector.sent[0].first, 0u);
+  EXPECT_EQ(collector.sent[0].second->origin(), t.as_id(0));
+  EXPECT_EQ(collector.sent[0].second->hops(), 1u);
+  EXPECT_EQ(server.stats().reoriginations, 1u);
+
+  // Recovering again within 10 minutes doubles the delay.
+  server.on_link_down(0, up + Duration::minutes(2));
+  up = up + Duration::minutes(3);
+  server.on_link_up(0, up);
+  ASSERT_EQ(retries.pending.size(), 2u);
+  const Duration second = retries.pending[1].first;
+  EXPECT_GE(second, Duration::seconds(9));
+  EXPECT_LE(second, Duration::seconds(11));
+  retries.pending[1].second(up + second);
+  EXPECT_EQ(collector.count_on(0), 2u);
+  EXPECT_EQ(collector.sent.size(), 2u);
+  EXPECT_EQ(server.stats().reoriginations, 2u);
+}
+
+TEST(BeaconServer, ReoriginationRetryDoesNothingAfterTheLinkFailsAgain) {
+  const topo::Topology t = core_triangle();
+  crypto::KeyStore keys{kDomain};
+  RetryCollector retries;
+  SendCollector collector;
+  BeaconServer server{t, 0, reorigination_config(retries), keys, kDomain,
+                      collector.fn()};
+  server.on_link_down(0, kDown);
+  server.on_link_up(0, kDown + Duration::seconds(30));
+  ASSERT_EQ(retries.pending.size(), 1u);
+  server.on_link_down(0, kDown + Duration::seconds(31));
+  retries.pending[0].second(kDown + Duration::seconds(35));
+  EXPECT_TRUE(collector.sent.empty());
+
+  // Nor when the link is back up by the time the stale retry fires: only
+  // the retry of the latest recovery sends.
+  server.on_link_up(0, kDown + Duration::seconds(32));
+  ASSERT_EQ(retries.pending.size(), 2u);
+  retries.pending[0].second(kDown + Duration::seconds(40));
+  EXPECT_TRUE(collector.sent.empty());
+  EXPECT_EQ(server.stats().reoriginations, 0u);
+  retries.pending[1].second(kDown + Duration::seconds(45));
+  EXPECT_EQ(collector.count_on(0), 1u);
+  EXPECT_EQ(server.stats().reoriginations, 1u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/algorithms.hpp"
 #include "core/beacon_store.hpp"
 #include "core/beaconing_sim.hpp"
 #include "diversity_run.hpp"
@@ -158,6 +159,99 @@ TEST(BeaconStore, SeparateBucketsPerOrigin) {
             BeaconStore::InsertOutcome::kInserted);
   EXPECT_EQ(store.insert(make_stored(o2, {2}, TimePoint::origin())),
             BeaconStore::InsertOutcome::kInserted);
+  EXPECT_EQ(store.total_stored(), 2u);
+}
+
+// --- link failures: revocation and staleness quarantine ----------------------
+
+using Paths = std::vector<std::vector<topo::LinkIndex>>;
+
+/// The link sequences stored for `origin`, in bucket order.
+Paths stored_links(const BeaconStore& store, IsdAsId origin) {
+  Paths out;
+  for (const StoredPcb& s : store.for_origin(origin)) out.push_back(s.links);
+  return out;
+}
+
+TEST(BeaconStore, DropLinkEvictsExactlyTheEntriesRidingTheLink) {
+  BeaconStore store{10};
+  const IsdAsId o2 = IsdAsId::make(2, 5);
+  store.insert(make_stored(kOrigin, {1, 2}, TimePoint::origin()));
+  store.insert(make_stored(kOrigin, {3, 4}, TimePoint::origin()));
+  store.insert(make_stored(kOrigin, {5, 2}, TimePoint::origin()));
+  store.insert(make_stored(o2, {2}, TimePoint::origin()));
+  EXPECT_EQ(store.drop_link(2), 3u);
+  EXPECT_EQ(stored_links(store, kOrigin), (Paths{{3, 4}}));
+  // A bucket the revocation empties is gone, origin and all.
+  EXPECT_EQ(store.origins(), std::vector<IsdAsId>{kOrigin});
+  EXPECT_EQ(store.drop_link(2), 0u);
+  EXPECT_EQ(store.total_stored(), 1u);
+}
+
+TEST(BeaconStore, MarkLinkStaleQuarantinesInsteadOfEvicting) {
+  BeaconStore store{10};
+  store.insert(make_stored(kOrigin, {1}, TimePoint::origin()));
+  store.insert(make_stored(kOrigin, {2, 3}, TimePoint::origin()));
+  const TimePoint down = TimePoint::origin() + Duration::minutes(5);
+  EXPECT_EQ(store.mark_link_stale(2, down), 1u);
+  EXPECT_EQ(stored_links(store, kOrigin), (Paths{{1}, {2, 3}}));
+  const std::vector<StoredPcb>& bucket = store.for_origin(kOrigin);
+  EXPECT_FALSE(bucket[0].stale());
+  EXPECT_TRUE(bucket[1].stale());
+  EXPECT_EQ(bucket[1].stale_since, down);
+  // A second failed link on a quarantined entry adds a hold; the entry
+  // stays stale since the first failure.
+  EXPECT_EQ(store.mark_link_stale(3, down + Duration::minutes(1)), 0u);
+  EXPECT_EQ(bucket[1].stale_links, 2u);
+  EXPECT_EQ(bucket[1].stale_since, down);
+
+  // Selection offers only the fresh path, though the stale one is stored.
+  const std::vector<Candidate> selected =
+      baseline_select(bucket, IsdAsId::make(3, 3), 7, 5, down);
+  ASSERT_EQ(selected.size(), 1u);
+  EXPECT_EQ(selected[0].stored->links, std::vector<topo::LinkIndex>{1});
+}
+
+TEST(BeaconStore, RevalidateLinkReleasesOneHoldPerLink) {
+  BeaconStore store{10};
+  store.insert(make_stored(kOrigin, {1, 2}, TimePoint::origin()));
+  const TimePoint down = TimePoint::origin() + Duration::minutes(5);
+  store.mark_link_stale(1, down);
+  store.mark_link_stale(2, down);
+  const StoredPcb& entry = store.for_origin(kOrigin)[0];
+  EXPECT_EQ(store.revalidate_link(1), 0u);  // link 2 still holds it
+  EXPECT_TRUE(entry.stale());
+  EXPECT_EQ(store.revalidate_link(2), 1u);
+  EXPECT_FALSE(entry.stale());
+  EXPECT_EQ(entry.stale_since, TimePoint{});
+  EXPECT_EQ(store.revalidate_link(2), 0u);  // nothing left to release
+
+  // An entry admitted while its link was down took no hold on it; the
+  // link's recovery leaves its count at zero instead of wrapping it.
+  store.mark_link_stale(3, down);
+  store.insert(make_stored(kOrigin, {4, 3}, down + Duration::minutes(1)));
+  EXPECT_EQ(store.revalidate_link(3), 0u);
+  for (const StoredPcb& s : store.for_origin(kOrigin)) {
+    EXPECT_EQ(s.stale_links, 0u);
+  }
+}
+
+TEST(BeaconStore, ExpireStaleEvictsOnlyEntriesStaleLongerThanTheTimeout) {
+  BeaconStore store{10};
+  for (const topo::LinkIndex l : {1u, 2u, 3u}) {
+    store.insert(make_stored(kOrigin, {l}, TimePoint::origin()));
+  }
+  const Duration timeout = Duration::minutes(30);
+  const TimePoint t0 = TimePoint::origin() + Duration::minutes(5);
+  store.mark_link_stale(1, t0);
+  store.mark_link_stale(2, t0 + Duration::minutes(10));
+  EXPECT_EQ(store.expire_stale(t0 + timeout, timeout), 0u);
+  EXPECT_EQ(store.expire_stale(t0 + timeout + Duration::seconds(1), timeout),
+            1u);
+  EXPECT_EQ(stored_links(store, kOrigin), (Paths{{2}, {3}}));
+  // Revalidation stops the clock: a fresh entry never times out.
+  store.revalidate_link(2);
+  EXPECT_EQ(store.expire_stale(t0 + Duration::hours(5), timeout), 0u);
   EXPECT_EQ(store.total_stored(), 2u);
 }
 

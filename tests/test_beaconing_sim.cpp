@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/beaconing_sim.hpp"
 #include "topology/generator.hpp"
 
@@ -195,6 +198,43 @@ TEST(BeaconingSim, StorageLimitBoundsStoredPaths) {
       EXPECT_LE(sim.paths_at(a, t.as_id(b)).size(), 3u);
     }
   }
+}
+
+// With the staleness quarantine on, a downed link's endpoints keep the PCBs
+// riding it but paths_at() no longer offers them.
+TEST(BeaconingSim, PathsAtSkipsQuarantinedEntries) {
+  const topo::Topology t = small_core();
+  auto config = quick_config(AlgorithmKind::kBaseline);
+  config.server.stale_quarantine = true;
+  config.sim_duration = Duration::hours(1);
+  // Down for the last 10 minutes, well inside the staleness timeout.
+  const topo::LinkIndex down_link = 0;
+  config.faults.events.push_back(faults::Event{
+      faults::Event::Kind::kLinkDown, down_link, Duration::minutes(50),
+      Duration::zero()});
+  BeaconingSim sim{t, config};
+  sim.run();
+
+  std::size_t quarantined = 0;
+  for (const topo::AsIndex at : {t.link(down_link).a, t.link(down_link).b}) {
+    for (topo::AsIndex origin = 0; origin < t.as_count(); ++origin) {
+      if (origin == at) continue;
+      std::vector<std::vector<topo::LinkIndex>> fresh;
+      for (const StoredPcb& s : sim.server(at).store().for_origin(
+               t.as_id(origin))) {
+        const bool rides = std::find(s.links.begin(), s.links.end(),
+                                     down_link) != s.links.end();
+        EXPECT_EQ(s.stale(), rides);
+        if (s.stale()) {
+          ++quarantined;
+        } else {
+          fresh.push_back(s.links);
+        }
+      }
+      EXPECT_EQ(sim.paths_at(at, t.as_id(origin)), fresh);
+    }
+  }
+  EXPECT_GT(quarantined, 0u);
 }
 
 TEST(BeaconingSim, IntraIsdLeavesLearnCorePaths) {

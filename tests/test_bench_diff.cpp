@@ -244,6 +244,25 @@ TEST(BenchDiff, EventProfileTotalsGateExactly) {
   EXPECT_NE(find_metric(r, "event_profile.total_events"), nullptr);
 }
 
+// A current run that lost its event profile fails on the totals and on
+// every baseline label, as a missing metrics section fails on each counter.
+TEST(BenchDiff, MissingEventProfileFails) {
+  const std::string text = kBaseDoc;
+  const auto at = text.find(",\n  \"event_profile\"");
+  ASSERT_NE(at, std::string::npos);
+  const obs::JsonValue cur = parse(text.substr(0, at) + "\n}");
+  ASSERT_EQ(cur.find("event_profile"), nullptr);
+  const DiffReport r = diff_bench_docs(parse(kBaseDoc), cur);
+  EXPECT_TRUE(r.failed());
+  for (const char* metric :
+       {"event_profile.total_events", "event_profile.attributed_events",
+        "events.beacon.propagate.events"}) {
+    const DiffEntry* e = find_metric(r, metric);
+    ASSERT_NE(e, nullptr) << metric;
+    EXPECT_EQ(e->severity, DiffSeverity::kFail) << metric;
+  }
+}
+
 // Unattributed events fail on the current run alone: a baseline that
 // already has the same gap does not excuse it.
 TEST(BenchDiff, UnattributedEventsFailWhateverTheBaseline) {

@@ -1,10 +1,15 @@
 // Telemetry layer tests: metrics registry semantics, JSONL trace
 // round-trips and category filters, run-manifest completeness, the
 // recording macros (including argument evaluation), phase
-// profiling, and the shared result renderer.
+// profiling, the files a harness session writes and their schemas, and
+// the shared result renderer.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +33,89 @@ namespace scion::obs {
 namespace {
 
 using util::TimePoint;
+
+/// The member `key` of `obj` when it has the shape `is` tests, else nullptr.
+const JsonValue* member(const JsonValue& obj, const char* key,
+                        bool (JsonValue::*is)() const) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && (v->*is)() ? v : nullptr;
+}
+
+/// The metrics document's schema (--metrics-out; a bench report carries the
+/// same members): the schema tag, every manifest key, the three metric
+/// kinds, each phase entry's fields and the event profile's sections.
+void expect_metrics_document(const JsonValue& doc) {
+  const JsonValue* schema = member(doc, "schema", &JsonValue::is_string);
+  ASSERT_NE(schema, nullptr);
+  EXPECT_EQ(schema->as_string(), "scion-mpr-metrics-v1");
+  const JsonValue* manifest = member(doc, "manifest", &JsonValue::is_object);
+  ASSERT_NE(manifest, nullptr);
+  for (const char* key : {"binary", "build_type", "git_sha", "sanitizers"}) {
+    EXPECT_NE(member(*manifest, key, &JsonValue::is_string), nullptr) << key;
+  }
+  EXPECT_NE(member(*manifest, "seed", &JsonValue::is_number), nullptr);
+  EXPECT_NE(member(*manifest, "flags", &JsonValue::is_object), nullptr);
+  EXPECT_NE(member(*manifest, "checked", &JsonValue::is_bool), nullptr);
+  const JsonValue* metrics = member(doc, "metrics", &JsonValue::is_object);
+  ASSERT_NE(metrics, nullptr);
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    EXPECT_NE(member(*metrics, kind, &JsonValue::is_object), nullptr) << kind;
+  }
+  const JsonValue* phases = member(doc, "phases", &JsonValue::is_array);
+  ASSERT_NE(phases, nullptr);
+  for (const JsonValue& p : phases->as_array()) {
+    EXPECT_NE(member(p, "phase", &JsonValue::is_string), nullptr);
+    for (const char* key : {"calls", "wall_ns", "wall_s"}) {
+      EXPECT_NE(member(p, key, &JsonValue::is_number), nullptr) << key;
+    }
+  }
+  const JsonValue* profile =
+      member(doc, "event_profile", &JsonValue::is_object);
+  ASSERT_NE(profile, nullptr);
+  EXPECT_NE(member(*profile, "enabled", &JsonValue::is_bool), nullptr);
+  for (const char* key : {"total_events", "attributed_events"}) {
+    EXPECT_NE(member(*profile, key, &JsonValue::is_number), nullptr) << key;
+  }
+  for (const char* key : {"queue_samples", "labels"}) {
+    EXPECT_NE(member(*profile, key, &JsonValue::is_array), nullptr) << key;
+  }
+}
+
+/// What chrome://tracing and Perfetto need of a Chrome trace: a
+/// traceEvents array whose events have a name, a pid and a phase type of X
+/// (slice), C (counter) or M (metadata); X and C events have a timestamp
+/// and X events a duration.
+void expect_chrome_trace(const JsonValue& doc) {
+  ASSERT_NE(member(doc, "displayTimeUnit", &JsonValue::is_string), nullptr);
+  const JsonValue* events = member(doc, "traceEvents", &JsonValue::is_array);
+  ASSERT_NE(events, nullptr);
+  for (const JsonValue& e : events->as_array()) {
+    const JsonValue* name = member(e, "name", &JsonValue::is_string);
+    ASSERT_NE(name, nullptr);
+    const JsonValue* ph = member(e, "ph", &JsonValue::is_string);
+    ASSERT_NE(ph, nullptr) << name->as_string();
+    ASSERT_NE(member(e, "pid", &JsonValue::is_number), nullptr)
+        << name->as_string();
+    const std::string& kind = ph->as_string();
+    ASSERT_TRUE(kind == "X" || kind == "C" || kind == "M")
+        << name->as_string() << ": phase type " << kind;
+    if (kind != "M") {
+      ASSERT_NE(member(e, "ts", &JsonValue::is_number), nullptr)
+          << name->as_string();
+    }
+    if (kind == "X") {
+      ASSERT_NE(member(e, "dur", &JsonValue::is_number), nullptr)
+          << name->as_string();
+    }
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
+}
 
 // --- JSON writer / parser ----------------------------------------------------
 
@@ -425,10 +513,8 @@ TEST(ObsSessionTest, MetricsDocumentHasTheFullSchema) {
   std::string error;
   const auto doc = parse_json(session.metrics_json(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
-  EXPECT_EQ(doc->find("schema")->as_string(), "scion-mpr-metrics-v1");
+  ASSERT_NO_FATAL_FAILURE(expect_metrics_document(*doc));
   EXPECT_EQ(doc->find("manifest")->find("binary")->as_string(), "test_obs");
-  ASSERT_TRUE(doc->find("metrics")->is_object());
-  ASSERT_TRUE(doc->find("phases")->is_array());
   EXPECT_EQ(doc->find("metrics")
                 ->find("counters")
                 ->find("test.session_counter")
@@ -437,6 +523,80 @@ TEST(ObsSessionTest, MetricsDocumentHasTheFullSchema) {
   session.finish();
   MetricsRegistry::global().reset();
   PhaseProfiler::global().reset();
+}
+
+// The three files a harness run writes, read back: the metrics document,
+// the JSONL trace holding only the --trace-filter categories, and a
+// Chrome trace with a phase slice, a label slice and a queue counter.
+TEST(ObsSessionTest, WritesMetricsTraceAndChromeTraceFiles) {
+  const std::string prefix = ::testing::TempDir() + "test_obs_session_" +
+                             std::to_string(::getpid());
+  const std::string metrics_path = prefix + "_metrics.json";
+  const std::string trace_path = prefix + "_trace.jsonl";
+  const std::string chrome_path = prefix + "_chrome.json";
+  util::Flags flags;
+  flags.set("metrics-out", metrics_path);
+  flags.set("trace-out", trace_path);
+  flags.set("trace-filter", "scion");
+  flags.set("chrome-trace-out", chrome_path);
+  EventProfiler::global().set_enabled(true);
+  {
+    ObsSession session{"test_obs", flags, 7};
+    SCION_TRACE(Category::kScion, TimePoint::origin(), "lookup",
+                {"as", "1-1"});
+    SCION_TRACE(Category::kBeacon, TimePoint::origin(), "originate",
+                {"as", "1-1"});
+    SCION_METRIC_COUNT("test.session_files_counter", 1);
+    { ProfilePhase phase{"test.session_files_phase"}; }
+    {
+      sim::Simulator simulator;
+      simulator.schedule_at(TimePoint::origin() + util::Duration::seconds(1),
+                            event_label("test.session_files_tick"), [] {});
+      simulator.run();
+    }
+    ASSERT_TRUE(session.finish());
+  }
+  const std::string metrics_text = read_file(metrics_path);
+  const std::string trace_text = read_file(trace_path);
+  const std::string chrome_text = read_file(chrome_path);
+  for (const std::string& path : {metrics_path, trace_path, chrome_path}) {
+    std::remove(path.c_str());
+  }
+  MetricsRegistry::global().reset();
+  PhaseProfiler::global().reset();
+  EventProfiler::global().reset_counters();
+
+  std::string error;
+  const auto metrics = parse_json(metrics_text, &error);
+  ASSERT_TRUE(metrics.has_value()) << error;
+  ASSERT_NO_FATAL_FAILURE(expect_metrics_document(*metrics));
+  EXPECT_EQ(metrics->find("metrics")
+                ->find("counters")
+                ->find("test.session_files_counter")
+                ->as_number(),
+            1.0);
+
+  std::istringstream lines{trace_text};
+  std::size_t events = 0;
+  for (std::string line; std::getline(lines, line); ++events) {
+    const auto event = parse_json(line, &error);
+    ASSERT_TRUE(event.has_value()) << error << ": " << line;
+    EXPECT_NE(member(*event, "t", &JsonValue::is_number), nullptr) << line;
+    EXPECT_NE(member(*event, "ev", &JsonValue::is_string), nullptr) << line;
+    const JsonValue* cat = member(*event, "cat", &JsonValue::is_string);
+    ASSERT_NE(cat, nullptr) << line;
+    EXPECT_EQ(cat->as_string(), "scion") << line;
+  }
+  EXPECT_GE(events, 1u);
+
+  const auto chrome = parse_json(chrome_text, &error);
+  ASSERT_TRUE(chrome.has_value()) << error;
+  ASSERT_NO_FATAL_FAILURE(expect_chrome_trace(*chrome));
+  std::set<std::string> kinds;
+  for (const JsonValue& e : chrome->find("traceEvents")->as_array()) {
+    kinds.insert(e.find("ph")->as_string());
+  }
+  EXPECT_EQ(kinds, (std::set<std::string>{"C", "M", "X"}));
 }
 
 // --- nested phase attribution ------------------------------------------------
@@ -642,6 +802,7 @@ TEST(ObsChromeTrace, RendersPhasesLabelSlicesAndQueueCounters) {
   std::string error;
   const auto doc = parse_json(json, &error);
   ASSERT_TRUE(doc.has_value()) << error;
+  ASSERT_NO_FATAL_FAILURE(expect_chrome_trace(*doc));
   EXPECT_EQ(doc->find("displayTimeUnit")->as_string(), "ms");
   const auto& trace_events = doc->find("traceEvents")->as_array();
   bool saw_phase_slice = false;

@@ -460,7 +460,7 @@ TEST(SimlintLayering, FilesOutsideSrcAreNotPartOfTheLayeredWorld) {
   // bench/tools/tests consume every layer; they carry no layering info.
   EXPECT_TRUE(graph_one("#include \"scion/sig.hpp\"\n"
                         "#include \"util/rng.hpp\"\n",
-                        "bench/bench_micro.cpp")
+                        "bench/bench_fig5_overhead.cpp")
                   .empty());
   EXPECT_TRUE(graph_one("#include \"scion/sig.hpp\"\n", "src/version.hpp")
                   .empty());  // directly under src/: no module directory

@@ -382,11 +382,12 @@ TEST(Flags, RejectUnusedNamesStraysThenUnreadFlags) {
   EXPECT_EQ(strays.strays(), std::vector<std::string>{"minutes=1"});
   EXPECT_EQ(reject_unused(strays, "prog"), 2);
 
-  const char* argv[] = {"prog", "--minutes=1", "--benchmark_filter=BM_x"};
+  const char* argv[] = {"prog", "--minutes=1", "--jobs=4"};
   const Flags flags{3, const_cast<char**>(argv)};
-  EXPECT_EQ(reject_unused(flags, "prog"), 2);  // --minutes unread
+  EXPECT_EQ(reject_unused(flags, "prog"), 2);  // neither flag read
   EXPECT_EQ(flags.get_int("minutes", 60), 1);
-  // google-benchmark reads its own flags.
+  EXPECT_EQ(reject_unused(flags, "prog"), 2);  // --jobs unread
+  EXPECT_EQ(flags.get_int("jobs", 1), 4);
   EXPECT_EQ(reject_unused(flags, "prog"), 0);
 }
 

@@ -177,15 +177,20 @@ inline void diff_tree(DiffReport& r, const std::string& path,
   }
 }
 
+/// How an absent report section compares: as an empty object.
+inline const obs::JsonValue& absent_section() {
+  static const obs::JsonValue kAbsent{obs::JsonValue::Object{}};
+  return kAbsent;
+}
+
 /// diff_tree over a report section either document may lack: an absent
 /// section compares as an empty object, so each member of the other side is
 /// reported.
 inline void diff_section(DiffReport& r, const std::string& path,
                          const obs::JsonValue* base,
                          const obs::JsonValue* cur) {
-  static const obs::JsonValue kAbsent{obs::JsonValue::Object{}};
-  diff_tree(r, path, base != nullptr ? *base : kAbsent,
-            cur != nullptr ? *cur : kAbsent);
+  diff_tree(r, path, base != nullptr ? *base : absent_section(),
+            cur != nullptr ? *cur : absent_section());
 }
 
 /// Indexes an array of objects by a string member, e.g. phases by "phase".
@@ -219,8 +224,8 @@ inline double num_or(const obs::JsonValue* obj, const char* key,
 
 }  // namespace diff_detail
 
-/// Diffs a baseline and a current bench document. Both must be parsed
-/// scion-mpr-bench-v1 reports (obs_check validates shape; this assumes it).
+/// Diffs a baseline and a current bench document, both parsed
+/// scion-mpr-bench-v1 reports.
 inline DiffReport diff_bench_docs(const obs::JsonValue& baseline,
                                   const obs::JsonValue& current,
                                   const DiffOptions& opts = {}) {
@@ -293,9 +298,12 @@ inline DiffReport diff_bench_docs(const obs::JsonValue& baseline,
   }
 
   // Event profile: per-label event counts are deterministic; allocs banded;
-  // wall banded (warn-only by default).
+  // wall banded (warn-only by default). A current run without one compares
+  // as an empty profile, as an absent section does above, so its totals and
+  // every baseline label fail.
   const obs::JsonValue* base_profile = baseline.find("event_profile");
-  if (base_profile != nullptr && cur_profile != nullptr) {
+  if (base_profile != nullptr) {
+    if (cur_profile == nullptr) cur_profile = &absent_section();
     diff_exact(r, "event_profile.total_events",
                num_or(base_profile, "total_events", 0.0),
                num_or(cur_profile, "total_events", 0.0));

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Runs every bench binary, headline figures first, capturing combined output
-# and collecting each binary's BENCH_<name>.json report into one directory.
+# Runs the nine bench binaries, headline figures first, capturing combined
+# output and collecting each binary's BENCH_<name>.json report into one
+# directory.
 # Usage: tools/run_benches.sh [--checked] [--jobs=N] [--baseline=DIR]
 #                             [output-file] [json-dir]
 #
@@ -55,21 +56,19 @@ run_bench() {
   echo >> "$out"
 }
 
-ordered="bench_table1_overhead_scope bench_fig5_overhead bench_fig6_quality bench_dyn_resilience bench_fig7_9_scionlab bench_micro bench_ablation_scoring bench_ablation_sweeps bench_ext_latency"
-for name in $ordered; do
-  b="$build_dir/bench/$name"
-  if [ -x "$b" ] && [ -f "$b" ]; then
-    run_bench "$b"
+# The suite: every bench target in bench/CMakeLists.txt, headline figures
+# first. A binary in the build tree that is not listed (a stale one left by
+# a deleted target) never runs, and a listed one that is missing fails the
+# script before anything runs.
+suite="bench_table1_overhead_scope bench_fig5_overhead bench_fig6_quality bench_dyn_resilience bench_churn_response bench_fig7_9_scionlab bench_ablation_scoring bench_ablation_sweeps bench_ext_latency"
+for name in $suite; do
+  if [ ! -x "$build_dir/bench/$name" ]; then
+    echo "error: $build_dir/bench/$name not built" >&2
+    exit 1
   fi
 done
-# Catch any bench not in the explicit list.
-for b in "$build_dir"/bench/*; do
-  case " $ordered " in
-    *" $(basename "$b") "*) continue ;;
-  esac
-  if [ -x "$b" ] && [ -f "$b" ]; then
-    run_bench "$b"
-  fi
+for name in $suite; do
+  run_bench "$build_dir/bench/$name"
 done
 echo "bench suite complete: $out (reports in $json_dir/)"
 
