@@ -197,13 +197,6 @@ void ControlPlaneSim::record_service_message(const char* comp,
   ledger_.record(comp, scope_between(from, to), bytes);
 }
 
-topo::AsIndex ControlPlaneSim::core_of_isd(topo::IsdId isd,
-                                           std::size_t salt) const {
-  const auto& cores = cores_by_isd_[isd_slot(isd)];
-  SCION_CHECK(!cores.empty(), "control plane needs at least one core AS");
-  return cores[salt % cores.size()];
-}
-
 void ControlPlaneSim::do_registration(topo::AsIndex leaf) {
   const util::TimePoint now = sim_.now();
   const crypto::SigningKey& sign_key =
@@ -216,50 +209,47 @@ void ControlPlaneSim::do_registration(topo::AsIndex leaf) {
     const auto origin_idx = topology_.find(origin);
     if (!origin_idx) continue;
     // Take the best few stored PCBs (they are already policy-filtered).
-    std::vector<PathSegment> segments;
+    std::vector<SegmentRef> segments;
     for (const ctrl::StoredPcb& stored : store.for_origin(origin)) {
       if (stored.pcb->expired(now)) continue;
-      segments.push_back(make_segment(topology_, stored, leaf,
-                                      SegmentType::kDown, sign_key, fwd_key,
-                                      /*include_peers=*/true));
+      segments.push_back(make_segment(topology_, stored, leaf, sign_key,
+                                      fwd_key, /*include_peers=*/true));
       if (segments.size() >= kSegmentsPerRegistration) break;
     }
     if (segments.empty()) continue;
 
-    // Up-segments stay local; down-segments go to the origin core's path
-    // server (intra-ISD unicast).
-    for (PathSegment& seg : segments) {
-      PathSegment up = seg;
-      up.type = SegmentType::kUp;
-      path_servers_[leaf]->register_up_segment(std::move(up));
+    // Each segment is the leaf's up-segment, kept local, and its
+    // down-segment at the origin core's path server (intra-ISD unicast).
+    for (const SegmentRef& seg : segments) {
+      path_servers_[leaf]->register_up_segment(seg);
     }
     record_service_message(component::kRegistration, leaf, *origin_idx,
                            registration_bytes(segments));
     const topo::AsIndex origin_as = *origin_idx;
     sim_.schedule_after(util::Duration::milliseconds(10), kRegisterDownLabel,
                         [this, origin_as, segments = std::move(segments)] {
-                          for (const PathSegment& seg : segments) {
+                          for (const SegmentRef& seg : segments) {
                             path_servers_[origin_as]->register_down_segment(seg);
                           }
                         });
   }
 }
 
-std::vector<PathSegment> ControlPlaneSim::fetch_core_segments(
+std::vector<SegmentRef> ControlPlaneSim::fetch_core_segments(
     topo::AsIndex src, topo::AsIndex via, topo::IsdId dst_isd) {
   const util::TimePoint now = sim_.now();
   PathServer& ps = *path_servers_[src];
   // Synthetic cache key for the (via core, destination ISD) pair.
   const auto cache_key = static_cast<topo::AsIndex>(
       via * (cores_by_isd_.size() + 1) + dst_isd.value());
-  if (auto cached = ps.cache_get(cache_key, now)) return *cached;
+  if (auto cached = ps.cache_get(cache_key, now)) return std::move(*cached);
 
   // Ask the core AS our up-segments terminate at for core segments towards
   // dst ISD's cores (a core-path segment lookup, intra-ISD scope).
   record_service_message(component::kCoreSegmentLookup, src, via,
                          kSegmentRequestBytes);
 
-  std::vector<PathSegment> result;
+  std::vector<SegmentRef> result;
   if (const ctrl::BeaconServer* bs = core_servers_[via].get()) {
     const crypto::SigningKey& sign_key =
         keys_->key_for(topology_.as_id(via).value());
@@ -267,41 +257,60 @@ std::vector<PathSegment> ControlPlaneSim::fetch_core_segments(
         topology_.as_id(via).value(), kKeyDomain);
     for (const topo::AsIndex origin : cores_by_isd_[isd_slot(dst_isd)]) {
       if (origin == via) continue;
-      for (const ctrl::StoredPcb& stored :
-           bs->store().for_origin(topology_.as_id(origin))) {
+      // What the via served last for this origin, rebuilt from the current
+      // bucket: a PCB still stored reuses its segment, a new one is
+      // terminated once.
+      std::vector<TerminatedPcb>& served =
+          terminated_[std::uint64_t{via} << 32 | origin];
+      const std::vector<ctrl::StoredPcb>& bucket =
+          bs->store().for_origin(topology_.as_id(origin));
+      std::vector<TerminatedPcb> serving;
+      serving.reserve(bucket.size());
+      for (const ctrl::StoredPcb& stored : bucket) {
         if (stored.pcb->expired(now)) continue;
-        result.push_back(make_segment(topology_, stored, via,
-                                      SegmentType::kCore, sign_key, fwd_key));
+        const auto hit = std::find_if(
+            served.begin(), served.end(),
+            [&stored](const TerminatedPcb& t) { return t.pcb == stored.pcb; });
+        serving.push_back(TerminatedPcb{
+            stored.pcb, hit != served.end()
+                            ? hit->segment
+                            : make_segment(topology_, stored, via, sign_key,
+                                           fwd_key)});
+        result.push_back(serving.back().segment);
+        // Leaves only this origin's loop, so each further origin core
+        // still adds segments; enforcing the cap would change the core
+        // segment lookup bytes that Table 1 reports.
         if (result.size() >= 16) break;
       }
+      served = std::move(serving);
     }
   }
   util::Bytes total_bytes{};
-  for (const PathSegment& s : result) total_bytes += s.wire_size();
+  for (const SegmentRef& s : result) total_bytes += s->wire_size();
   record_service_message(component::kCoreSegmentLookup, via, src,
                          segment_response_bytes(result.size(), total_bytes));
   ps.cache_put(cache_key, result, now, kCacheTtl);
   return result;
 }
 
-std::vector<PathSegment> ControlPlaneSim::fetch_down_segments(
+std::vector<SegmentRef> ControlPlaneSim::fetch_down_segments(
     topo::AsIndex src, topo::AsIndex dst) {
   const util::TimePoint now = sim_.now();
   PathServer& ps = *path_servers_[src];
-  if (auto cached = ps.cache_get(dst, now)) return *cached;
+  if (auto cached = ps.cache_get(dst, now)) return std::move(*cached);
 
   // Down-segments are stored at the path server of the core AS that
   // originated them; the lookup queries the destination ISD's core path
   // servers and aggregates (multi-path wants segments from every core).
   const topo::IsdId dst_isd = topology_.as_id(dst).isd();
-  std::vector<PathSegment> result;
+  std::vector<SegmentRef> result;
   for (const topo::AsIndex responder : cores_by_isd_[isd_slot(dst_isd)]) {
     record_service_message(component::kDownSegmentLookup, src, responder,
                            kSegmentRequestBytes);
-    std::vector<PathSegment> fetched =
+    std::vector<SegmentRef> fetched =
         path_servers_[responder]->down_segments(dst, now);
     util::Bytes total_bytes{};
-    for (const PathSegment& s : fetched) total_bytes += s.wire_size();
+    for (const SegmentRef& s : fetched) total_bytes += s->wire_size();
     record_service_message(component::kDownSegmentLookup, responder, src,
                            segment_response_bytes(fetched.size(), total_bytes));
     result.insert(result.end(), std::make_move_iterator(fetched.begin()),
@@ -311,40 +320,47 @@ std::vector<PathSegment> ControlPlaneSim::fetch_down_segments(
   return result;
 }
 
-std::vector<EndToEndPath> ControlPlaneSim::resolve_paths(topo::AsIndex src,
-                                                         topo::AsIndex dst) {
+ControlPlaneSim::SegmentLookup ControlPlaneSim::lookup_segments(
+    topo::AsIndex src, topo::AsIndex dst) {
   const util::TimePoint now = sim_.now();
   // Endpoint asks its local path server (intra-AS).
   record_service_message(component::kEndpointLookup, src, src,
                          kSegmentRequestBytes);
 
-  const std::vector<PathSegment> up = path_servers_[src]->up_segments(now);
-  const std::vector<PathSegment> down = fetch_down_segments(src, dst);
+  SegmentLookup segments;
+  segments.up = path_servers_[src]->up_segments(now);
+  segments.down = fetch_down_segments(src, dst);
 
   // Core segments must terminate at a core our up-segments reach, so we
   // query each distinct up-segment origin core for segments towards the
   // destination ISD's cores.
   const topo::IsdId dst_isd = topology_.as_id(dst).isd();
-  std::vector<PathSegment> core;
   std::vector<topo::AsIndex> vias;
   if (topology_.is_core(src)) {
     // A core source (e.g. a carrier-grade SIG's AS) is its own "via": its
     // beacon server holds the core segments directly.
     vias.push_back(src);
   }
-  for (const PathSegment& u : up) {
-    const topo::AsIndex via = u.origin_as();
+  for (const SegmentRef& u : segments.up) {
+    const topo::AsIndex via = u->origin_as();
     if (std::find(vias.begin(), vias.end(), via) != vias.end()) continue;
     vias.push_back(via);
   }
   for (const topo::AsIndex via : vias) {
-    const std::vector<PathSegment> fetched =
-        fetch_core_segments(src, via, dst_isd);
-    core.insert(core.end(), fetched.begin(), fetched.end());
+    std::vector<SegmentRef> fetched = fetch_core_segments(src, via, dst_isd);
+    segments.core.insert(segments.core.end(),
+                         std::make_move_iterator(fetched.begin()),
+                         std::make_move_iterator(fetched.end()));
   }
+  return segments;
+}
 
+std::vector<EndToEndPath> ControlPlaneSim::resolve_paths(topo::AsIndex src,
+                                                         topo::AsIndex dst) {
+  const SegmentLookup segments = lookup_segments(src, dst);
   std::vector<EndToEndPath> paths =
-      combine_segments(topology_, src, dst, up, core, down);
+      combine_segments(topology_, src, dst, segments.up, segments.core,
+                       segments.down);
 
   util::Bytes response_bytes{};
   for (const EndToEndPath& p : paths) response_bytes += packet_header_bytes(p);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/overhead.hpp"
@@ -95,6 +96,19 @@ class ControlPlaneSim {
 
   const sim::Network& network() const { return net_; }
 
+  /// The segments an endpoint lookup from `src` to `dst` gathers: src's
+  /// up-segments, core segments from each core they reach, and dst's
+  /// down-segments.
+  struct SegmentLookup {
+    std::vector<SegmentRef> up;
+    std::vector<SegmentRef> core;
+    std::vector<SegmentRef> down;
+  };
+
+  /// Performs and records the segment lookups of an endpoint path
+  /// resolution at the current simulated time, through src's lookup cache.
+  SegmentLookup lookup_segments(topo::AsIndex src, topo::AsIndex dst);
+
   /// Endpoint-visible path resolution at the current simulated time:
   /// performs (and records) the lookups, then combines segments.
   std::vector<EndToEndPath> resolve_paths(topo::AsIndex src, topo::AsIndex dst);
@@ -122,7 +136,6 @@ class ControlPlaneSim {
   void do_lookup();
   void schedule_next_lookup();
   void on_link_down(topo::LinkIndex l);
-  topo::AsIndex core_of_isd(topo::IsdId isd, std::size_t salt) const;
   // ISD numbers are 1-based; dense per-ISD tables index from 0.
   static std::size_t isd_slot(topo::IsdId isd) { return isd.value() - 1u; }
 
@@ -130,11 +143,17 @@ class ControlPlaneSim {
   /// terminating at core AS `via` (a core of src's ISD that src's
   /// up-segments reach) towards the cores of dst's ISD, and dst's down
   /// segments from a core of dst's ISD.
-  std::vector<PathSegment> fetch_core_segments(topo::AsIndex src,
-                                               topo::AsIndex via,
-                                               topo::IsdId dst_isd);
-  std::vector<PathSegment> fetch_down_segments(topo::AsIndex src,
-                                               topo::AsIndex dst);
+  std::vector<SegmentRef> fetch_core_segments(topo::AsIndex src,
+                                              topo::AsIndex via,
+                                              topo::IsdId dst_isd);
+  std::vector<SegmentRef> fetch_down_segments(topo::AsIndex src,
+                                              topo::AsIndex dst);
+
+  /// A stored core PCB and the core segment a via core terminated it into.
+  struct TerminatedPcb {
+    ctrl::PcbRef pcb;
+    SegmentRef segment;
+  };
 
   const topo::Topology& topology_;
   ControlPlaneSimConfig config_;
@@ -150,6 +169,10 @@ class ControlPlaneSim {
   analysis::OverheadLedger ledger_;
   std::vector<topo::AsIndex> leaves_;
   std::vector<std::vector<topo::AsIndex>> cores_by_isd_;  // [isd-1] -> cores
+  /// Per (via core << 32 | origin core): the core segments the via served
+  /// for that origin on its last cache miss, so a PCB that is still stored
+  /// is terminated and signed once, not once per asking leaf.
+  std::unordered_map<std::uint64_t, std::vector<TerminatedPcb>> terminated_;
   std::uint64_t lookups_performed_{0};
   std::uint64_t paths_resolved_{0};
   bool ran_{false};

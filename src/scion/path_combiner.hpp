@@ -31,11 +31,11 @@ struct EndToEndPath {
   std::vector<topo::LinkIndex> links;
 
   /// The segments this path was combined from (up/core/down may be null
-  /// depending on kind). Owned: a path stays usable after the segment
-  /// buffers it was combined from are gone.
-  std::shared_ptr<const PathSegment> up;
-  std::shared_ptr<const PathSegment> core;
-  std::shared_ptr<const PathSegment> down;
+  /// depending on kind), shared with the path servers that returned them:
+  /// a path stays usable after they drop the segments.
+  SegmentRef up;
+  SegmentRef core;
+  SegmentRef down;
   /// For kShortcut/kPeering: index into up->ases / down->ases of the
   /// crossover ASes.
   std::size_t up_cut{0};
@@ -53,12 +53,15 @@ struct CombineOptions {
 };
 
 /// Enumerates loop-free end-to-end paths from `src` to `dst`, shortest
-/// first, de-duplicated by link sequence. `up` segments must terminate at
-/// `src`, `down` segments at `dst`; core segments are matched by their
-/// terminal/origin core ASes.
+/// first (ties in enumeration order), de-duplicated by link sequence, at
+/// most `options.max_paths` of them. `up` segments must terminate at `src`,
+/// `down` segments at `dst`; core segments are matched by their
+/// terminal/origin core ASes. Candidates are ranked by their length before
+/// any is built, so only the returned paths (and the looping or duplicate
+/// candidates ranked before the last of them) are assembled.
 std::vector<EndToEndPath> combine_segments(
     const topo::Topology& topology, topo::AsIndex src, topo::AsIndex dst,
-    std::span<const PathSegment> up, std::span<const PathSegment> core,
-    std::span<const PathSegment> down, const CombineOptions& options = {});
+    std::span<const SegmentRef> up, std::span<const SegmentRef> core,
+    std::span<const SegmentRef> down, const CombineOptions& options = {});
 
 }  // namespace scion::svc

@@ -25,7 +25,7 @@ inline constexpr util::Bytes kRegistrationHeaderBytes{32};
 
 util::Bytes segment_response_bytes(std::size_t n_segments,
                                    util::Bytes total_segment_bytes);
-util::Bytes registration_bytes(std::span<const PathSegment> segments);
+util::Bytes registration_bytes(std::span<const SegmentRef> segments);
 
 class PathServer {
  public:
@@ -43,40 +43,37 @@ class PathServer {
       : per_key_limit_{per_key_limit} {}
 
   // --- core path server role ---
-  /// Stores a down-path segment registered by leaf `segment.terminal_as()`.
-  void register_down_segment(PathSegment segment);
-  std::vector<PathSegment> down_segments(topo::AsIndex leaf,
-                                         util::TimePoint now) const;
+  /// Stores a down-path segment registered by leaf `segment->terminal_as()`.
+  void register_down_segment(SegmentRef segment);
+  std::vector<SegmentRef> down_segments(topo::AsIndex leaf,
+                                        util::TimePoint now) const;
 
   // --- local path server role ---
-  void register_up_segment(PathSegment segment);
-  std::vector<PathSegment> up_segments(util::TimePoint now) const;
+  void register_up_segment(SegmentRef segment);
+  std::vector<SegmentRef> up_segments(util::TimePoint now) const;
 
   /// Drops every stored segment containing `link` (triggered by a
   /// revocation); returns how many were dropped.
   std::size_t revoke_link(topo::LinkIndex link);
 
   // --- lookup cache (for fetched remote segments) ---
-  void cache_put(topo::AsIndex key, std::vector<PathSegment> segments,
+  void cache_put(topo::AsIndex key, std::vector<SegmentRef> segments,
                  util::TimePoint now, util::Duration ttl);
-  std::optional<std::vector<PathSegment>> cache_get(topo::AsIndex key,
-                                                    util::TimePoint now);
+  std::optional<std::vector<SegmentRef>> cache_get(topo::AsIndex key,
+                                                   util::TimePoint now);
 
   const Stats& stats() const { return stats_; }
 
  private:
-  using SegmentMap = std::unordered_map<topo::AsIndex, std::vector<PathSegment>>;
+  using SegmentMap = std::unordered_map<topo::AsIndex, std::vector<SegmentRef>>;
 
-  void insert_segment(SegmentMap& map, topo::AsIndex key, PathSegment segment);
-  static std::vector<PathSegment> valid_of(const SegmentMap& map,
-                                           topo::AsIndex key,
-                                           util::TimePoint now);
+  void insert_segment(SegmentMap& map, topo::AsIndex key, SegmentRef segment);
 
   std::size_t per_key_limit_;
   SegmentMap down_by_leaf_;
-  std::vector<PathSegment> up_;
+  std::vector<SegmentRef> up_;
   struct CacheEntry {
-    std::vector<PathSegment> segments;
+    std::vector<SegmentRef> segments;
     util::TimePoint expires;
   };
   std::unordered_map<topo::AsIndex, CacheEntry> cache_;

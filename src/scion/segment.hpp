@@ -7,6 +7,7 @@
 // core ASes.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/beacon_store.hpp"
@@ -17,15 +18,10 @@ namespace scion::svc {
 
 using ctrl::PcbRef;
 
-enum class SegmentType : std::uint8_t { kUp, kDown, kCore };
-
-const char* to_string(SegmentType t);
-
 /// A terminated path segment. `ases[0]` is the origin core AS and
 /// `ases.back()` the AS that terminated (registered) it; `links[i]` connects
 /// `ases[i]` and `ases[i+1]`.
 struct PathSegment {
-  SegmentType type{SegmentType::kDown};
   PcbRef pcb;  // terminal-extended PCB (entries == ases)
   std::vector<topo::AsIndex> ases;
   std::vector<topo::LinkIndex> links;
@@ -40,13 +36,17 @@ struct PathSegment {
   std::uint64_t key() const { return pcb->path_key(); }
 };
 
+/// Segments are immutable once terminated, so path servers, lookup caches
+/// and combined paths share one object instead of copying it.
+using SegmentRef = std::shared_ptr<const PathSegment>;
+
 /// Terminates a stored PCB at `owner`: appends the owner's AS entry (with
 /// its peering links if `include_peers`) and resolves the AS sequence.
 /// This is what a beacon server does right before registration.
-PathSegment make_segment(const topo::Topology& topology,
-                         const ctrl::StoredPcb& stored, topo::AsIndex owner,
-                         SegmentType type, const crypto::SigningKey& sign_key,
-                         const crypto::ForwardingKey& fwd_key,
-                         bool include_peers = false);
+SegmentRef make_segment(const topo::Topology& topology,
+                        const ctrl::StoredPcb& stored, topo::AsIndex owner,
+                        const crypto::SigningKey& sign_key,
+                        const crypto::ForwardingKey& fwd_key,
+                        bool include_peers = false);
 
 }  // namespace scion::svc

@@ -51,10 +51,11 @@ constexpr double kBeaconingBudget = 4.4;
 // link counters and eviction on top of receive). Measured 10.74.
 constexpr double kDiversityBeaconingBudget = 11.2;
 // Control plane: per control-plane event (PCBs received by core+intra
-// servers plus endpoint lookups). Lookup-side path assembly dominates, so
-// one extra allocation per received PCB adds only ~0.26 per event.
-// Measured 141.06.
-constexpr double kControlPlaneBudget = 141.2;
+// servers plus endpoint lookups). The run has 894 lookups and 306 received
+// PCBs, and lookups make 24,795 of its 26,514 allocations (segment lists
+// and the paths a lookup returns), so one extra allocation per lookup adds
+// ~0.75 per event and one per received PCB ~0.26. Measured 22.10.
+constexpr double kControlPlaneBudget = 22.3;
 // BGP: per update sent (handle_update -> reevaluate -> flush -> deliver).
 // Measured 11.17.
 constexpr double kBgpBudget = 11.6;

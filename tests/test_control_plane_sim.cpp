@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "scion/control_plane_sim.hpp"
 #include "topology/generator.hpp"
 
@@ -205,6 +208,90 @@ TEST_F(ControlPlaneFixture, LookupWorkloadRan) {
   run();
   EXPECT_GT(sim.lookups_performed(), 0u);
   EXPECT_GT(sim.paths_resolved(), 0u);
+}
+
+// --- Core segments a via core terminates ------------------------------------------
+
+/// A run with no lookups (so no leaf has cached a core-segment lookup) and
+/// no link failures, plus two leaves of one ISD whose up-segments reach the
+/// same via core, and a destination leaf in another ISD.
+struct SharedViaFixture : ::testing::Test {
+  topo::Topology world = small_world();
+  ControlPlaneSim sim{world, [] {
+                        ControlPlaneSimConfig config = quick_config();
+                        config.lookups_per_second = 0;
+                        config.link_failures_per_hour = 0;
+                        return config;
+                      }()};
+  topo::AsIndex first{}, second{}, via{}, dst{};
+
+  void SetUp() override {
+    sim.run();
+    const util::TimePoint now = sim.simulator().now();
+    const auto vias_of = [&](topo::AsIndex leaf) {
+      std::set<topo::AsIndex> out;
+      for (const SegmentRef& u : sim.path_server(leaf).up_segments(now)) {
+        out.insert(u->origin_as());
+      }
+      return out;
+    };
+    for (const topo::AsIndex a : sim.leaves()) {
+      for (const topo::AsIndex b : sim.leaves()) {
+        if (a == b || world.as_id(a).isd() != world.as_id(b).isd()) continue;
+        for (const topo::AsIndex v : vias_of(a)) {
+          if (!vias_of(b).contains(v)) continue;
+          for (const topo::AsIndex d : sim.leaves()) {
+            if (world.as_id(d).isd() == world.as_id(a).isd()) continue;
+            first = a, second = b, via = v, dst = d;
+            return;
+          }
+        }
+      }
+    }
+    FAIL() << "no two leaves of one ISD reach a common core";
+  }
+
+  /// The core segments a lookup from `leaf` to `dst` got from `via`.
+  std::vector<SegmentRef> via_segments(topo::AsIndex leaf) {
+    std::vector<SegmentRef> out;
+    for (const SegmentRef& c : sim.lookup_segments(leaf, dst).core) {
+      if (c->terminal_as() == via) out.push_back(c);
+    }
+    return out;
+  }
+};
+
+TEST_F(SharedViaFixture, LeavesAskingOneViaGetItsSegmentObjects) {
+  const std::vector<SegmentRef> a = via_segments(first);
+  const std::vector<SegmentRef> b = via_segments(second);
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a, b) << "the via terminated and signed its stored PCBs once";
+}
+
+TEST_F(SharedViaFixture, RefreshedPcbIsTerminatedAnew) {
+  const std::vector<SegmentRef> before = via_segments(first);
+  ASSERT_FALSE(before.empty());
+  // One more beaconing interval refreshes the PCBs the via stores.
+  sim.simulator().run_until(sim.simulator().now() + Duration::minutes(11));
+  const std::vector<SegmentRef> after = via_segments(second);
+  ASSERT_FALSE(after.empty());
+
+  const ctrl::BeaconStore& store = sim.core_server(via)->store();
+  std::size_t renewed = 0;
+  for (const SegmentRef& seg : after) {
+    // Built from the instance the via stores now: same links, same
+    // timestamp.
+    const auto& bucket = store.for_origin(world.as_id(seg->origin_as()));
+    const auto stored =
+        std::find_if(bucket.begin(), bucket.end(),
+                     [&](const ctrl::StoredPcb& s) { return s.links == seg->links; });
+    ASSERT_NE(stored, bucket.end());
+    EXPECT_EQ(seg->pcb->timestamp(), stored->pcb->timestamp());
+    if (std::find(before.begin(), before.end(), seg) == before.end()) {
+      ++renewed;
+    }
+  }
+  EXPECT_GT(renewed, 0u) << "no stored PCB was refreshed in one interval";
 }
 
 }  // namespace

@@ -145,6 +145,33 @@ TEST(Signature, WrongSignerRejected) {
   EXPECT_FALSE(verify(bob, bytes("data"), sig));
 }
 
+TEST(Signature, MatchesHmacCounterExpansion) {
+  // The signature model spelled out: block i of the 96-byte tag is
+  // HMAC-SHA-256(key, SHA-256(digest || i)), i = 0, 1, 2.
+  std::vector<SigningKey> keys{SigningKey{}, SigningKey::derive(1, 7),
+                               SigningKey::derive(42, kDefaultKeyDomainSeed)};
+  keys.emplace_back().secret.fill(0xFF);
+  for (const SigningKey& key : keys) {
+    for (const std::string_view message :
+         {"", "path segment", "a message longer than one 64-byte SHA-256 block "
+                              "so the digest is not of a single block"}) {
+      const Sha256Digest digest = sha256(message);
+      Signature expected;
+      for (std::uint8_t i = 0; i < 3; ++i) {
+        std::vector<std::uint8_t> counted(digest.bytes.begin(),
+                                          digest.bytes.end());
+        counted.push_back(i);
+        const Sha256Digest block =
+            hmac_sha256(key.secret, sha256(counted).bytes);
+        std::memcpy(expected.bytes.data() + 32 * i, block.bytes.data(), 32);
+      }
+      EXPECT_EQ(sign(key, digest), expected) << message;
+      EXPECT_EQ(sign(key, bytes(message)), expected) << message;
+      EXPECT_TRUE(verify(key, digest, expected)) << message;
+    }
+  }
+}
+
 TEST(Signature, DomainSeparatesKeys) {
   const SigningKey a = SigningKey::derive(1, 100);
   const SigningKey b = SigningKey::derive(1, 200);

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <unordered_set>
+
+#include "crypto/sha256.hpp"
 #include "faults/fault_injector.hpp"
+#include "scion/control_plane_sim.hpp"
 #include "scion/dataplane.hpp"
 #include "scion/path_combiner.hpp"
 #include "scion/path_server.hpp"
 #include "scion/scmp.hpp"
 #include "scion/segment.hpp"
+#include "topology/generator.hpp"
 
 namespace scion::svc {
 namespace {
@@ -14,6 +21,228 @@ using util::Duration;
 using util::TimePoint;
 
 constexpr std::uint64_t kDomain = crypto::kDefaultKeyDomainSeed;
+
+// --- Reference combiner --------------------------------------------------------------
+//
+// The eager combiner that combine_segments replaced, kept as its reference:
+// it builds and loop-checks every candidate path, stable-sorts them all by
+// length, then drops duplicates by a hash of the link sequence and caps.
+
+void reference_append_forward(EndToEndPath& path, const PathSegment& seg,
+                              std::size_t from_idx, bool include_first_as) {
+  for (std::size_t i = from_idx; i + 1 < seg.ases.size(); ++i) {
+    if (i != from_idx || include_first_as) path.ases.push_back(seg.ases[i]);
+    path.links.push_back(seg.links[i]);
+  }
+  path.ases.push_back(seg.ases.back());
+}
+
+void reference_append_reverse(EndToEndPath& path, const PathSegment& seg,
+                              std::size_t to_idx, bool include_terminal_as) {
+  if (include_terminal_as) path.ases.push_back(seg.ases.back());
+  for (std::size_t i = seg.ases.size() - 1; i > to_idx; --i) {
+    path.links.push_back(seg.links[i - 1]);
+    path.ases.push_back(seg.ases[i - 1]);
+  }
+}
+
+std::vector<EndToEndPath> reference_combine(
+    const topo::Topology& topology, topo::AsIndex src, topo::AsIndex dst,
+    std::span<const SegmentRef> up, std::span<const SegmentRef> core,
+    std::span<const SegmentRef> down, const CombineOptions& options = {}) {
+  std::vector<EndToEndPath> out;
+  if (src == dst) return out;
+  auto consider = [&](EndToEndPath&& path) {
+    std::unordered_set<topo::AsIndex> seen;
+    for (topo::AsIndex as : path.ases) {
+      if (!seen.insert(as).second) return;
+    }
+    out.push_back(std::move(path));
+  };
+
+  if (topology.is_core(src)) {
+    for (const SegmentRef& d : down) {
+      if (d->terminal_as() != dst) continue;
+      if (d->origin_as() == src) {
+        EndToEndPath path;
+        path.kind = EndToEndPath::Kind::kUpDown;
+        path.down = d;
+        reference_append_forward(path, *d, 0, true);
+        consider(std::move(path));
+      }
+      for (const SegmentRef& c : core) {
+        if (c->terminal_as() != src || c->origin_as() != d->origin_as()) {
+          continue;
+        }
+        EndToEndPath path;
+        path.kind = EndToEndPath::Kind::kUpCoreDown;
+        path.core = c;
+        path.down = d;
+        reference_append_reverse(path, *c, 0, true);
+        reference_append_forward(path, *d, 0, false);
+        consider(std::move(path));
+      }
+    }
+    if (topology.is_core(dst)) {
+      for (const SegmentRef& c : core) {
+        if (c->terminal_as() != src || c->origin_as() != dst) continue;
+        EndToEndPath path;
+        path.kind = EndToEndPath::Kind::kUpCoreDown;
+        path.core = c;
+        reference_append_reverse(path, *c, 0, true);
+        consider(std::move(path));
+      }
+    }
+  }
+
+  for (const SegmentRef& u : up) {
+    if (u->terminal_as() != src) continue;
+    if (topology.is_core(dst)) {
+      if (u->origin_as() == dst) {
+        EndToEndPath path;
+        path.kind = EndToEndPath::Kind::kUpDown;
+        path.up = u;
+        reference_append_reverse(path, *u, 0, true);
+        consider(std::move(path));
+      }
+      for (const SegmentRef& c : core) {
+        if (c->terminal_as() != u->origin_as() || c->origin_as() != dst) {
+          continue;
+        }
+        EndToEndPath path;
+        path.kind = EndToEndPath::Kind::kUpCoreDown;
+        path.up = u;
+        path.core = c;
+        reference_append_reverse(path, *u, 0, true);
+        reference_append_reverse(path, *c, 0, false);
+        consider(std::move(path));
+      }
+    }
+
+    for (const SegmentRef& d : down) {
+      if (d->terminal_as() != dst) continue;
+      if (u->origin_as() == d->origin_as()) {
+        EndToEndPath path;
+        path.kind = EndToEndPath::Kind::kUpDown;
+        path.up = u;
+        path.down = d;
+        reference_append_reverse(path, *u, 0, true);
+        reference_append_forward(path, *d, 0, false);
+        consider(std::move(path));
+      }
+      for (std::size_t i = 1; i < u->ases.size(); ++i) {
+        for (std::size_t j = 1; j < d->ases.size(); ++j) {
+          if (u->ases[i] != d->ases[j]) continue;
+          EndToEndPath path;
+          path.kind = EndToEndPath::Kind::kShortcut;
+          path.up = u;
+          path.down = d;
+          path.up_cut = i;
+          path.down_cut = j;
+          reference_append_reverse(path, *u, i, true);
+          reference_append_forward(path, *d, j, false);
+          consider(std::move(path));
+        }
+      }
+      const auto& u_entries = u->pcb->entries();
+      const auto& d_entries = d->pcb->entries();
+      for (std::size_t i = 1; i < u->ases.size(); ++i) {
+        for (const ctrl::PeerEntry& pu : u_entries[i].peers) {
+          for (std::size_t j = 1; j < d->ases.size(); ++j) {
+            if (topology.as_id(d->ases[j]) != pu.peer_as) continue;
+            for (const ctrl::PeerEntry& pd : d_entries[j].peers) {
+              if (pd.peer_as != topology.as_id(u->ases[i])) continue;
+              const auto lu =
+                  topology.link_by_interface(u->ases[i], pu.peer_if);
+              const auto ld =
+                  topology.link_by_interface(d->ases[j], pd.peer_if);
+              if (!lu || !ld || *lu != *ld) continue;
+              EndToEndPath path;
+              path.kind = EndToEndPath::Kind::kPeering;
+              path.up = u;
+              path.down = d;
+              path.up_cut = i;
+              path.down_cut = j;
+              path.peer_link = *lu;
+              reference_append_reverse(path, *u, i, true);
+              path.links.push_back(*lu);
+              reference_append_forward(path, *d, j, true);
+              consider(std::move(path));
+            }
+          }
+        }
+      }
+    }
+
+    for (const SegmentRef& c : core) {
+      if (c->terminal_as() != u->origin_as()) continue;
+      for (const SegmentRef& d : down) {
+        if (d->terminal_as() != dst) continue;
+        if (d->origin_as() != c->origin_as()) continue;
+        EndToEndPath path;
+        path.kind = EndToEndPath::Kind::kUpCoreDown;
+        path.up = u;
+        path.core = c;
+        path.down = d;
+        reference_append_reverse(path, *u, 0, true);
+        reference_append_reverse(path, *c, 0, false);
+        reference_append_forward(path, *d, 0, false);
+        consider(std::move(path));
+      }
+    }
+  }
+
+  std::stable_sort(out.begin(), out.end(),
+                   [](const EndToEndPath& x, const EndToEndPath& y) {
+                     return x.length() < y.length();
+                   });
+  std::unordered_set<std::uint64_t> seen;
+  std::vector<EndToEndPath> unique;
+  for (EndToEndPath& p : out) {
+    crypto::Sha256 h;
+    for (topo::LinkIndex l : p.links) h.update_u32(l);
+    if (!seen.insert(h.finalize().prefix64()).second) continue;
+    unique.push_back(std::move(p));
+    if (unique.size() >= options.max_paths) break;
+  }
+  return unique;
+}
+
+/// Both combiners, on the same segments, must return the same paths in the
+/// same order, built from the same segment objects.
+void expect_same_paths(const std::vector<EndToEndPath>& got,
+                       const std::vector<EndToEndPath>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("path " + std::to_string(i));
+    EXPECT_EQ(got[i].kind, want[i].kind);
+    EXPECT_EQ(got[i].ases, want[i].ases);
+    EXPECT_EQ(got[i].links, want[i].links);
+    EXPECT_EQ(got[i].up_cut, want[i].up_cut);
+    EXPECT_EQ(got[i].down_cut, want[i].down_cut);
+    EXPECT_EQ(got[i].peer_link, want[i].peer_link);
+    EXPECT_EQ(got[i].up, want[i].up);
+    EXPECT_EQ(got[i].core, want[i].core);
+    EXPECT_EQ(got[i].down, want[i].down);
+  }
+}
+
+/// Compares both combiners on one input at one cap; returns the path count.
+std::size_t expect_combiners_agree(const topo::Topology& topology,
+                                   topo::AsIndex src, topo::AsIndex dst,
+                                   std::span<const SegmentRef> up,
+                                   std::span<const SegmentRef> core,
+                                   std::span<const SegmentRef> down,
+                                   std::size_t max_paths) {
+  SCOPED_TRACE("max_paths " + std::to_string(max_paths));
+  CombineOptions options;
+  options.max_paths = max_paths;
+  const std::vector<EndToEndPath> want =
+      reference_combine(topology, src, dst, up, core, down, options);
+  expect_same_paths(
+      combine_segments(topology, src, dst, up, core, down, options), want);
+  return want.size();
+}
 
 /// Two-ISD world:
 ///   C1(0) --core-- C2(1)                                    link 0
@@ -71,9 +300,8 @@ struct WorldFixture : ::testing::Test {
 
   /// Builds a terminated segment along `ases` over `links` (PCB direction:
   /// origin first), with every intermediate AS advertising its peers.
-  PathSegment build_segment(SegmentType type,
-                            std::vector<topo::AsIndex> ases,
-                            std::vector<topo::LinkIndex> links) {
+  SegmentRef build_segment(std::vector<topo::AsIndex> ases,
+                           std::vector<topo::LinkIndex> links) {
     ctrl::Pcb pcb = ctrl::Pcb::originate(
         t.as_id(ases[0]), t.interface_of(links[0], ases[0]), t0, lifetime,
         sk(ases[0]), fk(ases[0]));
@@ -88,45 +316,37 @@ struct WorldFixture : ::testing::Test {
     stored.links = links;
     stored.received_at = t0;
     stored.path_key = stored.pcb->path_key();
-    return make_segment(t, stored, ases.back(), type, sk(ases.back()),
+    return make_segment(t, stored, ases.back(), sk(ases.back()),
                         fk(ases.back()), /*include_peers=*/true);
   }
 
-  PathSegment up_via_a() {
-    return build_segment(SegmentType::kUp, {c1, a, s}, {1, 2});
-  }
-  PathSegment up_via_b() {
-    return build_segment(SegmentType::kUp, {c1, b, s}, {3, 4});
-  }
-  PathSegment core_c1_c2() {
+  SegmentRef up_via_a() { return build_segment({c1, a, s}, {1, 2}); }
+  SegmentRef up_via_b() { return build_segment({c1, b, s}, {3, 4}); }
+  SegmentRef core_c1_c2() {
     // Core segment stored at C1 with origin C2.
-    return build_segment(SegmentType::kCore, {c2, c1}, {0});
+    return build_segment({c2, c1}, {0});
   }
-  PathSegment down_to_t() {
-    return build_segment(SegmentType::kDown, {c2, d, tt}, {6, 7});
-  }
-  PathSegment down_to_s2() {
-    return build_segment(SegmentType::kDown, {c1, a, s2}, {1, 5});
-  }
+  SegmentRef down_to_t() { return build_segment({c2, d, tt}, {6, 7}); }
+  SegmentRef down_to_s2() { return build_segment({c1, a, s2}, {1, 5}); }
 };
 
 // --- Segments ---------------------------------------------------------------------
 
 TEST_F(WorldFixture, MakeSegmentTerminatesWithOwnerEntry) {
-  const PathSegment seg = up_via_a();
-  EXPECT_EQ(seg.ases, (std::vector<topo::AsIndex>{c1, a, s}));
-  EXPECT_EQ(seg.links, (std::vector<topo::LinkIndex>{1, 2}));
-  EXPECT_EQ(seg.origin_as(), c1);
-  EXPECT_EQ(seg.terminal_as(), s);
-  EXPECT_EQ(seg.length(), 2u);
-  ASSERT_EQ(seg.pcb->entries().size(), 3u);
-  EXPECT_EQ(seg.pcb->entries().back().out_if, topo::kNoInterface);
-  EXPECT_TRUE(seg.pcb->verify(keys));
+  const SegmentRef seg = up_via_a();
+  EXPECT_EQ(seg->ases, (std::vector<topo::AsIndex>{c1, a, s}));
+  EXPECT_EQ(seg->links, (std::vector<topo::LinkIndex>{1, 2}));
+  EXPECT_EQ(seg->origin_as(), c1);
+  EXPECT_EQ(seg->terminal_as(), s);
+  EXPECT_EQ(seg->length(), 2u);
+  ASSERT_EQ(seg->pcb->entries().size(), 3u);
+  EXPECT_EQ(seg->pcb->entries().back().out_if, topo::kNoInterface);
+  EXPECT_TRUE(seg->pcb->verify(keys));
 }
 
 TEST_F(WorldFixture, SegmentWireSizeGrowsWithTermination) {
-  const PathSegment seg = up_via_a();
-  EXPECT_GT(seg.wire_size(),
+  const SegmentRef seg = up_via_a();
+  EXPECT_GT(seg->wire_size(),
             util::Bytes{ctrl::kPcbHeaderBytes +
                         2 * (ctrl::kAsEntryFixedBytes +
                              crypto::kSignatureBytes)});
@@ -164,8 +384,8 @@ TEST_F(WorldFixture, PeeringRequiresBothSidesAdvertising) {
   stored.links = {6, 7};
   stored.received_at = t0;
   stored.path_key = stored.pcb->path_key();
-  const PathSegment no_peer_down = make_segment(
-      t, stored, tt, SegmentType::kDown, sk(tt), fk(tt), false);
+  const SegmentRef no_peer_down =
+      make_segment(t, stored, tt, sk(tt), fk(tt), false);
 
   const auto paths =
       combine_segments(t, s, tt, up, core, std::vector{no_peer_down});
@@ -216,6 +436,73 @@ TEST_F(WorldFixture, MaxPathsCaps) {
   options.max_paths = 1;
   const auto paths = combine_segments(t, s, tt, up, core, down, options);
   EXPECT_EQ(paths.size(), 1u);
+}
+
+TEST_F(WorldFixture, CombinerMatchesReferenceAtEveryCap) {
+  struct Case {
+    const char* name;
+    topo::AsIndex src, dst;
+    std::vector<SegmentRef> up, core, down;
+  };
+  const SegmentRef via_a = up_via_a();
+  const std::vector<Case> cases{
+      {"peering and core paths", s, tt, {via_a, up_via_b()}, {core_c1_c2()},
+       {down_to_t()}},
+      // The up+down path via C1 visits A twice and must be dropped.
+      {"shortcut, looping up+down", s, s2, {via_a, up_via_b()}, {},
+       {down_to_s2()}},
+      // Every path twice: the second copy must be dropped.
+      {"duplicate segments", s, tt, {via_a, up_via_b(), via_a},
+       {core_c1_c2()}, {down_to_t()}},
+      {"core source", c1, tt, {}, {core_c1_c2()}, {down_to_t()}},
+      {"core source, own down segment", c1, s2, {}, {}, {down_to_s2()}},
+      {"core to core", c1, c2, {}, {core_c1_c2()}, {}},
+      {"core destination", s, c2, {via_a, up_via_b()}, {core_c1_c2()}, {}},
+      {"up segment alone", s, c1, {via_a, up_via_b()}, {}, {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::size_t all = expect_combiners_agree(
+        t, c.src, c.dst, c.up, c.core, c.down,
+        std::numeric_limits<std::size_t>::max());
+    EXPECT_GT(all, 0u);
+    for (std::size_t cap = 1; cap <= all + 1; ++cap) {
+      expect_combiners_agree(t, c.src, c.dst, c.up, c.core, c.down, cap);
+    }
+  }
+}
+
+TEST(CombinerReference, MatchesOnEveryLeafPairOfARun) {
+  topo::MultiIsdConfig world_config;
+  world_config.n_isds = 3;
+  world_config.cores_per_isd = 2;
+  world_config.ases_per_isd = 10;
+  world_config.seed = 21;
+  const topo::Topology world = topo::generate_multi_isd(world_config);
+  ControlPlaneSimConfig config;
+  config.sim_duration = Duration::minutes(30);
+  config.lookups_per_second = 0.5;
+  config.link_failures_per_hour = 6.0;
+  config.registration_interval = Duration::minutes(15);
+  config.seed = 8;
+  ControlPlaneSim sim{world, config};
+  sim.run();
+
+  std::size_t pairs_with_paths = 0;
+  for (const topo::AsIndex src : sim.leaves()) {
+    for (const topo::AsIndex dst : sim.leaves()) {
+      if (src == dst) continue;
+      SCOPED_TRACE(world.as_id(src).to_string() + " -> " +
+                   world.as_id(dst).to_string());
+      const ControlPlaneSim::SegmentLookup l = sim.lookup_segments(src, dst);
+      if (expect_combiners_agree(world, src, dst, l.up, l.core, l.down,
+                                 CombineOptions{}.max_paths) > 0) {
+        ++pairs_with_paths;
+      }
+      expect_combiners_agree(world, src, dst, l.up, l.core, l.down, 3);
+    }
+  }
+  EXPECT_GT(pairs_with_paths, sim.leaves().size());
 }
 
 TEST_F(WorldFixture, MismatchedSegmentsYieldNothing) {
@@ -287,7 +574,7 @@ TEST_F(WorldFixture, PathServerRegistersAndLooksUp) {
   ps.register_down_segment(down_to_t());
   const auto segs = ps.down_segments(tt, t0 + Duration::hours(1));
   ASSERT_EQ(segs.size(), 1u);
-  EXPECT_EQ(segs[0].terminal_as(), tt);
+  EXPECT_EQ(segs[0]->terminal_as(), tt);
   EXPECT_TRUE(ps.down_segments(s, t0).empty());
   EXPECT_TRUE(ps.down_segments(tt, t0 + lifetime).empty())
       << "expired segments are filtered";
@@ -319,10 +606,10 @@ TEST_F(WorldFixture, PathServerCacheTtl) {
 }
 
 TEST_F(WorldFixture, RegistrationBytesCoverSegments) {
-  const std::vector<PathSegment> segs{down_to_t(), down_to_s2()};
+  const std::vector<SegmentRef> segs{down_to_t(), down_to_s2()};
   EXPECT_EQ(registration_bytes(segs), kRegistrationHeaderBytes +
-                                          util::Bytes{4} + segs[0].wire_size() +
-                                          util::Bytes{4} + segs[1].wire_size());
+                                          util::Bytes{4} + segs[0]->wire_size() +
+                                          util::Bytes{4} + segs[1]->wire_size());
 }
 
 // --- SCMP / failover ----------------------------------------------------------------
