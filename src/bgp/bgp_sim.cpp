@@ -53,48 +53,74 @@ obs::EventLabel timer_label(TimerKind kind) {
 
 BgpSim::BgpSim(const topo::Topology& topology, BgpSimConfig config)
     : topology_{topology}, config_{config}, net_{sim_}, rng_{config.seed} {
+  const std::size_t as_count = topology_.as_count();
   // Nodes (NodeId == AsIndex by construction).
-  for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) {
+  for (topo::AsIndex i = 0; i < as_count; ++i) {
     const sim::NodeId node = net_.add_node();
     SCION_CHECK(node == node_of(i), "node ids must mirror AS indices");
     (void)node;
   }
-  busy_until_.assign(topology_.as_count(), util::TimePoint::origin());
+  busy_until_.assign(as_count, util::TimePoint::origin());
 
   // One channel per distinct adjacency (a BGP session rides one session
   // regardless of how many parallel physical links the pair shares).
+  link_channel_.reserve(topology_.link_count());
   for (topo::LinkIndex l = 0; l < topology_.link_count(); ++l) {
     const topo::Link& link = topology_.link(l);
-    const std::uint64_t key = pair_key(link.a, link.b);
-    if (channel_by_pair_.contains(key)) continue;
-    const auto latency = util::Duration::nanoseconds(rng_.uniform_int(
-        config_.min_latency.ns(), config_.max_latency.ns()));
-    const sim::ChannelId ch =
-        net_.add_channel(node_of(link.a), node_of(link.b), latency);
-    channel_by_pair_.emplace(key, ch);
-    adjacencies_.push_back(Adjacency{std::min(link.a, link.b),
-                                     std::max(link.a, link.b), ch});
+    const auto [it, inserted] =
+        channel_by_pair_.try_emplace(pair_key(link.a, link.b));
+    if (inserted) {
+      const auto latency = util::Duration::nanoseconds(rng_.uniform_int(
+          config_.min_latency.ns(), config_.max_latency.ns()));
+      it->second = net_.add_channel(node_of(link.a), node_of(link.b), latency);
+      SCION_CHECK(it->second.value() == sessions_.size(),
+                  "session channels must be numbered in creation order");
+      sessions_.push_back(Session{std::min(link.a, link.b),
+                                  std::max(link.a, link.b)});
+    }
+    link_channel_.push_back(it->second);
   }
 
-  // Speakers with their neighbor relationship tables.
-  speakers_.reserve(topology_.as_count());
-  for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) {
+  // The speakers' seeds come before the origin sample in the stream.
+  std::vector<std::uint64_t> speaker_seeds(as_count);
+  for (std::uint64_t& seed : speaker_seeds) seed = rng_();
+
+  // Origins: all ASes, or a uniform sample for memory-bounded runs.
+  std::vector<Prefix> origins(as_count);
+  for (topo::AsIndex i = 0; i < as_count; ++i) origins[i] = i;
+  if (config_.sampled_origins > 0 && config_.sampled_origins < as_count) {
+    rng_.shuffle(origins);
+    origins.resize(config_.sampled_origins);
+    std::sort(origins.begin(), origins.end());
+  }
+  origins_ = OriginSlots{std::move(origins), as_count};
+
+  // Speakers with their neighbor relationship tables; each session records
+  // where its two ends keep each other.
+  speakers_.reserve(as_count);
+  first_neighbor_.reserve(as_count + 1);
+  std::vector<bool> seen(as_count, false);
+  for (topo::AsIndex i = 0; i < as_count; ++i) {
+    first_neighbor_.push_back(neighbor_channel_.size());
     std::vector<Speaker::NeighborInfo> neighbors;
-    std::vector<bool> seen(topology_.as_count(), false);
     for (topo::LinkIndex l : topology_.links_of(i)) {
       const topo::AsIndex n = topology_.neighbor(l, i);
       if (seen[n]) continue;
       seen[n] = true;
+      const NeighborSlot slot{static_cast<std::uint32_t>(neighbors.size())};
+      Session& session = sessions_[link_channel_[l].value()];
+      (i == session.a ? session.b_at_a : session.a_at_b) = slot;
+      neighbor_channel_.push_back(link_channel_[l]);
       neighbors.push_back(Speaker::NeighborInfo{n, classify(topology_, l, i)});
     }
+    for (const Speaker::NeighborInfo& info : neighbors) seen[info.as] = false;
     // Takes the UPDATE by value: flush() moves it in, and the one
     // make_shared here is the message's single wire-side allocation —
     // everything downstream shares the BgpUpdateRef.
-    auto send = [this, i](topo::AsIndex neighbor, BgpUpdateMsg msg) {
-      const auto it = channel_by_pair_.find(pair_key(i, neighbor));
-      SCION_CHECK(it != channel_by_pair_.end(), "no channel for adjacency");
+    auto send = [this, i](NeighborSlot to, BgpUpdateMsg msg) {
       const util::Bytes wire = update_wire_size(msg);
-      net_.send(it->second, node_of(i), wire,
+      net_.send(neighbor_channel_[first_neighbor_[i] + to.value()],
+                node_of(i), wire,
                 std::make_shared<const BgpUpdateMsg>(std::move(msg)),
                 kUpdateDeliverLabel);
     };
@@ -107,24 +133,15 @@ BgpSim::BgpSim(const topo::Topology& topology, BgpSimConfig config)
     options.damping = config_.damping;
     options.graceful_restart = config_.graceful_restart;
     speakers_.push_back(std::make_unique<Speaker>(
-        i, std::move(neighbors), options, std::move(send),
-        std::move(schedule), std::move(clock), rng_()));
+        i, std::move(neighbors), origins_, options, std::move(send),
+        std::move(schedule), std::move(clock), speaker_seeds[i]));
   }
+  first_neighbor_.push_back(neighbor_channel_.size());
 
   // Delivery with per-speaker serial processing delay.
-  for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) {
+  for (topo::AsIndex i = 0; i < as_count; ++i) {
     net_.set_handler(node_of(i),
                      [this, i](const sim::Message& msg) { deliver(i, msg); });
-  }
-
-  // Origins: all ASes, or a uniform sample for memory-bounded runs.
-  origins_.reserve(topology_.as_count());
-  for (topo::AsIndex i = 0; i < topology_.as_count(); ++i) origins_.push_back(i);
-  if (config_.sampled_origins > 0 &&
-      config_.sampled_origins < origins_.size()) {
-    rng_.shuffle(origins_);
-    origins_.resize(config_.sampled_origins);
-    std::sort(origins_.begin(), origins_.end());
   }
 
   // Fault injection. The legacy per-adjacency churn knob becomes a flap
@@ -134,7 +151,7 @@ BgpSim::BgpSim(const topo::Topology& topology, BgpSimConfig config)
   faults::FaultPlan plan = config_.faults;
   const bool legacy_only = config_.faults.empty();
   const double flap_rate_per_hour = config_.flaps_per_adjacency_per_day *
-                                    static_cast<double>(adjacencies_.size()) /
+                                    static_cast<double>(sessions_.size()) /
                                     24.0;
   if (flap_rate_per_hour > 0.0) {
     faults::FlapProcess flap;
@@ -158,30 +175,30 @@ BgpSim::BgpSim(const topo::Topology& topology, BgpSimConfig config)
                                                       std::move(hooks));
 }
 
-sim::ChannelId BgpSim::session_channel(topo::LinkIndex l) const {
-  const topo::Link& link = topology_.link(l);
-  return channel_by_pair_.at(pair_key(link.a, link.b));
-}
-
+// The session calls below keep the link's endpoint order (link.a first):
+// each speaker's re-decisions schedule events, and their order is the
+// event order.
 void BgpSim::on_link_down(topo::LinkIndex l) {
   const topo::Link& link = topology_.link(l);
+  const Session& s = session_of(l);
   // A parallel physical link may still carry the session; tear it down
   // only when the shared channel itself went dark.
   if (net_.channel_up(session_channel(l))) return;
-  if (!speakers_[link.a]->session_is_up(link.b)) return;
+  if (!speakers_[link.a]->session_is_up(s.slot_at(link.a))) return;
   SCION_METRIC_COUNT("bgp.session_flaps", 1);
   SCION_TRACE(obs::Category::kBgp, sim_.now(), "flap", {"a", link.a},
               {"b", link.b});
-  speakers_[link.a]->session_down(link.b);
-  speakers_[link.b]->session_down(link.a);
+  speakers_[link.a]->session_down(s.slot_at(link.a));
+  speakers_[link.b]->session_down(s.slot_at(link.b));
 }
 
 void BgpSim::on_link_up(topo::LinkIndex l) {
   const topo::Link& link = topology_.link(l);
+  const Session& s = session_of(l);
   if (!net_.channel_up(session_channel(l))) return;
-  if (speakers_[link.a]->session_is_up(link.b)) return;
-  speakers_[link.a]->session_up(link.b);
-  speakers_[link.b]->session_up(link.a);
+  if (speakers_[link.a]->session_is_up(s.slot_at(link.a))) return;
+  speakers_[link.a]->session_up(s.slot_at(link.a));
+  speakers_[link.b]->session_up(s.slot_at(link.b));
 }
 
 void BgpSim::on_session_restart(topo::LinkIndex l, util::Duration duration) {
@@ -189,20 +206,26 @@ void BgpSim::on_session_restart(topo::LinkIndex l, util::Duration duration) {
   // process restart). With graceful restart the stale routes keep
   // forwarding across the gap — without it, the table drains and refills.
   const topo::Link& link = topology_.link(l);
-  if (!speakers_[link.a]->session_is_up(link.b)) return;  // already down
+  const Session& s = session_of(l);
+  if (!speakers_[link.a]->session_is_up(s.slot_at(link.a))) {
+    return;  // already down
+  }
   SCION_METRIC_COUNT("bgp.session_restarts", 1);
   SCION_TRACE(obs::Category::kBgp, sim_.now(), "session_restart",
               {"a", link.a}, {"b", link.b}, {"duration_ns", duration.ns()});
-  speakers_[link.a]->session_down(link.b, /*forwarding_preserved=*/true);
-  speakers_[link.b]->session_down(link.a, /*forwarding_preserved=*/true);
+  speakers_[link.a]->session_down(s.slot_at(link.a),
+                                  /*forwarding_preserved=*/true);
+  speakers_[link.b]->session_down(s.slot_at(link.b),
+                                  /*forwarding_preserved=*/true);
   sim_.schedule_after(duration, kSessionRestartLabel, [this, l] {
     const topo::Link& link = topology_.link(l);
+    const Session& s = session_of(l);
     // A physical outage may have started meanwhile; if so, on_link_up
     // restores the session when the channel itself comes back.
     if (!net_.channel_up(session_channel(l))) return;
-    if (speakers_[link.a]->session_is_up(link.b)) return;
-    speakers_[link.a]->session_up(link.b);
-    speakers_[link.b]->session_up(link.a);
+    if (speakers_[link.a]->session_is_up(s.slot_at(link.a))) return;
+    speakers_[link.a]->session_up(s.slot_at(link.a));
+    speakers_[link.b]->session_up(s.slot_at(link.b));
   });
 }
 
@@ -221,8 +244,10 @@ void BgpSim::deliver(topo::AsIndex to, const sim::Message& msg) {
   busy_until_[to] = start;
   const BgpUpdateRef& update = msg.payload.get<BgpUpdateRef>();
   const topo::AsIndex from = as_of(msg.from);
+  const NeighborSlot slot = sessions_[msg.channel.value()].slot_at(to);
   SCION_METRIC_OBSERVE("bgp.update_wire_bytes", update_wire_size(*update).value());
-  sim_.schedule_at(start, kUpdateProcessLabel, [this, to, from, update] {
+  sim_.schedule_at(start, kUpdateProcessLabel,
+                   [this, to, from, slot, update] {
     SCION_TRACE(obs::Category::kBgp, sim_.now(), "update", {"to", to},
                 {"from", from}, {"announced", update->announced.size()},
                 {"withdrawn", update->withdrawn.size()});
@@ -236,7 +261,7 @@ void BgpSim::deliver(topo::AsIndex to, const sim::Message& msg) {
         account(to, *update);
       }
     }
-    speakers_[to]->handle_update(from, *update);
+    speakers_[to]->handle_update(slot, *update);
   });
 }
 
@@ -269,7 +294,7 @@ void BgpSim::run() {
 
   // Cold start: every origin announces its prefix, staggered over a few
   // seconds the way real sessions come up.
-  for (Prefix p : origins_) {
+  for (Prefix p : origins_.prefixes()) {
     const auto offset =
         util::Duration::milliseconds(rng_.uniform_int(0, 5000));
     sim_.schedule_after(offset, kOriginateLabel,

@@ -77,8 +77,8 @@ class BgpSim {
   const topo::Topology& topology() const { return topology_; }
   const Speaker& speaker(topo::AsIndex as) const { return *speakers_[as]; }
 
-  /// The ASes that originate a prefix in this run.
-  const std::vector<Prefix>& origins() const { return origins_; }
+  /// The ASes that originate a prefix in this run, ascending.
+  const std::vector<Prefix>& origins() const { return origins_.prefixes(); }
 
   const MonitorAccount& monitor(topo::AsIndex as) const;
 
@@ -121,12 +121,31 @@ class BgpSim {
   static sim::NodeId node_of(topo::AsIndex i) { return sim::NodeId{i}; }
   static topo::AsIndex as_of(sim::NodeId n) { return n.value(); }
 
+  /// One BGP session (a distinct adjacency a < b) and where each end keeps
+  /// the other in its neighbor list.
+  struct Session {
+    topo::AsIndex a;
+    topo::AsIndex b;
+    NeighborSlot b_at_a{};
+    NeighborSlot a_at_b{};
+
+    /// The far end's slot in `as`'s neighbor list.
+    NeighborSlot slot_at(topo::AsIndex as) const {
+      return as == a ? b_at_a : a_at_b;
+    }
+  };
+
   void deliver(topo::AsIndex to, const sim::Message& msg);
   void account(topo::AsIndex monitor, const BgpUpdateMsg& msg);
   void on_link_down(topo::LinkIndex l);
   void on_link_up(topo::LinkIndex l);
   void on_session_restart(topo::LinkIndex l, util::Duration duration);
-  sim::ChannelId session_channel(topo::LinkIndex l) const;
+  sim::ChannelId session_channel(topo::LinkIndex l) const {
+    return link_channel_[l];
+  }
+  const Session& session_of(topo::LinkIndex l) const {
+    return sessions_[link_channel_[l].value()];
+  }
   double accounting_scale() const;
 
   const topo::Topology& topology_;
@@ -134,17 +153,18 @@ class BgpSim {
   sim::Simulator sim_;
   sim::Network net_;
   util::Rng rng_;
+  /// Declared before the speakers, which read it until they are destroyed.
+  OriginSlots origins_;
   std::vector<std::unique_ptr<Speaker>> speakers_;
-  /// adjacency list: distinct neighbor pairs (a < b) and their channel.
-  struct Adjacency {
-    topo::AsIndex a;
-    topo::AsIndex b;
-    sim::ChannelId channel;
-  };
-  std::vector<Adjacency> adjacencies_;
+  /// By channel id: the network holds exactly one channel per session.
+  std::vector<Session> sessions_;
+  std::vector<sim::ChannelId> link_channel_;
+  /// Session channel by (AS, neighbor slot): entries first_neighbor_[as]
+  /// onwards, in the order of the AS's neighbor list.
+  std::vector<std::size_t> first_neighbor_;
+  std::vector<sim::ChannelId> neighbor_channel_;
   std::unordered_map<std::uint64_t, sim::ChannelId> channel_by_pair_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  std::vector<Prefix> origins_;
   std::unordered_map<topo::AsIndex, MonitorAccount> monitors_;
   std::vector<util::TimePoint> busy_until_;
   util::TimePoint measure_start_;

@@ -6,10 +6,18 @@
 // Implements Adj-RIB-In / Loc-RIB / Adj-RIB-Out, the Gao-Rexford decision
 // process (local-pref by relationship, then shortest AS path, then lowest
 // neighbor id), per-neighbor MRAI batching (15 s in the evaluation) with
-// seeded jitter, route aggregation (announcements sharing a path go into
-// one UPDATE), session up/down handling for link-flap churn, and a
+// seeded jitter, session up/down handling for link-flap churn, and a
 // multipath accessor returning the equal-best route set used by the Fig. 6
-// BGP series.
+// BGP series. An MRAI flush sends one UPDATE per announced prefix, in prefix
+// order, and the first of them carries every withdrawal (a flush with
+// nothing to announce sends one withdrawal-only UPDATE). Announcements are
+// never packed together: each simulated prefix stands for one origin AS and
+// gets its own export path, and the monthly accounting models real-world
+// packing with kPrefixesPerRealUpdate (messages.hpp).
+//
+// State is dense by origin slot (OriginSlots): every RIB is a table with
+// one row per originating prefix and, where the state is per adjacency, one
+// column per neighbor, allocated when the first route arrives.
 //
 // Churn-survival mechanisms (both default-off so steady-state runs are
 // byte-identical to the pre-churn configuration):
@@ -29,15 +37,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/messages.hpp"
 #include "bgp/policy.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
+#include "util/types.hpp"
 
 namespace scion::bgp {
 
@@ -78,6 +85,37 @@ struct SpeakerOptions {
   GracefulRestartConfig graceful_restart{};
 };
 
+/// The prefixes a simulation routes, ranked: slot s holds the s-th smallest
+/// originating prefix, so walking slots in order walks prefixes in order.
+/// Every speaker table is indexed by slot. A slot ranks among the origins,
+/// not among all ASes, so a run with sampled origins keeps tables the size
+/// of the sample.
+class OriginSlots {
+ public:
+  /// Slot of a prefix that no AS originates.
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  OriginSlots() = default;
+  /// `origins` ascending and distinct, each below `prefix_space`.
+  OriginSlots(std::vector<Prefix> origins, std::size_t prefix_space);
+
+  std::size_t size() const { return prefixes_.size(); }
+  const std::vector<Prefix>& prefixes() const { return prefixes_; }
+  Prefix prefix(std::uint32_t slot) const { return prefixes_[slot]; }
+  std::uint32_t slot(Prefix p) const {
+    return p < slot_of_.size() ? slot_of_[p] : kNone;
+  }
+
+ private:
+  std::vector<Prefix> prefixes_;
+  std::vector<std::uint32_t> slot_of_;
+};
+
+/// Position of a neighbor in a speaker's neighbor list. Strong: an AS index
+/// is not a neighbor position, and passing one where the other is expected
+/// does not compile.
+using NeighborSlot = util::StrongId<struct NeighborSlotTag, std::uint32_t>;
+
 class Speaker {
  public:
   struct NeighborInfo {
@@ -91,8 +129,8 @@ class Speaker {
   /// for forwarding, flushed if re-sync does not refresh them.
   struct Route {
     AsPath path;
-    Relationship learned_from{Relationship::kCustomer};
     topo::AsIndex neighbor{topo::kInvalidAsIndex};
+    Relationship learned_from{Relationship::kCustomer};
     bool stale{false};
 
     std::size_t length() const { return path ? path->size() : 0; }
@@ -100,36 +138,42 @@ class Speaker {
 
   /// By value: flush() hands each UPDATE over by move, so a sink that
   /// wraps it in a BgpUpdateRef takes the prefix vectors without copying.
-  using SendFn = std::function<void(topo::AsIndex neighbor, BgpUpdateMsg)>;
+  using SendFn = std::function<void(NeighborSlot to, BgpUpdateMsg)>;
   using ScheduleFn = std::function<void(util::Duration delay, TimerKind kind,
                                         std::function<void()>)>;
   /// The simulator's virtual clock; damping penalty decay is a pure
   /// function of it. May be null when damping is disabled.
   using ClockFn = std::function<util::TimePoint()>;
 
+  /// `origins` must outlive the speaker; only originated prefixes are
+  /// routed.
   Speaker(topo::AsIndex self, std::vector<NeighborInfo> neighbors,
-          SpeakerOptions options, SendFn send, ScheduleFn schedule,
-          ClockFn clock, std::uint64_t seed);
+          const OriginSlots& origins, SpeakerOptions options, SendFn send,
+          ScheduleFn schedule, ClockFn clock, std::uint64_t seed);
 
   topo::AsIndex self() const { return self_; }
+
+  /// Position of `neighbor` in the neighbor list: a linear scan, for
+  /// callers that know an AS rather than a session.
+  NeighborSlot neighbor_slot(topo::AsIndex neighbor) const;
 
   /// Originates this AS's own prefix.
   void originate(Prefix p);
 
-  /// Processes an UPDATE received from `from`.
-  void handle_update(topo::AsIndex from, const BgpUpdateMsg& msg);
+  /// Processes an UPDATE received from neighbor `from`.
+  void handle_update(NeighborSlot from, const BgpUpdateMsg& msg);
 
   /// eBGP session to `neighbor` went down: flush its routes and re-decide.
   /// `forwarding_preserved` means the data plane through the neighbor still
   /// works (a process restart rather than a link loss); only then does
   /// graceful restart retain the routes as stale instead of flushing.
-  void session_down(topo::AsIndex neighbor, bool forwarding_preserved = false);
+  void session_down(NeighborSlot neighbor, bool forwarding_preserved = false);
 
   /// Session restored: full table export per policy (a session reset
   /// triggers a full RIB exchange, the dominant churn cost in practice).
-  void session_up(topo::AsIndex neighbor);
+  void session_up(NeighborSlot neighbor);
 
-  bool session_is_up(topo::AsIndex neighbor) const;
+  bool session_is_up(NeighborSlot neighbor) const;
 
   /// Current best route for a prefix (nullopt if unreachable).
   std::optional<Route> best(Prefix p) const;
@@ -149,7 +193,7 @@ class Speaker {
   std::uint64_t stale_expired() const { return stale_expired_; }
 
   /// True if the (neighbor, prefix) adjacency is damping-suppressed.
-  bool is_suppressed(topo::AsIndex neighbor, Prefix p) const;
+  bool is_suppressed(NeighborSlot neighbor, Prefix p) const;
 
  private:
   /// Per-(neighbor, prefix) flap-damping state. The penalty decays lazily:
@@ -168,38 +212,47 @@ class Speaker {
     NeighborInfo info;
     bool up{true};
     bool mrai_armed{false};
-    /// prefix -> advertised path (what the neighbor believes). Lookup-only,
-    /// so the unordered container cannot leak iteration order into output.
-    std::unordered_map<Prefix, AsPath> rib_out;
-    /// prefix -> path to announce (null = withdraw), flushed on MRAI fire.
-    /// Ordered: flush() iterates it, and that order decides UPDATE packing.
-    std::map<Prefix, AsPath> pending;
-    /// Damping state per flapped prefix (entries appear on first charge;
-    /// steady-state charges are lookups). Ordered for deterministic
-    /// debugging walks; never iterated on the hot path.
-    std::map<Prefix, DampingState> damping;
+    /// Slots to send on the next MRAI flush, in the order they were
+    /// queued; `queued_` says which are still live. flush() sorts them, so
+    /// UPDATEs leave in prefix order, and reads each path from Adj-RIB-Out
+    /// (a null path is a withdrawal).
+    std::vector<std::uint32_t> pending;
     /// Bumped on every session up/down flip; graceful-restart timers
     /// no-op when the session state changed after they were armed.
     std::uint32_t gr_epoch{0};
   };
 
-  std::size_t index_of(topo::AsIndex neighbor) const;
-  void reevaluate(Prefix p);
+  /// Rows allocated so far: 0 until the first route, then every slot.
+  std::size_t rows() const { return loc_rib_.size(); }
+  /// Index of (slot, neighbor) in the per-adjacency tables.
+  std::size_t cell(std::uint32_t slot, std::size_t idx) const {
+    return slot * neighbors_.size() + idx;
+  }
+  std::size_t index_of(NeighborSlot neighbor) const;
+  /// The slot of a prefix this speaker is handed; it must originate.
+  std::uint32_t slot_of(Prefix p) const;
+  void allocate_rows();
+
+  void reevaluate(std::uint32_t slot);
   /// Brings one neighbor's Adj-RIB-Out in line with the current best.
-  void sync_neighbor(std::size_t idx, Prefix p,
-                     const std::optional<Route>& best, const AsPath& export_path);
+  void sync_neighbor(std::size_t idx, std::uint32_t slot, const Route* best,
+                     const AsPath& export_path);
   void arm_mrai(std::size_t idx);
   void flush(std::size_t idx);
-  std::optional<Route> compute_best(Prefix p) const;
+  void clear_pending(std::size_t idx);
+  /// The winning route of a slot: `own_route_`, an Adj-RIB-In entry, or
+  /// null when the prefix is unreachable.
+  const Route* compute_best(std::uint32_t slot) const;
   /// Builds [self] + best.path once per re-decision.
   AsPath make_export_path(const Route& best) const;
 
-  /// Damping machinery: charge one flap against (neighbor idx, prefix);
+  /// Damping machinery: charge one flap against (neighbor idx, slot);
   /// the caller reevaluates afterwards. Suppression state may flip inside.
-  void damping_charge(std::size_t idx, Prefix p);
-  void damping_reuse(std::size_t idx, Prefix p, std::uint32_t epoch);
-  void arm_reuse_timer(std::size_t idx, Prefix p, DampingState& st);
-  bool slot_suppressed(std::size_t idx, Prefix p) const;
+  void damping_charge(std::size_t idx, std::uint32_t slot);
+  void damping_reuse(std::size_t idx, std::uint32_t slot, std::uint32_t epoch);
+  void arm_reuse_timer(std::size_t idx, std::uint32_t slot,
+                       const DampingState& st);
+  bool slot_suppressed(std::size_t idx, std::uint32_t slot) const;
   double decayed_penalty(const DampingState& st, util::TimePoint now) const;
 
   /// Graceful restart: flush every still-stale route of the neighbor
@@ -207,6 +260,7 @@ class Speaker {
   void flush_stale(std::size_t idx, std::uint32_t epoch);
 
   topo::AsIndex self_;
+  const OriginSlots& origins_;
   SpeakerOptions options_;
   /// RFC 2439 penalty ceiling derived from max_suppress and half_life.
   double penalty_cap_{0.0};
@@ -214,16 +268,31 @@ class Speaker {
   ScheduleFn schedule_;
   ClockFn clock_;
   util::Rng rng_;
+  /// The route compute_best() offers for an own prefix.
+  Route own_route_;
 
   std::vector<NeighborState> neighbors_;
-  std::unordered_map<topo::AsIndex, std::size_t> neighbor_index_;
-  /// prefix -> per-neighbor-slot route (empty path = no route). Ordered:
-  /// session_down() re-decides every prefix in iteration order, which feeds
-  /// the MRAI jitter RNG and therefore the message sequence.
-  std::map<Prefix, std::vector<Route>> rib_in_;
-  /// Ordered: session_up() replays it as the full-table export.
-  std::map<Prefix, Route> loc_rib_;
-  std::vector<Prefix> own_prefixes_;
+  std::vector<std::uint32_t> own_slots_;
+
+  // Per adjacency, by cell(slot, neighbor):
+  /// Adj-RIB-In (null path = no route).
+  std::vector<Route> rib_in_;
+  /// Adj-RIB-Out: what the neighbor was told (null = nothing).
+  std::vector<AsPath> rib_out_;
+  /// The slot is in the neighbor's pending list and not cancelled.
+  std::vector<std::uint8_t> queued_;
+  /// Flap damping; allocated at the first charge, so empty with damping
+  /// off.
+  std::vector<DampingState> damping_;
+
+  // Per slot:
+  /// Loc-RIB (neighbor == kInvalidAsIndex = unreachable).
+  std::vector<Route> loc_rib_;
+  /// Some neighbor announced the prefix (the bgp.rib_in_prefixes gauge
+  /// counts them).
+  std::vector<std::uint8_t> announced_;
+  std::size_t loc_rib_routes_{0};
+  std::size_t rib_in_prefixes_{0};
 
   std::uint64_t updates_sent_{0};
   std::uint64_t routes_suppressed_{0};

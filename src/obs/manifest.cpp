@@ -3,11 +3,12 @@
 #include "obs/json.hpp"
 #include "util/flags.hpp"
 
-// Build metadata is injected by src/obs/CMakeLists.txt; fall back to
-// placeholders so the library still compiles standalone.
-#ifndef SCION_MPR_GIT_SHA
-#define SCION_MPR_GIT_SHA "unknown"
-#endif
+// SCION_MPR_GIT_SHA, from the header src/obs/git_sha.cmake writes at build
+// time.
+#include "git_sha.hpp"
+
+// The rest of the build metadata is injected by src/obs/CMakeLists.txt;
+// fall back to placeholders so the library still compiles standalone.
 #ifndef SCION_MPR_BUILD_TYPE
 #define SCION_MPR_BUILD_TYPE "unknown"
 #endif

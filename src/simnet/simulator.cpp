@@ -9,11 +9,21 @@
 
 namespace scion::sim {
 
-// Once per scheduled event: the queue push is the only permitted growth
-// (amortized vector doubling), and Callback keeps closures inline.
+// Once per scheduled event: the heap, the slot table and the free list are
+// the only permitted growth (amortized vector doubling, up to the queue's
+// high-water mark), and Callback keeps closures inline.
 void Simulator::schedule_at(TimePoint t, obs::EventLabel label, Callback fn) {
   SCION_CHECK(t >= now_, "cannot schedule events in the past");
-  queue_.push(Event{t, next_seq_++, label, std::move(fn)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  queue_.push(Key{t, next_seq_++, slot, label});
   if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
 }
 
@@ -53,13 +63,16 @@ void Simulator::cancel_periodic(TimerId id) {
 
 // Executes once per event — the innermost loop of every simulation.
 void Simulator::pop_and_run() {
-  // Move, not copy: steals the callback out of the queue slot.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
+  const Key key = queue_.top();
   queue_.pop();
+  // Moved out before it runs: the callback may schedule events, and those
+  // may grow the slot table or reuse this slot.
+  Callback fn = std::move(slots_[key.slot]);
+  free_slots_.push_back(key.slot);
   // The queue invariant every determinism claim rests on: virtual time only
   // moves forward, so same-time events run in scheduling (seq) order.
-  SCION_CHECK(ev.time >= now_, "event queue time went backwards");
-  now_ = ev.time;
+  SCION_CHECK(key.time >= now_, "event queue time went backwards");
+  now_ = key.time;
   ++processed_;
   SCION_METRIC_COUNT("simnet.events_processed", 1);
   // Event-cost attribution: snapshot the thread's alloc counters and the
@@ -72,13 +85,13 @@ void Simulator::pop_and_run() {
     const std::uint64_t allocs0 = obs::thread_allocs();
     const std::uint64_t bytes0 = obs::thread_alloc_bytes();
     const std::int64_t wall0 = obs::profiler_wall_now_ns();
-    ev.fn();
-    shard_.record(ev.label, obs::thread_allocs() - allocs0,
+    fn();
+    shard_.record(key.label, obs::thread_allocs() - allocs0,
                   obs::thread_alloc_bytes() - bytes0,
                   obs::profiler_wall_now_ns() - wall0);
     return;
   }
-  ev.fn();
+  fn();
 }
 
 void Simulator::run() {

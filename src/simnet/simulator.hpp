@@ -3,6 +3,9 @@
 // A Simulator owns a virtual clock and an event queue. Events scheduled for
 // the same instant execute in scheduling order (a monotonically increasing
 // sequence number breaks ties), which keeps runs fully deterministic.
+//
+// The queue heap-orders small keys; each event's callback stays in a slot
+// table until the event runs, so reordering the heap never moves a closure.
 #pragma once
 
 #include <cstdint>
@@ -102,15 +105,19 @@ class Simulator {
   std::size_t queue_high_water() const { return queue_high_water_; }
 
  private:
-  struct Event {
+  /// What the heap orders: 24 bytes per pending event, so a sift moves
+  /// keys, not the callbacks they point at.
+  struct Key {
     TimePoint time;
     std::uint64_t seq;
+    /// Index of the event's callback in `slots_`.
+    std::uint32_t slot;
     /// Cost-attribution tag.
     obs::EventLabel label;
-    Callback fn;
   };
+  static_assert(sizeof(Key) == 24, "heap keys must stay small");
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
@@ -131,7 +138,12 @@ class Simulator {
   std::uint64_t next_seq_{0};
   std::uint64_t processed_{0};
   std::size_t queue_high_water_{0};
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::priority_queue<Key, std::vector<Key>, Later> queue_;
+  /// Callbacks of pending events by Key::slot. pop_and_run() moves one out
+  /// just before it runs and returns its slot to `free_slots_`, so the
+  /// table and the free list stop growing at the queue's high-water mark.
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_slots_;
   // Deque, not vector: fire_periodic holds a reference across the user
   // callback, and a callback that registers a new periodic timer must not
   // invalidate it (a vector's push_back reallocation would).

@@ -57,14 +57,16 @@ constexpr double kDiversityBeaconingBudget = 11.2;
 // ~0.75 per event and one per received PCB ~0.26. Measured 22.10.
 constexpr double kControlPlaneBudget = 22.3;
 // BGP: per update sent (handle_update -> reevaluate -> flush -> deliver).
-// Measured 11.17.
-constexpr double kBgpBudget = 11.6;
+// The RIBs are dense tables by origin slot, allocated once per speaker, so
+// what is left per UPDATE is the export path, the message and its prefix
+// vector. Measured 4.884.
+constexpr double kBgpBudget = 5.3;
 // BGP under sustained churn with flap damping + graceful restart enabled:
 // the survival bookkeeping (lazy penalty decay, reuse timers, stale
-// marking/sweeps) must stay O(1) amortized per UPDATE — damping state nodes
-// appear once per flapped adjacency and reuse/GR timers once per episode,
-// not per update. Measured 10.40.
-constexpr double kChurnBgpBudget = 10.9;
+// marking/sweeps) must stay O(1) amortized per UPDATE — the damping table
+// is allocated once per speaker at its first flap and reuse/GR timers once
+// per episode, not per update. Measured 4.928.
+constexpr double kChurnBgpBudget = 5.4;
 
 // --- Micro-runs ------------------------------------------------------------------
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "bgp/policy.hpp"
 #include "bgp/speaker.hpp"
 #include "faults/fault_plan.hpp"
+#include "reference_speaker.hpp"
 #include "simnet/simulator.hpp"
 #include "topology/generator.hpp"
 
@@ -235,13 +239,14 @@ TEST(BgpSim, SessionFlapWithdrawsAndRecovers) {
   ASSERT_TRUE(sim.speaker(0).best(2).has_value());
 
   // Manually bounce the 1-2 session.
-  auto& sim_ref = sim;
-  const_cast<Speaker&>(sim_ref.speaker(1)).session_down(2);
-  const_cast<Speaker&>(sim_ref.speaker(2)).session_down(1);
+  auto& one = const_cast<Speaker&>(sim.speaker(1));
+  auto& two = const_cast<Speaker&>(sim.speaker(2));
+  one.session_down(one.neighbor_slot(2));
+  two.session_down(two.neighbor_slot(1));
   EXPECT_FALSE(sim.speaker(2).best(0).has_value())
       << "withdrawal cascades locally at 2";
-  const_cast<Speaker&>(sim_ref.speaker(1)).session_up(2);
-  const_cast<Speaker&>(sim_ref.speaker(2)).session_up(1);
+  one.session_up(one.neighbor_slot(2));
+  two.session_up(two.neighbor_slot(1));
   sim.simulator().run();
   EXPECT_TRUE(sim.speaker(2).best(0).has_value());
   EXPECT_TRUE(sim.speaker(0).best(2).has_value());
@@ -250,18 +255,20 @@ TEST(BgpSim, SessionFlapWithdrawsAndRecovers) {
 // --- Churn-survival mechanisms (flap damping, graceful restart) -------------
 
 /// Direct Speaker harness: a simulator backs the clock and every deferred
-/// timer (MRAI, damping reuse, GR sweeps); sends are recorded.
+/// timer (MRAI, damping reuse, GR sweeps); sends are recorded. Neighbors are
+/// ASes 1 and 2; prefixes 5 and 6 originate.
 struct SpeakerFixture : ::testing::Test {
   sim::Simulator simulator;
-  std::vector<std::pair<topo::AsIndex, BgpUpdateMsg>> sent;
+  OriginSlots origins{{5, 6}, 10};
+  std::vector<std::pair<NeighborSlot, BgpUpdateMsg>> sent;
   std::unique_ptr<Speaker> speaker;
 
   void make(SpeakerOptions options) {
     std::vector<Speaker::NeighborInfo> nbrs{
         {1, Relationship::kCustomer}, {2, Relationship::kCustomer}};
     speaker = std::make_unique<Speaker>(
-        0, nbrs, options,
-        [this](topo::AsIndex n, BgpUpdateMsg m) {
+        0, nbrs, origins, options,
+        [this](NeighborSlot n, BgpUpdateMsg m) {
           sent.emplace_back(n, std::move(m));
         },
         [this](util::Duration d, TimerKind, std::function<void()> fn) {
@@ -270,18 +277,22 @@ struct SpeakerFixture : ::testing::Test {
         [this] { return simulator.now(); }, /*seed=*/7);
   }
 
+  NeighborSlot slot(topo::AsIndex neighbor) const {
+    return speaker->neighbor_slot(neighbor);
+  }
+
   void announce(topo::AsIndex from, Prefix p,
                 std::initializer_list<topo::AsIndex> path) {
     BgpUpdateMsg msg;
     msg.announced = {p};
     msg.path = std::make_shared<std::vector<topo::AsIndex>>(path);
-    speaker->handle_update(from, msg);
+    speaker->handle_update(slot(from), msg);
   }
 
   void withdraw(topo::AsIndex from, Prefix p) {
     BgpUpdateMsg msg;
     msg.withdrawn = {p};
-    speaker->handle_update(from, msg);
+    speaker->handle_update(slot(from), msg);
   }
 
   void run_until(util::Duration since_origin) {
@@ -298,10 +309,10 @@ TEST_F(SpeakerFixture, DampingSuppressesAndReusesAfterDecay) {
 
   announce(1, 5, {1, 5});
   withdraw(1, 5);  // one flap: penalty 1000, below the 2000 threshold
-  EXPECT_FALSE(speaker->is_suppressed(1, 5));
+  EXPECT_FALSE(speaker->is_suppressed(slot(1), 5));
   announce(1, 5, {1, 5});
   withdraw(1, 5);  // second flap with no decay between: suppressed
-  EXPECT_TRUE(speaker->is_suppressed(1, 5));
+  EXPECT_TRUE(speaker->is_suppressed(slot(1), 5));
   EXPECT_EQ(speaker->routes_suppressed(), 1u);
 
   // Suppression removes the adjacency from the decision process; an
@@ -316,9 +327,9 @@ TEST_F(SpeakerFixture, DampingSuppressesAndReusesAfterDecay) {
   // half-lives (~85 s): still suppressed at 60 s, reusable by 120 s, and
   // the re-decision promotes the shorter path again.
   run_until(Duration::seconds(60));
-  EXPECT_TRUE(speaker->is_suppressed(1, 5));
+  EXPECT_TRUE(speaker->is_suppressed(slot(1), 5));
   run_until(Duration::seconds(120));
-  EXPECT_FALSE(speaker->is_suppressed(1, 5));
+  EXPECT_FALSE(speaker->is_suppressed(slot(1), 5));
   EXPECT_EQ(speaker->routes_reused(), 1u);
   ASSERT_TRUE(speaker->best(5).has_value());
   EXPECT_EQ(speaker->best(5)->neighbor, 1u);
@@ -338,10 +349,10 @@ TEST_F(SpeakerFixture, DampingPenaltyCapBoundsSuppression) {
     announce(1, 5, {1, 5});
     withdraw(1, 5);
   }
-  EXPECT_TRUE(speaker->is_suppressed(1, 5));
+  EXPECT_TRUE(speaker->is_suppressed(slot(1), 5));
   EXPECT_EQ(speaker->routes_suppressed(), 1u) << "one suppression episode";
   run_until(options.damping.max_suppress + Duration::seconds(5));
-  EXPECT_FALSE(speaker->is_suppressed(1, 5));
+  EXPECT_FALSE(speaker->is_suppressed(slot(1), 5));
   EXPECT_EQ(speaker->routes_reused(), 1u);
 }
 
@@ -352,7 +363,7 @@ TEST_F(SpeakerFixture, DampingOffMeansNoSuppression) {
     withdraw(1, 5);
   }
   EXPECT_EQ(speaker->routes_suppressed(), 0u);
-  EXPECT_FALSE(speaker->is_suppressed(1, 5));
+  EXPECT_FALSE(speaker->is_suppressed(slot(1), 5));
   announce(1, 5, {1, 5});
   EXPECT_TRUE(speaker->best(5).has_value());
 }
@@ -365,16 +376,16 @@ TEST_F(SpeakerFixture, GracefulRestartRetainsOnlyWhenForwardingPreserved) {
   // A physical link loss flushes even with GR enabled: a stale route
   // through a dead link would mask live alternatives.
   announce(1, 5, {1, 5});
-  speaker->session_down(1, /*forwarding_preserved=*/false);
+  speaker->session_down(slot(1), /*forwarding_preserved=*/false);
   EXPECT_FALSE(speaker->best(5).has_value());
   EXPECT_EQ(speaker->stale_retained(), 0u);
 
   // A process restart preserves the data plane: routes stay in the
   // decision process as stale survivors.
-  speaker->session_up(1);
+  speaker->session_up(slot(1));
   simulator.run();
   announce(1, 5, {1, 5});
-  speaker->session_down(1, /*forwarding_preserved=*/true);
+  speaker->session_down(slot(1), /*forwarding_preserved=*/true);
   ASSERT_TRUE(speaker->best(5).has_value());
   EXPECT_EQ(speaker->best(5)->neighbor, 1u);
   EXPECT_EQ(speaker->stale_retained(), 1u);
@@ -387,7 +398,7 @@ TEST_F(SpeakerFixture, GracefulRestartStaleTimerFlushes) {
   make(options);
 
   announce(1, 5, {1, 5});
-  speaker->session_down(1, /*forwarding_preserved=*/true);
+  speaker->session_down(slot(1), /*forwarding_preserved=*/true);
   run_until(Duration::minutes(2));
   EXPECT_TRUE(speaker->best(5).has_value()) << "stale but still forwarding";
   run_until(Duration::minutes(4));
@@ -405,18 +416,243 @@ TEST_F(SpeakerFixture, GracefulRestartResyncSweepsUnrefreshedRoutes) {
 
   announce(1, 5, {1, 5});
   announce(1, 6, {1, 6});
-  speaker->session_down(1, /*forwarding_preserved=*/true);
+  speaker->session_down(slot(1), /*forwarding_preserved=*/true);
   EXPECT_EQ(speaker->stale_retained(), 2u);
 
   // Session returns; the epoch bump voids the pending stale timer. The
   // peer's replay refreshes prefix 5 but never re-announces 6, so the
   // re-sync sweep (the End-of-RIB substitute) flushes only 6.
-  speaker->session_up(1);
+  speaker->session_up(slot(1));
   announce(1, 5, {1, 5});
   run_until(Duration::minutes(5));  // past both the sweep and the old timer
   EXPECT_TRUE(speaker->best(5).has_value()) << "refreshed by the replay";
   EXPECT_FALSE(speaker->best(6).has_value()) << "swept by the re-sync";
   EXPECT_EQ(speaker->stale_expired(), 1u);
+}
+
+// --- Lockstep against the reference speaker ---------------------------------
+
+/// Drives bgp::Speaker and reference::Speaker (the speaker before its RIBs
+/// became dense by origin slot, kept verbatim in reference_speaker.*) with
+/// the same seeded random script, call by call, and renders everything
+/// either one shows the outside after each step. The origins are sparse, so
+/// a prefix's slot is not the prefix.
+class Lockstep {
+ public:
+  static constexpr topo::AsIndex kSelf = 20;
+  /// Prefixes up to 40 exist; these originate, kSelf's own among them.
+  static constexpr std::size_t kPrefixSpace = 40;
+  inline static const std::vector<Prefix> kOrigins{3, 8, 9, 14, 20, 27, 33};
+
+  Lockstep(SpeakerOptions options, std::uint64_t script_seed)
+      : origins_{kOrigins, kPrefixSpace}, script_{script_seed} {
+    // Unsorted AS numbers, so the lowest-neighbor tie-break is not the
+    // neighbor order.
+    neighbors_ = {{31, Relationship::kCustomer},
+                  {5, Relationship::kCustomer},
+                  {17, Relationship::kPeer},
+                  {44, Relationship::kProvider},
+                  {12, Relationship::kCustomer}};
+    const auto schedule_on = [](sim::Simulator& s) {
+      return [&s](Duration d, TimerKind, std::function<void()> fn) {
+        s.schedule_after(d, std::move(fn));
+      };
+    };
+    std::vector<reference::Speaker::NeighborInfo> ref_neighbors;
+    for (const auto& [as, rel] : neighbors_) ref_neighbors.push_back({as, rel});
+    ref_ = std::make_unique<reference::Speaker>(
+        kSelf, ref_neighbors, options,
+        [this](topo::AsIndex to, BgpUpdateMsg m) {
+          ref_log_ += render("to", to, m);
+        },
+        schedule_on(ref_sim_), [this] { return ref_sim_.now(); },
+        /*seed=*/7);
+    new_ = std::make_unique<Speaker>(
+        kSelf, neighbors_, origins_, options,
+        [this](NeighborSlot to, BgpUpdateMsg m) {
+          new_log_ += render("to", neighbors_[to.value()].as, m);
+        },
+        schedule_on(new_sim_), [this] { return new_sim_.now(); },
+        /*seed=*/7);
+  }
+
+  /// Runs `steps` random script steps; stops at the first divergence.
+  void run(int steps) {
+    ref_->originate(kSelf);
+    new_->originate(kSelf);
+    expect_same("originate");
+    for (int i = 0; i < steps && !::testing::Test::HasFailure(); ++i) {
+      expect_same(step());
+    }
+  }
+
+ private:
+  static std::string render(const AsPath& path) {
+    if (!path) return "-";
+    std::ostringstream out;
+    out << "[";
+    for (const topo::AsIndex as : *path) out << as << ",";
+    out << "]";
+    return out.str();
+  }
+
+  static std::string render(const std::vector<Prefix>& prefixes) {
+    std::ostringstream out;
+    out << "{";
+    for (const Prefix p : prefixes) out << p << ",";
+    out << "}";
+    return out.str();
+  }
+
+  static std::string render(const char* dir, topo::AsIndex as,
+                             const BgpUpdateMsg& m) {
+    std::ostringstream out;
+    out << "  " << dir << " " << as << " announce " << render(m.announced)
+        << " path " << render(m.path) << " withdraw " << render(m.withdrawn)
+        << "\n";
+    return out.str();
+  }
+
+  template <typename Route>
+  static void render_route(std::ostringstream& out, const Route& r) {
+    out << " (" << r.neighbor << " " << to_string(r.learned_from)
+        << (r.stale ? " stale " : " ") << render(r.path) << ")";
+  }
+
+  /// Best, multipath and suppression of every prefix (a non-originating
+  /// one too), the five counters, and the UPDATEs sent since last time.
+  template <typename S, typename Slot>
+  static std::string render_state(const S& speaker, std::string& log,
+                                  Slot&& slot) {
+    std::ostringstream out;
+    out << log;
+    log.clear();
+    for (Prefix p = 0; p < kPrefixSpace; ++p) {
+      const auto best = speaker.best(p);
+      const auto multipath = speaker.multipath(p);
+      std::string suppressed;
+      for (std::size_t n = 0; n < 5; ++n) {
+        suppressed += speaker.is_suppressed(slot(n), p) ? '1' : '0';
+      }
+      if (!best && multipath.empty() && suppressed == "00000") continue;
+      out << "  prefix " << p << " best";
+      if (best) render_route(out, *best);
+      out << " multipath";
+      for (const auto& r : multipath) render_route(out, r);
+      out << " suppressed " << suppressed << "\n";
+    }
+    out << "  counters " << speaker.updates_sent() << " "
+        << speaker.routes_suppressed() << " " << speaker.routes_reused() << " "
+        << speaker.stale_retained() << " " << speaker.stale_expired() << "\n";
+    return out.str();
+  }
+
+  void expect_same(const std::string& what) {
+    const std::string ref = render_state(
+        *ref_, ref_log_, [this](std::size_t n) { return neighbors_[n].as; });
+    const std::string now = render_state(*new_, new_log_, [](std::size_t n) {
+      return NeighborSlot{static_cast<std::uint32_t>(n)};
+    });
+    EXPECT_EQ(ref, now) << "after " << what;
+  }
+
+  std::vector<Prefix> some_prefixes() {
+    std::vector<Prefix> out;
+    const std::size_t n = 1 + script_.index(3);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Prefix p = script_.pick(kOrigins);
+      if (std::find(out.begin(), out.end(), p) == out.end()) out.push_back(p);
+    }
+    return out;
+  }
+
+  /// A path from neighbor `as`: one to four hops over a small pool of
+  /// transit ASes, so equal lengths (decision ties) are common; one in ten
+  /// passes through kSelf (an AS-path loop the speaker must discard).
+  AsPath some_path(topo::AsIndex as) {
+    std::vector<topo::AsIndex> hops{as};
+    const std::size_t extra = script_.index(4);
+    for (std::size_t i = 0; i < extra; ++i) {
+      hops.push_back(static_cast<topo::AsIndex>(50 + script_.index(6)));
+    }
+    if (script_.bernoulli(0.1)) {
+      hops.insert(hops.begin() + 1 + script_.index(hops.size()), kSelf);
+    }
+    return std::make_shared<const std::vector<topo::AsIndex>>(hops);
+  }
+
+  std::string step() {
+    const std::size_t n = script_.index(neighbors_.size());
+    const topo::AsIndex as = neighbors_[n].as;
+    const NeighborSlot slot{static_cast<std::uint32_t>(n)};
+    const double kind = script_.uniform();
+    if (kind < 0.4) {
+      BgpUpdateMsg m;
+      m.announced = some_prefixes();
+      m.path = some_path(as);
+      if (script_.bernoulli(0.2)) m.withdrawn = some_prefixes();
+      ref_->handle_update(as, m);
+      new_->handle_update(slot, m);
+      return render("UPDATE from", as, m);
+    }
+    if (kind < 0.6) {
+      BgpUpdateMsg m;
+      m.withdrawn = some_prefixes();
+      ref_->handle_update(as, m);
+      new_->handle_update(slot, m);
+      return render("UPDATE from", as, m);
+    }
+    if (kind < 0.68) {
+      const bool preserved = script_.bernoulli(0.5);
+      ref_->session_down(as, preserved);
+      new_->session_down(slot, preserved);
+      std::ostringstream what;
+      what << "session_down " << as << (preserved ? " preserved" : "");
+      return what.str();
+    }
+    if (kind < 0.76) {
+      ref_->session_up(as);
+      new_->session_up(slot);
+      return "session_up " + std::to_string(as);
+    }
+    // Seconds fire MRAI flushes; minutes fire damping reuse and
+    // graceful-restart timers.
+    const Duration dt = script_.bernoulli(0.2)
+                            ? Duration::minutes(script_.uniform_int(1, 10))
+                            : Duration::seconds(script_.uniform_int(1, 40));
+    ref_sim_.run_until(ref_sim_.now() + dt);
+    new_sim_.run_until(new_sim_.now() + dt);
+    return "advance " + std::to_string(dt.ns());
+  }
+
+  OriginSlots origins_;
+  util::Rng script_;
+  std::vector<Speaker::NeighborInfo> neighbors_;
+  sim::Simulator ref_sim_;
+  sim::Simulator new_sim_;
+  std::string ref_log_;
+  std::string new_log_;
+  std::unique_ptr<reference::Speaker> ref_;
+  std::unique_ptr<Speaker> new_;
+};
+
+TEST(SpeakerLockstep, MatchesTheReferenceSpeakerCallByCall) {
+  for (const bool damping : {false, true}) {
+    for (const bool graceful_restart : {false, true}) {
+      for (const std::uint64_t seed : {1, 2, 3, 4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "damping " << damping << ", graceful restart "
+                     << graceful_restart << ", seed " << seed);
+        SpeakerOptions options;
+        options.damping.enabled = damping;
+        options.damping.half_life = Duration::minutes(1);
+        options.damping.max_suppress = Duration::minutes(5);
+        options.graceful_restart.enabled = graceful_restart;
+        Lockstep{options, seed}.run(400);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
 }
 
 TEST(BgpSim, SessionRestartEngagesGracefulRestart) {

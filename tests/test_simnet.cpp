@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "obs/alloc_track.hpp"
 #include "simnet/network.hpp"
 #include "simnet/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace scion::sim {
 namespace {
@@ -129,6 +134,64 @@ TEST(Simulator, PeriodicCallbackMayRegisterNewPeriodics) {
   sim.run();
   EXPECT_EQ(outer, 4);
   EXPECT_EQ(inner, 4);
+}
+
+TEST(Simulator, SeededScheduleRunsInTimeThenScheduleOrder) {
+  // Many events share a time, a third of them schedule a child 0-3 ns
+  // later (0 = the current instant), and more arrive from outside between
+  // run_until segments. Every event must run exactly once, at its time,
+  // and the run order must be (time, order of the schedule call).
+  Simulator sim;
+  util::Rng rng{29};
+  std::vector<std::int64_t> due;     // by schedule order
+  std::vector<std::size_t> ran;      // schedule orders, as they ran
+  std::function<void(std::int64_t)> schedule = [&](std::int64_t t) {
+    const std::size_t order = due.size();
+    due.push_back(t);
+    sim.schedule_at(TimePoint::from_ns(t), [&, order] {
+      EXPECT_EQ(sim.now().ns(), due[order]);
+      ran.push_back(order);
+      if (rng.index(3) == 0) schedule(sim.now().ns() + rng.uniform_int(0, 3));
+    });
+  };
+  for (int i = 0; i < 3000; ++i) schedule(rng.uniform_int(0, 200));
+  for (std::int64_t end = 20; end <= 300; end += 20) {
+    sim.run_until(TimePoint::from_ns(end));
+    EXPECT_EQ(sim.now().ns(), end);
+    std::size_t due_by_end = 0;
+    for (const std::int64_t t : due) due_by_end += t <= end ? 1 : 0;
+    EXPECT_EQ(ran.size(), due_by_end) << "segment ending at " << end;
+    for (int i = 0; i < 50; ++i) schedule(end + rng.uniform_int(0, 30));
+  }
+  sim.run();
+
+  std::vector<std::size_t> expected(due.size());
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::size_t a, std::size_t b) { return due[a] < due[b]; });
+  EXPECT_EQ(ran, expected);
+  EXPECT_EQ(sim.events_processed(), due.size());
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, WarmQueueSchedulesAndRunsWithoutAllocating) {
+  Simulator sim;
+  std::uint64_t sum = 0;
+  const auto round = [&] {
+    const TimePoint t0 = sim.now();
+    for (std::int64_t i = 0; i < 10'000; ++i) {
+      // A scrambled order, so pushes do not arrive pre-sorted.
+      sim.schedule_at(t0 + Duration::nanoseconds(1 + (i * 7919) % 10'000),
+                      [&sum, i] { sum += static_cast<std::uint64_t>(i); });
+    }
+    sim.run();
+  };
+  round();  // grows the heap, the callback slots and the free list
+  const std::uint64_t allocs0 = obs::thread_allocs();
+  round();
+  EXPECT_EQ(obs::thread_allocs() - allocs0, 0u);
+  EXPECT_EQ(sim.events_processed(), 20'000u);
+  EXPECT_EQ(sum, 2u * (10'000u * 9'999u / 2));
 }
 
 TEST(Network, DeliversAfterLatency) {
